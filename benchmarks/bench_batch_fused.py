@@ -1,7 +1,7 @@
 """Bench: fused execution plans vs the step interpreter (and PR-1).
 
-Measures host rows/s of the batch engine's four execution paths on
-the canonical workloads at batch 256:
+Measures host rows/s of three execution paths on the canonical
+workloads at batch 256:
 
 * **pr1** — a faithful replica of the original PR-1 step interpreter
   (uncoalesced move tape, no ``out=`` reuse, fresh zeroed state) run
@@ -9,8 +9,13 @@ the canonical workloads at batch 256:
   acceptance bar is measured against;
 * **step** — today's step interpreter (coalesced moves, slice fast
   paths, ``out=`` compute);
-* **fused** — level-grouped super-op kernels with bound sweeps;
-* **codegen** — the plan-specialized ``exec``-compiled backend.
+* **fused** — level-grouped super-op kernels with bound sweeps over a
+  liveness-compacted state.
+
+Each record also carries the per-row state of each layout in bytes
+at the bench's batch width: the step engine's machine image, the
+uncompacted fused layout (used base cells plus one cell per op) and
+the compacted fused layout the engine runs.
 
 Every engine's outputs are checked bitwise against the step
 interpreter before timing — a perf number for a wrong answer is
@@ -26,9 +31,10 @@ Acceptance bars:
   *current* step interpreter on the deep gate workloads — a much
   tighter baseline than PR-1, sized for noisy shared runners.
 
-Wide/shallow workloads (tretail, bp_200) are reported but not gated:
-their sweeps are memory-bandwidth-bound, so the fused win saturates
-near 4-6x regardless of dispatch cost.
+Wide/shallow workloads (tretail, bp_200) and the 50k-node
+``synth_xl_layered_50k`` plan (always at scale 1.0) are reported but
+not gated: wide sweeps are memory-bandwidth-bound, so the fused win
+saturates near 4-6x regardless of dispatch cost.
 
 Writes ``results/bench_batch_fused.txt`` and appends the
 machine-readable run to ``BENCH_batch.json`` (schema repro-bench-v1).
@@ -68,6 +74,11 @@ WORKLOADS = (
         "near_chain2000",
         lambda s: generate_synth("near_chain", 2000, seed=1),
         True,
+    ),
+    (
+        "synth_xl_layered_50k",
+        lambda s: build_workload("synth_xl_layered_50k", scale=1.0),
+        False,
     ),
 )
 
@@ -128,9 +139,9 @@ def bench_workload(label, build, args) -> dict:
     matrix = rng.uniform(0.9, 1.1, size=(args.batch, dag.num_inputs))
 
     engines = {
-        name: BatchSimulator(plan, engine=name)
-        for name in ("step", "fused", "codegen")
+        name: BatchSimulator(plan, engine=name) for name in ("step", "fused")
     }
+    fused = engines["fused"]._fused
     _check_parity(engines, matrix)
     pr1_out = pr1_run(raw_plan, matrix)
     step_out = engines["step"].run(matrix)
@@ -148,9 +159,13 @@ def bench_workload(label, build, args) -> dict:
         "batch": args.batch,
         "cycles_per_row": plan.cycles_per_row,
         "tape_steps": len(plan.steps),
-        "fused_levels": sum(
-            len(lv.kernels) for lv in engines["fused"]._fused.levels
-        ),
+        "fused_levels": sum(len(lv.kernels) for lv in fused.levels),
+        # Per-batch state buffers, f64 cells x batch rows.
+        "step_state_bytes": plan.state_size * args.batch * 8,
+        "uncompacted_fused_state_bytes": (
+            fused.base_cells.size + fused.num_ops
+        ) * args.batch * 8,
+        "fused_state_bytes": fused.state_size * args.batch * 8,
     }
     timings = {"pr1": _best_of(lambda: pr1_run(raw_plan, matrix), args.reps)}
     for name, sim in engines.items():
@@ -159,7 +174,6 @@ def bench_workload(label, build, args) -> dict:
         record[f"{name}_rows_per_s"] = round(args.batch / seconds, 1)
     record["fused_vs_pr1"] = round(timings["pr1"] / timings["fused"], 2)
     record["fused_vs_step"] = round(timings["step"] / timings["fused"], 2)
-    record["codegen_vs_pr1"] = round(timings["pr1"] / timings["codegen"], 2)
     return record
 
 
@@ -206,8 +220,9 @@ def main(argv=None) -> int:
     }
 
     header = (
-        f"{'workload':16s} {'nodes':>6s} {'pr1':>10s} {'step':>10s} "
-        f"{'fused':>10s} {'codegen':>10s} {'vs pr1':>7s} {'vs step':>8s}"
+        f"{'workload':20s} {'nodes':>6s} {'pr1':>10s} {'step':>10s} "
+        f"{'fused':>10s} {'vs pr1':>7s} {'vs step':>8s} "
+        f"{'state MB step/uncompacted/fused':>32s}"
     )
     lines = [
         f"batch engine bench: batch {args.batch}, "
@@ -217,12 +232,20 @@ def main(argv=None) -> int:
         header,
     ]
     for r in records:
+        mb = "/".join(
+            f"{r[k] / 1e6:.2f}"
+            for k in (
+                "step_state_bytes",
+                "uncompacted_fused_state_bytes",
+                "fused_state_bytes",
+            )
+        )
         lines.append(
-            f"{r['workload']:16s} {r['nodes']:6d} "
+            f"{r['workload']:20s} {r['nodes']:6d} "
             f"{r['pr1_rows_per_s']:10,.0f} {r['step_rows_per_s']:10,.0f} "
             f"{r['fused_rows_per_s']:10,.0f} "
-            f"{r['codegen_rows_per_s']:10,.0f} "
-            f"{r['fused_vs_pr1']:6.1f}x {r['fused_vs_step']:7.1f}x"
+            f"{r['fused_vs_pr1']:6.1f}x {r['fused_vs_step']:7.1f}x "
+            f"{mb:>32s}"
             + ("  <- gate" if r["workload"] in gated else "")
         )
 

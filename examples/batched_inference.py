@@ -55,9 +55,9 @@ def main() -> None:
 
     # Engine selection: the fused engine lowers the plan once more
     # into level-grouped super-op kernels (~2 numpy dispatches per
-    # dependence level instead of one per tape step) and "codegen"
-    # exec-compiles a plan-specialized sweep on top.  Same bits out,
-    # several times the rows/s — the CLI flag is `--engine fused`:
+    # dependence level instead of one per tape step) over a state
+    # whose cells are reused by liveness.  Same bits out, several
+    # times the rows/s — the CLI flag is `--engine fused`:
     #
     #   python -m repro run tretail --batch 256 --engine fused
     #

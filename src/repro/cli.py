@@ -36,8 +36,8 @@ Mirrors the paper artifact's ``run.sh`` workflow:
   ``loadgen`` also take ``--trace FILE`` / ``--metrics FILE``
   directly;
 * ``profile``  — span-level profile of one workload: per-pass compile
-  times, plan lowering, fused/codegen kernel timings and the batch
-  sweep, aggregated into a table.
+  times, plan lowering, fused kernel timings and the batch sweep,
+  aggregated into a table.
 
 The evaluation commands (``run``, ``suite``, ``dse``, ``sweep``,
 ``all``) share ``--cache-dir``/``--no-cache``: compiled programs and
@@ -1245,9 +1245,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--engine", default="auto", choices=ENGINES,
-        help="batch execution engine (--batch N only): step interpreter, "
-        "fused super-op kernels, plan-specialized codegen, or auto "
-        "(fused when the plan fits the cell cap); all are bitwise "
+        help="batch execution engine (--batch N only): step interpreter "
+        "or fused super-op kernels (auto = fused); both are bitwise "
         "identical",
     )
     _add_cache_args(p)
@@ -1444,8 +1443,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--engine", default="auto", choices=ENGINES,
             help="batch execution engine behind the plan pool "
-            "(default auto: fused super-op kernels when the plan "
-            "fits the cell cap); all engines are bitwise identical",
+            "(default auto: fused super-op kernels); both engines are "
+            "bitwise identical",
         )
 
     p = sub.add_parser(
@@ -1577,7 +1576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "profile",
         help="span-level profile of one workload: compile passes, "
-        "plan lowering, fused/codegen kernels, batch sweep",
+        "plan lowering, fused kernels, batch sweep",
     )
     _add_common(p)
     p.add_argument(

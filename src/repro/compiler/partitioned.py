@@ -128,7 +128,7 @@ class PartitionedCompileResult:
         nodes as :meth:`run`.  ``engine`` selects the per-piece batch
         engine (see :data:`repro.sim.batch.ENGINES`); simulators are
         memoized per (piece, engine), so repeated batches through the
-        fused engines reuse their bound sweeps.
+        fused engine reuse their bound sweeps.
         """
         inputs = np.asarray(inputs, dtype=np.float64)
         batch = inputs.shape[0]

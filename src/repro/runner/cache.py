@@ -62,7 +62,6 @@ from ..arch import DEFAULT_TOPOLOGY, Interconnect, Topology
 from ..compiler import CompileResult, compile_dag
 from ..graphs import DAG, OpType
 from .fingerprint import (
-    codegen_key,
     compile_key,
     fused_key,
     node_digests,
@@ -515,24 +514,3 @@ def cached_fused_plan(
         fused = fuse_plan(cached_plan(result, interconnect, cache))
         cache.put(key, fused)
     return fused
-
-
-def cached_codegen_source(
-    fused, cache: ArtifactCache | NullCache | None = None
-) -> str:
-    """Generated-sweep source for a fused plan, memoized by content.
-
-    The source (:func:`repro.sim.fused.codegen_source`) is a pure
-    function of the fused plan, keyed by its fingerprint — so every
-    process (serving workers included) compiling the same plan shares
-    one generation, and the artifact survives restarts.
-    """
-    from ..sim.fused import codegen_source
-
-    cache = cache if cache is not None else get_cache()
-    key = codegen_key(fused.fingerprint)
-    source = cache.get(key)
-    if not isinstance(source, str):
-        source = codegen_source(fused)
-        cache.put(key, source)
-    return source

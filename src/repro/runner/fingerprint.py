@@ -151,15 +151,17 @@ def plan_key(base_key: str, topology: Topology) -> str:
 
 def fused_key(plan_cache_key: str) -> str:
     """Cache key for a :class:`~repro.sim.fused.FusedPlan` lowered from
-    the plan identified by ``plan_cache_key``."""
-    return _h(b"fused", plan_cache_key.encode()).hex()
+    the plan identified by ``plan_cache_key``.
 
+    The fused layout version (:data:`repro.sim.fused.FUSED_LAYOUT`)
+    takes part, so a cache written by an older lowering is never
+    served.
+    """
+    from ..sim.fused import FUSED_LAYOUT  # local: sim is not a hard dep
 
-def codegen_key(fused_fingerprint: str) -> str:
-    """Cache key for generated sweep source, addressed by the fused
-    plan's *content* fingerprint (not the compile key): structurally
-    identical fused plans share one generated function."""
-    return _h(b"codegen", fused_fingerprint.encode()).hex()
+    return _h(
+        b"fused", FUSED_LAYOUT.encode(), plan_cache_key.encode()
+    ).hex()
 
 
 def metrics_key(base_key: str) -> str:

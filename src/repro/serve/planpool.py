@@ -52,12 +52,7 @@ from ..runner.fingerprint import (
     config_fingerprint,
     dag_fingerprint,
 )
-from ..sim import (
-    AUTO_FUSED_CELL_CAP,
-    ENGINES,
-    BatchSimulator,
-    estimated_fused_cells,
-)
+from ..sim import ENGINES, BatchSimulator
 from ..workloads import DEFAULT_SCALE, SynthParams, build_workload
 from ..workloads.suite import _BY_NAME as _SUITE_NAMES
 
@@ -102,10 +97,9 @@ class ProgramSpec:
     converge on the same cached plan.
 
     ``engine`` selects the batch engine served traffic runs on (one
-    of :data:`repro.sim.batch.ENGINES`; all engines are bitwise
+    of :data:`repro.sim.batch.ENGINES`; both engines are bitwise
     identical, so this is purely a throughput knob).  The default
-    ``"auto"`` serves fused plans whenever the fused state fits the
-    auto cap.
+    ``"auto"`` serves fused plans.
     """
 
     name: str
@@ -177,7 +171,7 @@ class ServedProgram:
 def _plan_executor(plan, sink_vars, engine="step", fused_plan=None):
     """Serve through one monolithic ExecutionPlan (the common path)."""
     # One simulator per served program: its slot-sort/dense-check
-    # precompute (and, for the fused engines, the per-batch-width
+    # precompute (and, for the fused engine, the per-batch-width
     # bound sweeps) runs once here, not per dispatched micro-batch.
     sim = BatchSimulator(plan, engine=engine, fused_plan=fused_plan)
 
@@ -309,19 +303,9 @@ def build_served_program(spec: ProgramSpec) -> ServedProgram:
         )
     result = cached_compile(dag, config, seed=spec.seed)
     plan = cached_plan(result)
-    # Resolve "auto" here (same rule as BatchSimulator) so the fused
-    # lowering goes through the artifact cache: a warm disk cache
-    # registers fused programs without re-fusing.
-    engine = spec.engine
-    if engine == "auto":
-        engine = (
-            "fused"
-            if estimated_fused_cells(plan) <= AUTO_FUSED_CELL_CAP
-            else "step"
-        )
-    fused = (
-        cached_fused_plan(result) if engine in ("fused", "codegen") else None
-    )
+    # The fused lowering goes through the artifact cache: a warm disk
+    # cache registers fused programs without re-fusing.
+    fused = cached_fused_plan(result) if spec.engine != "step" else None
     sink_vars = tuple((s, result.node_map[s]) for s in sinks)
     return ServedProgram(
         key=spec.key,
@@ -331,7 +315,7 @@ def build_served_program(spec: ProgramSpec) -> ServedProgram:
         num_nodes=dag.num_nodes,
         cycles_per_row=plan.cycles_per_row,
         sink_vars=sink_vars,
-        _executor=_plan_executor(plan, sink_vars, engine, fused),
+        _executor=_plan_executor(plan, sink_vars, spec.engine, fused),
     )
 
 

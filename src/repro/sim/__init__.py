@@ -10,7 +10,6 @@ fully-checked reference path.
 
 from .activity import batch_counters, count_activity
 from .batch import (
-    AUTO_FUSED_CELL_CAP,
     ENGINES,
     BatchResult,
     BatchSimulator,
@@ -20,9 +19,6 @@ from .fused import (
     FusedKernel,
     FusedPlan,
     bind_sweep,
-    codegen_source,
-    compiled_sweep,
-    estimated_fused_cells,
     execute_fused,
     fuse_plan,
 )
@@ -55,15 +51,11 @@ __all__ = [
     "BatchResult",
     "run_batch",
     "ENGINES",
-    "AUTO_FUSED_CELL_CAP",
     "FusedPlan",
     "FusedKernel",
     "bind_sweep",
     "fuse_plan",
     "execute_fused",
-    "estimated_fused_cells",
-    "codegen_source",
-    "compiled_sweep",
     "BatchPerfReport",
     "batch_perf_report",
     "energy_of_batch",

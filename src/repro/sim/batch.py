@@ -20,19 +20,18 @@ workloads in the test suite).
 
 Engine selection
 ----------------
-The simulator executes the sweep with one of four engines:
+The simulator executes the sweep with one of two engines:
 
-* ``"step"`` (default) — the per-tape-step interpreter above;
 * ``"fused"`` — the plan is further lowered into level-grouped
-  super-op kernels (:mod:`repro.sim.fused`) and run ~2 kernels per
-  dependence level instead of one dispatch per tape step;
-* ``"codegen"`` — the fused kernels are additionally ``exec``-compiled
-  into a plan-specialized straight-line numpy function (source cached
-  by plan fingerprint in the artifact cache);
-* ``"auto"`` — ``"fused"`` unless the fused single-assignment state
-  would exceed :data:`AUTO_FUSED_CELL_CAP` cells, else ``"step"``.
+  super-op kernels over a liveness-compacted state
+  (:mod:`repro.sim.fused`) and run ~2 kernels per dependence level
+  instead of one dispatch per tape step.  This is the production
+  engine; ``"auto"`` is an accepted name for it;
+* ``"step"`` (the constructor default) — the per-tape-step
+  interpreter above, kept as the differential oracle's batch
+  reference.
 
-All engines are bitwise identical (same IEEE-double operations, only
+Both engines are bitwise identical (same IEEE-double operations, only
 independent lanes regrouped); the differential fuzzer cross-checks
 them continuously.
 """
@@ -54,8 +53,6 @@ from .fused import (
     FusedPlan,
     _execute_fused_traced,
     bind_sweep,
-    compiled_sweep,
-    estimated_fused_cells,
     execute_fused,
     fuse_plan,
 )
@@ -67,13 +64,8 @@ from .plan import (
     lower_program,
 )
 
-#: Supported execution engines, in documentation order.
-ENGINES = ("step", "fused", "codegen", "auto")
-
-#: ``engine="auto"`` falls back to the step interpreter when the fused
-#: single-assignment state would exceed this many cells per batch row
-#: (64k cells ~= 128 MB of f64 state at batch 256).
-AUTO_FUSED_CELL_CAP = 1 << 16
+#: Accepted engine names; ``"auto"`` always resolves to ``"fused"``.
+ENGINES = ("step", "fused", "auto")
 
 #: Bound (state, sweep) pairs retained per simulator: one per distinct
 #: batch width, oldest evicted beyond this many (bounds the buffer
@@ -144,7 +136,7 @@ class BatchSimulator:
         engine: One of :data:`ENGINES`; see the module docstring.
         fused_plan: Optional pre-fused plan (e.g. from
             :func:`repro.runner.cache.cached_fused_plan`) to reuse for
-            the ``fused``/``codegen`` engines instead of fusing here.
+            the fused engine instead of fusing here.
     """
 
     def __init__(
@@ -165,20 +157,15 @@ class BatchSimulator:
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
         if engine == "auto":
-            engine = (
-                "fused"
-                if estimated_fused_cells(self.plan) <= AUTO_FUSED_CELL_CAP
-                else "step"
-            )
+            engine = "fused"
         self.engine = engine
         self._fused: FusedPlan | None = None
-        self._bind_factory: Callable | None = None
         # Bound (state, sweep) pairs keyed by batch width, guarded by
         # a non-blocking lock: concurrent runs of one simulator fall
         # back to a fresh throwaway state instead of serializing.
         self._bound: dict[int, tuple[np.ndarray, Callable[[], None]]] = {}
         self._bound_lock = threading.Lock()
-        if engine in ("fused", "codegen"):
+        if engine == "fused":
             if fused_plan is None:
                 fused_plan = fuse_plan(self.plan)
             elif (
@@ -189,19 +176,10 @@ class BatchSimulator:
                     "fused_plan does not match the execution plan"
                 )
             self._fused = fused_plan
-            if engine == "codegen":
-                # Local import: runner.cache depends on the compiler
-                # package, which this low-level module must not pull in
-                # at import time.
-                from ..runner.cache import cached_codegen_source
-
-                self._bind_factory = compiled_sweep(
-                    fused_plan, cached_codegen_source(fused_plan)
-                )
         active = self._fused if self._fused is not None else self.plan
         self._output_cells = active.output_cells
-        # The fused engines scatter inputs into the compact fused
-        # value space; the step engine into the machine-state image.
+        # The fused engine scatters inputs into the compact fused
+        # state; the step engine into the machine-state image.
         self._input_cells = (
             self._fused.input_pos
             if self._fused is not None
@@ -351,7 +329,7 @@ class BatchSimulator:
         """State image (+ bound sweep) for one run.
 
         The step engine gets a fresh zero-initialized machine state.
-        The fused engines reuse a per-batch-width bound
+        The fused engine reuses a per-batch-width bound
         ``(state, sweep)`` pair — state buffer, gather blocks and all
         operand views constructed exactly once (see
         :func:`~repro.sim.fused.bind_sweep`) — holding the returned
@@ -369,11 +347,7 @@ class BatchSimulator:
             try:
                 entry = self._bound.get(batch)
                 if entry is None:
-                    if self._bind_factory is not None:
-                        state = self._fused.make_state(batch)
-                        entry = (state, self._bind_factory(state))
-                    else:
-                        entry = bind_sweep(self._fused, batch)
+                    entry = bind_sweep(self._fused, batch)
                     while len(self._bound) >= BOUND_SWEEP_CAP:
                         self._bound.pop(next(iter(self._bound)))
                     self._bound[batch] = entry

@@ -29,11 +29,11 @@ pipeline and cross-checked along every redundant path the stack offers:
   the direct batch execution bitwise — the fuzzer drives the serving
   stack with every shape the generators produce;
 * **fused vs batch** — with ``fused`` enabled, the same batch is
-  re-executed through the fused super-op engine *and* the
-  plan-specialized codegen engine (:mod:`repro.sim.fused`), whose
-  outputs and activity counters must equal the step interpreter's
-  bitwise — the fused lowering only regroups independent lanes, so
-  any drift at all is a lowering bug;
+  re-executed through the fused super-op engine (:mod:`repro.sim.
+  fused`), whose outputs and activity counters must equal the step
+  interpreter's bitwise — the fused lowering only regroups
+  independent lanes and reuses dead cells, so any drift at all is a
+  lowering bug;
 * **image round-trip** — with ``image`` enabled, the compiled program
   is serialized to a binary artifact image (:mod:`repro.runner.
   imageio`), decoded back through the real bitstream decoder, and
@@ -132,9 +132,8 @@ class Scenario:
     #: direct batch execution.
     serve: bool = False
     #: When set, the oracle additionally re-executes the batch through
-    #: the fused super-op engine and the plan-specialized codegen
-    #: engine and cross-checks outputs and counters bitwise against
-    #: the step interpreter.
+    #: the fused super-op engine and cross-checks outputs and counters
+    #: bitwise against the step interpreter.
     fused: bool = False
     #: When set, the oracle additionally round-trips the compiled
     #: program and the execution plan through binary artifact images
@@ -237,9 +236,8 @@ def diff_check_dag(
 
     With ``fused`` set (or the ``fused_output`` fault, which implies
     it), the oracle also re-executes the batch through the fused
-    super-op engine and the plan-specialized codegen engine and
-    checks their outputs and counters bitwise against the step
-    interpreter's.
+    super-op engine and checks its outputs and counters bitwise
+    against the step interpreter's.
 
     With ``image`` set (or the ``image_corrupt`` fault, which implies
     it), the oracle also serializes the compiled program and the
@@ -482,48 +480,43 @@ def _check_fused(
     matrix: np.ndarray,
     fault: str | None,
 ) -> Mismatch | None:
-    """Fused-engine cross-check: the fused super-op engine and the
-    plan-specialized codegen engine re-execute the same batch and must
-    match the step interpreter bitwise — outputs *and* activity
-    counters (fusion regroups independent lanes; it must not change a
-    single IEEE operation or the analytic activity model)."""
-    for engine in ("fused", "codegen"):
-        try:
-            fused_result = BatchSimulator(plan, engine=engine).run(matrix)
-        except ReproError as exc:
-            return Mismatch(
-                "fused-execute",
-                f"{engine}: {type(exc).__name__}: {exc}",
-            )
-        outputs = dict(fused_result.outputs)
-        if fault == "fused_output" and outputs:
-            worst = max(outputs)
-            col = outputs[worst].copy()
-            col[0] = np.nextafter(col[0], np.inf)
-            outputs[worst] = col
-        if sorted(outputs) != sorted(batch_result.outputs):
-            return Mismatch(
-                "fused-vs-batch",
-                f"{engine} engine stored a different output-variable set",
-            )
-        for var in sorted(outputs):
-            direct = batch_result.outputs[var]
-            for row in range(batch_result.batch):
-                if not _bitwise_equal(
-                    float(outputs[var][row]), float(direct[row])
-                ):
-                    return Mismatch(
-                        "fused-vs-batch",
-                        f"var {var} row {row}: {engine} "
-                        f"{float(outputs[var][row])!r} != step "
-                        f"{float(direct[row])!r}",
-                    )
-        if fused_result.counters != batch_result.counters:
-            return Mismatch(
-                "fused-vs-batch",
-                f"{engine} engine counters diverged from the step "
-                "interpreter's",
-            )
+    """Fused-engine cross-check: the fused super-op engine re-executes
+    the same batch and must match the step interpreter bitwise —
+    outputs *and* activity counters (fusion regroups independent lanes
+    and reuses dead cells; it must not change a single IEEE operation
+    or the analytic activity model)."""
+    try:
+        fused_result = BatchSimulator(plan, engine="fused").run(matrix)
+    except ReproError as exc:
+        return Mismatch("fused-execute", f"{type(exc).__name__}: {exc}")
+    outputs = dict(fused_result.outputs)
+    if fault == "fused_output" and outputs:
+        worst = max(outputs)
+        col = outputs[worst].copy()
+        col[0] = np.nextafter(col[0], np.inf)
+        outputs[worst] = col
+    if sorted(outputs) != sorted(batch_result.outputs):
+        return Mismatch(
+            "fused-vs-batch",
+            "fused engine stored a different output-variable set",
+        )
+    for var in sorted(outputs):
+        direct = batch_result.outputs[var]
+        for row in range(batch_result.batch):
+            if not _bitwise_equal(
+                float(outputs[var][row]), float(direct[row])
+            ):
+                return Mismatch(
+                    "fused-vs-batch",
+                    f"var {var} row {row}: fused "
+                    f"{float(outputs[var][row])!r} != step "
+                    f"{float(direct[row])!r}",
+                )
+    if fused_result.counters != batch_result.counters:
+        return Mismatch(
+            "fused-vs-batch",
+            "fused engine counters diverged from the step interpreter's",
+        )
     return None
 
 

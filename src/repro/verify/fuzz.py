@@ -196,7 +196,7 @@ def make_scenarios(
         # Every fourth scenario also exercises the partition-parallel
         # compile path, a disjoint every-fourth slice drives the live
         # micro-batcher (served-vs-direct), a third disjoint slice
-        # re-executes through the fused/codegen engines
+        # re-executes through the fused engine
         # (fused-vs-batch), and the remaining slice round-trips the
         # compiled artifacts through binary images
         # (image-roundtrip).  All assignments are derived WITHOUT

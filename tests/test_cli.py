@@ -40,7 +40,7 @@ class TestCommands:
         assert rc == 0
         assert "verified" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("engine", ["step", "fused", "codegen", "auto"])
+    @pytest.mark.parametrize("engine", ["step", "fused", "auto"])
     def test_run_batched_engines_verify(self, engine, capsys):
         rc = main(
             ["run", "bp_200", "--scale", "0.02", "--config", "D2-B8-R32",

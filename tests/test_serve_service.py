@@ -370,7 +370,7 @@ class TestPlanPool:
         for node in a:
             assert np.array_equal(a[node], b[node], equal_nan=True)
 
-    @pytest.mark.parametrize("engine", ["fused", "codegen", "auto"])
+    @pytest.mark.parametrize("engine", ["fused", "auto"])
     def test_engine_selection_serves_bitwise(self, engine):
         step = build_served_program(
             ProgramSpec(

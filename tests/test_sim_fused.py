@@ -1,11 +1,16 @@
-"""Fused execution engine: lowering, bitwise parity, codegen, binding.
+"""Fused execution engine: lowering, layout safety, bitwise parity,
+binding.
 
 The fused engine's whole contract is "same IEEE operations, only
 independent lanes regrouped" — so nearly every test here is a bitwise
 comparison against the step interpreter, across generated DAGs
 (hypothesis), every synthetic family, the partitioned compile path and
-the serving assembly path.
+the serving assembly path.  Because the fused state reuses cells by
+liveness, a symbolic replay (:func:`_assert_layout_safe`) also checks
+that every kernel read sees the value it was scheduled to read.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,20 +21,23 @@ from repro.arch import ArchConfig
 from repro.compiler import compile_dag
 from repro.compiler.arrays import DagArrays
 from repro.errors import SimulationError, SpillError
-from repro.runner.cache import configure_cache, get_cache
-from repro.runner.fingerprint import codegen_key, fused_key, plan_key
+from repro.runner.cache import (
+    cached_compile,
+    cached_fused_plan,
+    configure_cache,
+    get_cache,
+)
+from repro.runner.fingerprint import _h, fused_key, metrics_key, plan_key
 from repro.sim import (
-    AUTO_FUSED_CELL_CAP,
     ENGINES,
     BatchSimulator,
+    FusedPlan,
     bind_sweep,
-    codegen_source,
-    compiled_sweep,
-    estimated_fused_cells,
     execute_fused,
     fuse_plan,
 )
 from repro.sim.batch import BOUND_SWEEP_CAP
+from repro.sim.fused import FUSED_ADD, FUSED_MUL, SRC_STATE
 from repro.sim.plan import (
     ComputeStep,
     MoveStep,
@@ -55,6 +63,127 @@ def _assert_bitwise(got, want):
         assert np.array_equal(
             a.view(np.uint64), b.view(np.uint64)
         ), f"var {var}: {a!r} != {b!r}"
+
+
+class _Values:
+    """Hash-consed symbolic values: one id per distinct expression."""
+
+    def __init__(self):
+        self.ids: dict[tuple, int] = {}
+        self.keys: list[tuple] = []
+
+    def __call__(self, *key) -> int:
+        if key not in self.ids:
+            self.ids[key] = len(self.keys)
+            self.keys.append(key)
+        return self.ids[key]
+
+    def is_op(self, value: int) -> bool:
+        return self.keys[value][0] in _OP.values()
+
+
+_OP = {FUSED_ADD: "add", FUSED_MUL: "mul"}
+
+
+def _step_replay(plan, val):
+    """Replay the step tape over symbolic values, with the step
+    interpreter's exact write order.  Returns the multiset of computed
+    op values and each output variable's value."""
+    state = [val("zero")] * plan.state_size
+    for cell, slot in zip(plan.input_cells, plan.input_slots):
+        state[cell] = val("in", int(slot))
+    ops: Counter = Counter()
+    for step in plan.steps:
+        if type(step) is MoveStep:
+            moved = [state[c] for c in step.src.tolist()]
+            for c, v in zip(step.dst.tolist(), moved):
+                state[c] = v
+            continue
+        moved = [state[c] for c in step.mov_src.tolist()]
+        for c, v in zip(step.mov_out.tolist(), moved):
+            state[c] = v
+        for name, out, op_a, op_b in (
+            ("add", step.add_out, step.add_a, step.add_b),
+            ("mul", step.mul_out, step.mul_a, step.mul_b),
+        ):
+            new = [
+                val(name, state[a], state[b])
+                for a, b in zip(op_a.tolist(), op_b.tolist())
+            ]
+            ops.update(new)
+            for c, v in zip(out.tolist(), new):
+                state[c] = v
+    outputs = {
+        var: state[cell]
+        for var, cell in zip(plan.output_vars, plan.output_cells.tolist())
+    }
+    return ops, outputs
+
+
+def _assert_layout_safe(fused, plan):
+    """Replay ``fused`` symbolically and check its cell reuse.
+
+    Every cell holds the symbolic value last written to it; values are
+    hash-consed expressions, so a kernel lane that read a clobbered
+    cell computes an expression the step tape never computes.  Asserts:
+    no cell is read before it is written in the run; no level reads a
+    cell it also writes, and its kernels write disjoint ranges; the
+    multiset of lane values equals the step tape's ops and every output
+    ends with the step tape's value (so every read saw the value it was
+    scheduled to read); zero cells are never written, nor output cells
+    after their value is.
+    """
+    val = _Values()
+    want_ops, want_outputs = _step_replay(plan, val)
+    holder: list = [None] * fused.state_size
+    for pos, slot in zip(fused.input_pos, fused.input_slots):
+        holder[pos] = val("in", int(slot))
+    for pos in fused.zero_pos.tolist():
+        holder[pos] = val("zero")
+    history: dict[int, list[int]] = {}
+    got_ops: Counter = Counter()
+
+    def read(cells):
+        values = [holder[c] for c in cells]
+        assert None not in values, "cell read before it was written"
+        return values
+
+    for lv in fused.levels:
+        gather = [] if lv.gather is None else lv.gather.tolist()
+        gathered = read(gather)
+        reads = set(gather)
+        written: set[int] = set()
+        for k in lv.kernels:
+            operands = []
+            for src, start, stop in (
+                (k.a_src, k.a_start, k.a_stop),
+                (k.b_src, k.b_start, k.b_stop),
+            ):
+                if src == SRC_STATE:
+                    reads.update(range(start, stop))
+                    operands.append(read(range(start, stop)))
+                else:
+                    operands.append(gathered[start:stop])
+            out = range(k.out_start, k.out_stop)
+            assert written.isdisjoint(out), "kernels of a level overlap"
+            written.update(out)
+            new = [val(_OP[k.opcode], a, b) for a, b in zip(*operands)]
+            got_ops.update(new)
+            for c, v in zip(out, new):
+                holder[c] = v
+                history.setdefault(c, []).append(v)
+        assert reads.isdisjoint(written), "a level reads a cell it writes"
+    assert got_ops == want_ops
+    for var, cell in zip(fused.output_vars, fused.output_cells.tolist()):
+        assert holder[cell] == want_outputs[var], f"output var {var}"
+        # Once written, an output cell is never reused; an output that
+        # is an input value is never written at all.
+        written = history.get(cell, [])
+        if val.is_op(holder[cell]):
+            assert written.index(holder[cell]) == len(written) - 1
+        else:
+            assert not written
+    assert not any(c in history for c in fused.zero_pos.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -159,20 +288,26 @@ class TestFusePlan:
             codes = [code for code, _ in lvl]
             assert codes == sorted(codes)
 
-    def test_estimate_matches_lowering(self):
-        dag = generate_synth("reuse", 60, seed=9)
+    @pytest.mark.parametrize("family", ["deep", "wide", "reuse"])
+    def test_auto_resolves_to_fused(self, family):
+        """``auto`` is only a name for the fused engine: there is no
+        size cap left to fall back to the step interpreter at."""
+        dag = generate_synth(family, 60, seed=4)
         plan = compile_dag(dag, CFG).plan()
-        estimate = estimated_fused_cells(plan)
-        real = fuse_plan(plan).state_size
-        # The estimate skips zero/passthrough bookkeeping cells; it
-        # must never be more than a hair away from the real layout.
-        assert 0 <= real - estimate <= 4
+        sim = BatchSimulator(plan, engine="auto")
+        assert sim.engine == "fused"
+        assert sim._fused is not None
 
-    def test_auto_resolves_by_cell_cap(self):
-        dag = generate_synth("deep", 30, seed=4)
-        plan = compile_dag(dag, CFG).plan()
-        assert estimated_fused_cells(plan) <= AUTO_FUSED_CELL_CAP
-        assert BatchSimulator(plan, engine="auto").engine == "fused"
+    def test_state_is_liveness_compacted(self):
+        """Cells are reused: the state is smaller than one cell per op
+        plus the base prefix, and never below the widest level."""
+        dag = generate_synth("layered", 90, seed=3)
+        fused = fuse_plan(compile_dag(dag, CFG).plan())
+        assert fused.state_size < fused.base_cells.size + fused.num_ops
+        widest = max(
+            sum(k.width for k in lv.kernels) for lv in fused.levels
+        )
+        assert fused.state_size >= widest
 
     def test_unknown_engine_rejected(self):
         dag = generate_synth("deep", 10, seed=0)
@@ -187,7 +322,7 @@ class TestFusePlan:
 # ---------------------------------------------------------------------------
 class TestEngineParity:
     @pytest.mark.parametrize("family", sorted(SYNTH_FAMILIES))
-    @pytest.mark.parametrize("engine", ["fused", "codegen"])
+    @pytest.mark.parametrize("engine", ["fused"])
     def test_families_bitwise_equal(self, family, engine):
         dag = generate_synth(family, 60, seed=13)
         plan = compile_dag(dag, CFG).plan()
@@ -220,7 +355,7 @@ class TestEngineParity:
         assert part.num_pieces >= 2
         matrix = _inputs(dag, 9, seed=1)
         step = part.run_batch(matrix)
-        for engine in ("fused", "codegen", "auto"):
+        for engine in ("fused", "auto"):
             other = part.run_batch(matrix, engine=engine)
             _assert_bitwise(other, step)
 
@@ -235,13 +370,12 @@ class TestEngineParity:
         seed=st.integers(min_value=0, max_value=2**16),
         batch=st.integers(min_value=1, max_value=9),
         value_seed=st.integers(min_value=0, max_value=99),
-        engine=st.sampled_from(["fused", "codegen"]),
     )
     def test_property_fused_equals_step(
-        self, family, n, seed, batch, value_seed, engine
+        self, family, n, seed, batch, value_seed
     ):
         """The acceptance-criterion property: outputs AND counters of
-        the fused engines equal the step interpreter bitwise on any
+        the fused engine equal the step interpreter bitwise on any
         generated scenario."""
         dag = generate_synth(family, n, seed=seed)
         try:
@@ -250,9 +384,41 @@ class TestEngineParity:
             return  # config legitimately too small — not under test
         matrix = _inputs(dag, batch, seed=value_seed)
         step = BatchSimulator(plan).run(matrix)
-        other = BatchSimulator(plan, engine=engine).run(matrix)
+        other = BatchSimulator(plan, engine="fused").run(matrix)
         _assert_bitwise(other.outputs, step.outputs)
         assert other.counters == step.counters
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        family=st.sampled_from(sorted(SYNTH_FAMILIES)),
+        n=st.integers(min_value=3, max_value=120),
+        seed=st.integers(min_value=0, max_value=2**16),
+        partitioned=st.booleans(),
+    )
+    def test_property_layout_safe(self, family, n, seed, partitioned):
+        """Every plan of a monolithic or partitioned compile fuses into
+        a layout where each kernel read sees its scheduled value."""
+        dag = generate_synth(family, n, seed=seed)
+        try:
+            result = compile_dag(
+                dag,
+                CFG,
+                validate_input=not partitioned,
+                partition_threshold=max(n // 3, 2) if partitioned else None,
+            )
+        except SpillError:
+            return  # config legitimately too small — not under test
+        # DAGs at or under the threshold compile monolithically.
+        pieces = getattr(result, "pieces", None)
+        plans = (
+            [p.result.plan() for p in pieces] if pieces else [result.plan()]
+        )
+        for plan in plans:
+            _assert_layout_safe(fuse_plan(plan), plan)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +429,7 @@ class TestBoundSweeps:
         dag = generate_synth("reuse", 80, seed=7)
         return dag, compile_dag(dag, CFG).plan()
 
-    @pytest.mark.parametrize("engine", ["fused", "codegen"])
+    @pytest.mark.parametrize("engine", ["fused"])
     def test_repeated_runs_do_not_leak_state(self, engine):
         dag, plan = self._plan()
         sim = BatchSimulator(plan, engine=engine)
@@ -274,6 +440,50 @@ class TestBoundSweeps:
                 _assert_bitwise(
                     sim.run(matrix).outputs, fresh.run(matrix).outputs
                 )
+
+    def test_reused_cells_match_fresh_simulator(self):
+        """Cells are reused within a run, so a bound state holds the
+        previous batch's values when the next run starts.  Matrices A,
+        B, A through one simulator — at one width, then interleaved
+        over every width up to the bound-pair cap, through both entry
+        points — must equal a fresh simulator's result bitwise."""
+        dag, plan = self._plan()
+        fused = fuse_plan(plan)
+        assert fused.state_size < fused.base_cells.size + fused.num_ops
+        sim = BatchSimulator(plan, engine="fused", fused_plan=fused)
+        for widths in ((6,), range(1, BOUND_SWEEP_CAP + 1)):
+            for seed in (1, 2, 1):
+                for width in widths:
+                    matrix = _inputs(dag, width, seed=seed)
+                    fresh = BatchSimulator(plan, engine="fused").run(matrix)
+                    _assert_bitwise(sim.run(matrix).outputs, fresh.outputs)
+                    _assert_bitwise(
+                        sim.run_rows(list(matrix)).outputs, fresh.outputs
+                    )
+        assert len(sim._bound) == BOUND_SWEEP_CAP
+
+    def test_throwaway_state_fallback_matches_fresh(self):
+        """While another run holds the bound pair, runs fall back to a
+        throwaway state; A, B, A there must match a fresh simulator and
+        leave the bound state untouched."""
+        dag, plan = self._plan()
+        sim = BatchSimulator(plan, engine="fused")
+        a, b = _inputs(dag, 5, seed=1), _inputs(dag, 5, seed=2)
+        sim.run(a)
+        bound = sim._bound[5][0].copy()
+        assert sim._bound_lock.acquire(blocking=False)
+        try:
+            for matrix in (a, b, a):
+                fresh = BatchSimulator(plan, engine="fused").run(matrix)
+                _assert_bitwise(sim.run(matrix).outputs, fresh.outputs)
+        finally:
+            sim._bound_lock.release()
+        assert np.array_equal(
+            sim._bound[5][0].view(np.uint64), bound.view(np.uint64)
+        )
+        for matrix in (b, a):
+            fresh = BatchSimulator(plan, engine="fused").run(matrix)
+            _assert_bitwise(sim.run(matrix).outputs, fresh.outputs)
 
     def test_bound_pair_cache_evicts_oldest(self):
         dag, plan = self._plan()
@@ -301,56 +511,34 @@ class TestBoundSweeps:
 
 
 # ---------------------------------------------------------------------------
-# Plan-specialized codegen and its artifact cache
+# Fused-plan artifact cache
 # ---------------------------------------------------------------------------
-class TestCodegen:
-    def _fused(self):
-        dag = generate_synth("layered", 70, seed=11)
-        plan = compile_dag(dag, CFG).plan()
-        return plan, fuse_plan(plan)
-
-    def test_source_is_deterministic(self):
-        _, fused = self._fused()
-        assert codegen_source(fused) == codegen_source(fused)
-
-    def test_compiled_factory_matches_interpreter(self):
-        plan, fused = self._fused()
-        bind = compiled_sweep(fused)
-        state = fused.make_state(4)
-        sweep = bind(state)
-        matrix = _inputs_from(plan, 4)
-        state[fused.input_pos] = matrix.T[plan.input_slots]
-        with np.errstate(over="ignore", invalid="ignore"):
-            sweep()
-        ref = fused.make_state(4)
-        ref[fused.input_pos] = matrix.T[plan.input_slots]
-        with np.errstate(over="ignore", invalid="ignore"):
-            execute_fused(fused, ref)
-        assert np.array_equal(state.view(np.uint64), ref.view(np.uint64))
-
-    def test_source_cached_round_trip(self, tmp_path):
-        from repro.runner.cache import cached_codegen_source
-
-        configure_cache(tmp_path / "cache")
-        _, fused = self._fused()
-        cold = cached_codegen_source(fused)
-        assert cold == codegen_source(fused)
-        key = codegen_key(fused.fingerprint)
-        assert get_cache().get(key) is not None
-        # Warm hit returns the stored source verbatim.
-        assert cached_codegen_source(fused) == cold
-
+class TestFusedCache:
     def test_cache_keys_are_distinct_kinds(self):
         from repro.arch import DEFAULT_TOPOLOGY
 
         keys = {
             plan_key("abc", DEFAULT_TOPOLOGY),
             fused_key("abc"),
-            codegen_key("abc"),
+            metrics_key("abc"),
         }
         assert len(keys) == 3
 
+    def test_pre_bump_entry_is_not_reused(self, tmp_path):
+        """A fused plan cached under the key of the uncompacted layout
+        (no layout version in it) is never served: the layout version
+        in ``fused_key`` moves every lookup to a fresh key."""
+        from repro.arch import DEFAULT_TOPOLOGY
 
-def _inputs_from(plan, batch, seed=0):
-    rng = np.random.default_rng(seed)
-    return rng.uniform(0.9, 1.1, size=(batch, max(plan.num_inputs, 1)))
+        configure_cache(tmp_path / "cache")
+        dag = generate_synth("layered", 70, seed=11)
+        result = cached_compile(dag, CFG)
+        pkey = plan_key(result.cache_key, DEFAULT_TOPOLOGY)
+        old_key = _h(b"fused", pkey.encode()).hex()
+        assert fused_key(pkey) != old_key
+        get_cache().put(old_key, "stale uncompacted plan")
+        fused = cached_fused_plan(result)
+        assert isinstance(fused, FusedPlan)
+        assert fused.fingerprint == fuse_plan(result.plan()).fingerprint
+        assert get_cache().get(fused_key(pkey)) is not None
+        assert get_cache().get(old_key) == "stale uncompacted plan"
