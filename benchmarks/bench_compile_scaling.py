@@ -2,7 +2,9 @@
 
 Measures wall-clock of ``compile_dag`` with the cache out of the
 picture (cold compile is what dominates sweeps, ``repro fuzz``
-campaigns and any new-DAG workflow), per pass and end to end, across:
+campaigns and any new-DAG workflow), per pass and end to end, plus
+the cold ``result.plan()`` lowering after each monolithic compile
+(timed separately, recorded as ``lower``), across:
 
 * the Table-I ``pc`` + ``sptrsv`` workloads at the default test scale;
 * the ``synth_xl`` group (50k-200k node synthetic DAGs) where the
@@ -104,7 +106,15 @@ def _time_compile(make_dag, repeat: int, **kwargs) -> tuple[float, object]:
     return best, result
 
 
-def _record(name, dag, mode, seconds, result) -> dict:
+def _time_lower(result) -> float:
+    """Cold ``result.plan()`` time (lowering is cached per result, so
+    only the first call per compile lowers)."""
+    t0 = time.perf_counter()
+    result.plan()
+    return time.perf_counter() - t0
+
+
+def _record(name, dag, mode, seconds, result, lower=None) -> dict:
     stats = getattr(result, "stats", None)
     rec = {
         "workload": name,
@@ -112,6 +122,8 @@ def _record(name, dag, mode, seconds, result) -> dict:
         "mode": mode,
         "seconds": round(seconds, 4),
     }
+    if lower is not None:
+        rec["lower"] = round(lower, 4)
     if stats is not None:
         rec["instructions"] = getattr(result, "total_instructions", None)
         rec["passes"] = {
@@ -131,10 +143,13 @@ def run_bench(args: argparse.Namespace) -> list[dict]:
 
         dag = make_dag()
         seconds, result = _time_compile(make_dag, args.repeat)
-        records.append(_record(name, dag, "monolithic", seconds, result))
+        lower = _time_lower(result)
+        records.append(
+            _record(name, dag, "monolithic", seconds, result, lower)
+        )
         print(
             f"  {name:<24} {dag.num_nodes:>8} nodes  "
-            f"monolithic      {seconds:8.3f}s",
+            f"monolithic      {seconds:8.3f}s  lower {lower:7.3f}s",
             flush=True,
         )
         if not _HAS_PARTITION or dag.num_nodes <= args.partition_threshold:
@@ -192,17 +207,24 @@ def render_report(
         f"(profile={args.profile}, repeat={args.repeat}, "
         f"partition_threshold={args.partition_threshold}, jobs={args.jobs})",
         "",
-        f"{'workload':<26}{'nodes':>9}  {'mode':<16}{'seconds':>9}",
-        "-" * 62,
+        f"{'workload':<26}{'nodes':>9}  {'mode':<16}{'seconds':>9}"
+        f"{'lower':>9}",
+        "-" * 71,
     ]
     for rec in records:
+        lower = rec.get("lower")
         lines.append(
             f"{rec['workload']:<26}{rec['nodes']:>9}  "
             f"{rec['mode']:<16}{rec['seconds']:>9.3f}"
+            + (f"{lower:>9.3f}" if lower is not None else "")
         )
     cur = production_seconds(records)
     total = sum(cur.values())
-    lines += ["-" * 62, f"{'production total':<51}{total:>9.3f}"]
+    lower_total = sum(rec.get("lower", 0.0) for rec in records)
+    lines += [
+        "-" * 71,
+        f"{'production total':<51}{total:>9.3f}{lower_total:>9.3f}",
+    ]
     if baseline:
         base = production_seconds(baseline)
         shared = sorted(set(cur) & set(base))

@@ -27,7 +27,8 @@ gives stable ids for instruction encoding and energy accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 from ..errors import ConfigError
 
@@ -36,6 +37,9 @@ DEFAULT_FREQUENCY_HZ = 300e6
 
 #: Word width of the datapath (fp32 in the paper's main configuration).
 WORD_BITS = 32
+
+#: One PE's wiring: (layer, a_from_port, a_id, b_from_port, b_id).
+PEWiring = tuple[int, bool, int, bool, int]
 
 
 @dataclass(frozen=True)
@@ -171,6 +175,12 @@ class ArchConfig:
         right = self.pe_id(tree, layer - 1, 2 * index + 1)
         return (False, left), (False, right)
 
+    def pe_wiring(self) -> tuple[PEWiring, ...]:
+        """Per-PE ``(layer, a_from_port, a_id, b_from_port, b_id)``:
+        :meth:`pe_layer` and :meth:`pe_operand_sources` tabulated once
+        per ``(D, B)``, the only parameters the wiring depends on."""
+        return _pe_wiring(self.depth, self.banks)
+
     def input_port(self, tree: int, port: int) -> int:
         """Global read-port id of local ``port`` in ``tree``."""
         if not 0 <= tree < self.num_trees:
@@ -194,6 +204,16 @@ class ArchConfig:
 
     def __str__(self) -> str:
         return f"D{self.depth}-B{self.banks}-R{self.regs_per_bank}"
+
+
+@lru_cache(maxsize=64)
+def _pe_wiring(depth: int, banks: int) -> tuple[PEWiring, ...]:
+    cfg = ArchConfig(depth=depth, banks=banks, regs_per_bank=2)
+    table = []
+    for pe in range(cfg.num_pes):
+        (a_port, a_id), (b_port, b_id) = cfg.pe_operand_sources(pe)
+        table.append((cfg.pe_layer(pe), a_port, a_id, b_port, b_id))
+    return tuple(table)
 
 
 #: Minimum-EDP configuration found by the paper's DSE (§V-B).

@@ -44,11 +44,11 @@ def evaluate_trees(
             f"expected {config.num_pes} PE ops, got {len(pe_ops)}"
         )
     outputs: list[float | None] = [None] * config.num_pes
-    for pe in range(config.num_pes):
-        op = pe_ops[pe]
+    wiring = config.pe_wiring()
+    for pe, op in enumerate(pe_ops):
         if op is PEOp.IDLE:
             continue
-        (a_is_port, a_id), (b_is_port, b_id) = config.pe_operand_sources(pe)
+        _, a_is_port, a_id, b_is_port, b_id = wiring[pe]
         a = port_values[a_id] if a_is_port else outputs[a_id]
         b = port_values[b_id] if b_is_port else outputs[b_id]
         outputs[pe] = _apply(pe, op, a, b)

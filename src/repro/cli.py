@@ -1139,32 +1139,42 @@ def cmd_profile(args: argparse.Namespace) -> int:
         sim = BatchSimulator(plan, engine=args.engine)
         batch = sim.run(matrix)
     events = trace.drain()
-    wall_us = max(
-        (e["dur"] for e in events if e["name"] == "profile"), default=0
-    )
+    # "% wall" comes from self time (duration minus nested spans), so
+    # the column, with the unattributed row, sums to 100.
+    selfs = trace.self_times(events)
+    root = next(e for e in events if e["name"] == "profile")
+    wall_us = root["dur"]
     agg: dict[str, list] = {}
     for e in events:
         if e["name"] == "profile":
             continue
-        slot = agg.setdefault(e["name"], [e["cat"], 0, 0])
+        slot = agg.setdefault(e["name"], [e["cat"], 0, 0, 0])
         slot[1] += 1
         slot[2] += e["dur"]
+        slot[3] += selfs[e["id"]]
     rows = [
         (
             name,
             cat,
             count,
             round(total / 1e3, 3),
+            round(own / 1e3, 3),
             round(total / count / 1e3, 3),
-            round(100 * total / wall_us, 1) if wall_us else 0.0,
+            round(100 * own / max(wall_us, 1), 1),
         )
-        for name, (cat, count, total) in sorted(
-            agg.items(), key=lambda kv: -kv[1][2]
+        for name, (cat, count, total, own) in sorted(
+            agg.items(), key=lambda kv: -kv[1][3]
         )
     ]
+    own = selfs[root["id"]]
+    rows.append(
+        ("unattributed", "-", "-", "-", round(own / 1e3, 3), "-",
+         round(100 * own / max(wall_us, 1), 1))
+    )
     print(
         format_table(
-            ["span", "cat", "count", "total ms", "mean ms", "% wall"],
+            ["span", "cat", "count", "total ms", "self ms", "mean ms",
+             "% wall"],
             rows,
             title=(
                 f"{dag.name} @ {config}: profile over a "

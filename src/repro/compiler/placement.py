@@ -131,12 +131,6 @@ def _place_cone(
         node_pes.setdefault(vals[pos], []).append(pe)
 
 
-@lru_cache(maxsize=64)
-def pe_layer_table(config: ArchConfig) -> tuple[int, ...]:
-    """1-based layer of every global PE id (configs are frozen)."""
-    return tuple(config.pe_layer(pe) for pe in range(config.num_pes))
-
-
 def writer_pe(
     placement: BlockPlacement, node: int, config: ArchConfig
 ) -> int:
@@ -149,4 +143,5 @@ def writer_pe(
     pes = placement.node_pes.get(node)
     if not pes:
         raise MappingError(f"node {node} has no PE in this block")
-    return max(pes, key=pe_layer_table(config).__getitem__)
+    wiring = config.pe_wiring()
+    return max(pes, key=lambda pe: wiring[pe][0])

@@ -388,6 +388,24 @@ def drain() -> list[dict]:
     return events
 
 
+def self_times(events: list[dict]) -> dict[str, int]:
+    """Self time (µs) of every span, keyed by span id: its duration
+    minus the part of it its children cover (merged, clipped to it)."""
+    children: dict[str | None, list[dict]] = {}
+    for e in events:
+        children.setdefault(e.get("parent"), []).append(e)
+    out: dict[str, int] = {}
+    for e in events:
+        end, reach, covered = e["ts"] + e["dur"], e["ts"], 0
+        for child in sorted(children.get(e["id"], ()), key=lambda c: c["ts"]):
+            lo = max(child["ts"], reach)
+            hi = min(child["ts"] + child["dur"], end)
+            if hi > lo:
+                covered, reach = covered + hi - lo, hi
+        out[e["id"]] = e["dur"] - covered
+    return out
+
+
 def ingest(events: list[dict]) -> None:
     """Adopt spans recorded elsewhere (a worker process) verbatim."""
     if not events:

@@ -18,6 +18,10 @@ performs on *every* run happens here exactly once:
   port-conflict (1R/1W) rules, data-memory tag and row-bound checks
   and PE-tree operand presence are all asserted.
 
+PE layers and operand sources come from the static per-(D, B) wiring
+table :meth:`~repro.arch.ArchConfig.pe_wiring`; every check above
+still runs on every instruction.
+
 After lowering, a plan can be executed by the vectorized batch engine
 (:mod:`repro.sim.batch`) with **zero** per-run verification cost, and
 its :class:`~repro.sim.functional.ActivityCounters` are derived
@@ -64,6 +68,8 @@ from .activity import count_activity
 from .functional import ActivityCounters
 
 _IDX = np.int32
+# Enum member lookups are slow in the per-PE loop; bind them once.
+_IDLE, _ADD, _PASS_A, _PASS_B = PEOp.IDLE, PEOp.ADD, PEOp.PASS_A, PEOp.PASS_B
 
 
 def _arr(values: list[int]) -> np.ndarray:
@@ -118,7 +124,7 @@ class MoveStep:
         object.__setattr__(
             self,
             "disjoint",
-            not bool(np.isin(self.src, self.dst).any()),
+            set(self.src.tolist()).isdisjoint(self.dst.tolist()),
         )
 
 
@@ -145,32 +151,39 @@ Step = MoveStep | ComputeStep
 
 
 def coalesce_moves(steps: list[Step]) -> list[Step]:
-    """Merge adjacent :class:`MoveStep` pairs into single bulk moves.
+    """Merge runs of adjacent :class:`MoveStep` steps into bulk moves.
 
-    Two back-to-back moves are equivalent to one combined
-    gather-then-scatter iff the second reads nothing the first wrote
-    (the gather would see pre-move data) and writes no cell the first
-    wrote (the merged scatter would have duplicate destinations).
-    Merging chains transitively, so a run of loads or stores collapses
-    into one step — and the concatenated index vectors frequently form
-    a contiguous run, unlocking the :class:`MoveStep` slice fast path
-    even on the unfused engine.
+    A move joins the run before it iff it reads nothing the run wrote
+    (the merged gather would see pre-move data) and writes no cell the
+    run wrote (the merged scatter would have duplicate destinations).
+    Each run becomes one step, so a run of loads or stores collapses
+    into one gather/scatter — and the concatenated index vectors
+    frequently form a contiguous run, unlocking the :class:`MoveStep`
+    slice fast path even on the unfused engine.
     """
-    out: list[Step] = []
+    runs: list[list[Step]] = []
+    written: set[int] = set()  # cells the open run of moves writes
     for step in steps:
-        if out and type(step) is MoveStep and type(out[-1]) is MoveStep:
-            prev = out[-1]
+        if type(step) is MoveStep:
+            dst = step.dst.tolist()
             if (
-                not np.isin(step.src, prev.dst).any()
-                and not np.isin(step.dst, prev.dst).any()
+                runs
+                and type(runs[-1][0]) is MoveStep
+                and written.isdisjoint(step.src.tolist())
+                and written.isdisjoint(dst)
             ):
-                out[-1] = MoveStep(
-                    np.concatenate([prev.src, step.src]),
-                    np.concatenate([prev.dst, step.dst]),
-                )
+                runs[-1].append(step)
+                written.update(dst)
                 continue
-        out.append(step)
-    return out
+            written = set(dst)
+        runs.append([step])
+    return [
+        run[0] if len(run) == 1 else MoveStep(
+            np.concatenate([m.src for m in run]),
+            np.concatenate([m.dst for m in run]),
+        )
+        for run in runs
+    ]
 
 
 @dataclass(frozen=True)
@@ -382,33 +395,30 @@ class _Lowerer:
                     )
                 port_cell[port] = bank_cell[src]
 
-        # Evaluate the PE trees symbolically, layer by layer.
+        # Evaluate the PE trees symbolically, layer by layer.  Each
+        # layer group holds the ComputeStep fields in declaration order.
+        wiring = cfg.pe_wiring()
+        scratch = self.scratch_base
         produced: list[int | None] = [None] * cfg.num_pes
-        layers: dict[int, dict[str, list[int]]] = {}
-        for pe in range(cfg.num_pes):
-            op = instr.pe_ops[pe]
-            if op is PEOp.IDLE:
+        layers: list[tuple[list[int], ...] | None] = [None] * (cfg.depth + 1)
+        for pe, op in enumerate(instr.pe_ops):
+            if op is _IDLE:
                 continue
-            (a_port, a_id), (b_port, b_id) = cfg.pe_operand_sources(pe)
+            layer, a_port, a_id, b_port, b_id = wiring[pe]
             a = port_cell[a_id] if a_port else produced[a_id]
             b = port_cell[b_id] if b_port else produced[b_id]
-            out = self.scratch_base + pe
-            group = layers.setdefault(
-                cfg.pe_layer(pe),
-                {k: [] for k in (
-                    "add_out", "add_a", "add_b",
-                    "mul_out", "mul_a", "mul_b",
-                    "mov_out", "mov_src",
-                )},
-            )
-            if op is PEOp.PASS_A or op is PEOp.PASS_B:
-                src = a if op is PEOp.PASS_A else b
+            out = scratch + pe
+            group = layers[layer]
+            if group is None:
+                group = layers[layer] = ([], [], [], [], [], [], [], [])
+            if op is _PASS_A or op is _PASS_B:
+                src = a if op is _PASS_A else b
                 if src is None:
                     raise SimulationError(
                         f"PE {pe}: {op.name} with missing operand"
                     )
-                group["mov_out"].append(out)
-                group["mov_src"].append(src)
+                group[6].append(out)
+                group[7].append(src)
             else:
                 if a is None or b is None:
                     raise SimulationError(
@@ -416,16 +426,14 @@ class _Lowerer:
                         f"(a={'ok' if a is not None else 'missing'}, "
                         f"b={'ok' if b is not None else 'missing'})"
                     )
-                key = "add" if op is PEOp.ADD else "mul"
-                group[f"{key}_out"].append(out)
-                group[f"{key}_a"].append(a)
-                group[f"{key}_b"].append(b)
+                base = 0 if op is _ADD else 3
+                group[base].append(out)
+                group[base + 1].append(a)
+                group[base + 2].append(b)
             produced[pe] = out
-        for layer in sorted(layers):
-            g = layers[layer]
-            self.steps.append(
-                ComputeStep(**{k: _arr(v) for k, v in g.items()})
-            )
+        for group in layers:
+            if group is not None:
+                self.steps.append(ComputeStep(*map(_arr, group)))
 
         write_src: list[int] = []
         write_dst: list[int] = []

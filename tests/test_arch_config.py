@@ -96,6 +96,22 @@ class TestPEIndexing:
             tree, local = cfg.port_position(port)
             assert cfg.input_port(tree, local) == port
 
+    @pytest.mark.parametrize(
+        "config",
+        dse_grid() + [MIN_EDP_CONFIG, LARGE_CORE_CONFIG],
+        ids=str,
+    )
+    def test_wiring_table_matches_geometry(self, config):
+        table = config.pe_wiring()
+        assert len(table) == config.num_pes
+        for pe, entry in enumerate(table):
+            (a_port, a_id), (b_port, b_id) = config.pe_operand_sources(pe)
+            assert entry == (config.pe_layer(pe), a_port, a_id, b_port, b_id)
+
+    def test_wiring_table_shared_per_depth_and_banks(self, cfg):
+        other = ArchConfig(depth=3, banks=16, regs_per_bank=64)
+        assert other.pe_wiring() is cfg.pe_wiring()
+
     def test_out_of_range_queries(self, cfg):
         with pytest.raises(ConfigError):
             cfg.pe_position(cfg.num_pes)

@@ -118,6 +118,30 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    def test_profile_wall_shares_sum_to_100(self, capsys):
+        from repro.obs import trace
+
+        try:
+            rc = main(
+                ["profile", "tretail", "--scale", "0.02",
+                 "--config", "D2-B8-R16", "--batch", "8"]
+            )
+        finally:
+            trace.disable()
+            trace.drain()
+            trace.set_sample_every(16)
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines[1].split()
+        assert "self ms" in lines[1] and header[-2:] == ["%", "wall"]
+        rows = [line.split() for line in lines[3:]]
+        names = [row[0] for row in rows]
+        assert "plan.lower" in names and names[-1] == "unattributed"
+        # Self times partition the wall: nested spans are not counted
+        # twice, so the column adds up to 100 up to per-row rounding.
+        shares = [float(row[-1]) for row in rows]
+        assert abs(sum(shares) - 100.0) <= 0.05 * len(shares) + 1e-9
+
 
 class TestOrchestratorCommands:
     def test_sweep_parallel_with_cache(self, tmp_path, capsys):

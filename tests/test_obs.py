@@ -275,6 +275,20 @@ class TestSpanTrees:
         )
         assert _assert_well_formed(merged)
 
+    def test_self_times_merge_and_clip_children(self):
+        def ev(id_, parent, ts, dur):
+            return {"id": id_, "parent": parent, "ts": ts, "dur": dur}
+
+        events = [
+            ev("root", None, 0, 100),
+            ev("a", "root", 10, 30),
+            ev("b", "root", 30, 20),  # overlaps a: [30, 40) counts once
+            ev("c", "root", 90, 20),  # runs past the root: clipped
+            ev("a1", "a", 15, 5),
+        ]
+        selfs = trace.self_times(events)
+        assert selfs == {"root": 50, "a": 25, "b": 20, "c": 20, "a1": 5}
+
 
 # ---------------------------------------------------------------------
 # Request-id threading through service and router
