@@ -13,7 +13,9 @@ the cold ``result.plan()`` lowering after each monolithic compile
 
 Results go three places:
 
-* a text report (``results/bench_compile_scaling.txt``),
+* a text report (``results/bench_compile_scaling.txt``) with each
+  record's seconds, its ``map`` and ``spill`` pass times and its
+  ``lower`` time,
 * the machine-readable perf trajectory ``BENCH_compile.json``
   (appended per run, see ``tools/bench_to_json.py``),
 * optionally a baseline file for later comparison
@@ -85,7 +87,8 @@ def _profile_workloads(profile: str) -> list[tuple[str, float]]:
 
 
 def _time_compile(make_dag, repeat: int, **kwargs) -> tuple[float, object]:
-    """Min-of-``repeat`` cold compile time.
+    """Min-of-``repeat`` cold compile time, with that compile's result
+    (so a record's per-pass times come from its timed compile).
 
     The DAG is rebuilt for every iteration (outside the timed
     region): the compiler memoizes per-DAG-object derived data (CSR
@@ -94,7 +97,6 @@ def _time_compile(make_dag, repeat: int, **kwargs) -> tuple[float, object]:
     exactly the array-build paths this benchmark guards.
     """
     best = None
-    result = None
     for _ in range(repeat):
         dag = make_dag()
         t0 = time.perf_counter()
@@ -102,8 +104,9 @@ def _time_compile(make_dag, repeat: int, **kwargs) -> tuple[float, object]:
             dag, MIN_EDP_CONFIG, validate_input=False, **kwargs
         )
         dt = time.perf_counter() - t0
-        best = dt if best is None else min(best, dt)
-    return best, result
+        if best is None or dt < best[0]:
+            best = (dt, result)
+    return best
 
 
 def _time_lower(result) -> float:
@@ -208,22 +211,37 @@ def render_report(
         f"partition_threshold={args.partition_threshold}, jobs={args.jobs})",
         "",
         f"{'workload':<26}{'nodes':>9}  {'mode':<16}{'seconds':>9}"
-        f"{'lower':>9}",
-        "-" * 71,
+        f"{'map':>9}{'spill':>9}{'lower':>9}",
+        "-" * 89,
     ]
+
+    def cell(value):
+        return f"{value:>9.3f}" if value is not None else f"{'':>9}"
+
     for rec in records:
-        lower = rec.get("lower")
-        lines.append(
+        passes = rec.get("passes", {})
+        row = (
             f"{rec['workload']:<26}{rec['nodes']:>9}  "
             f"{rec['mode']:<16}{rec['seconds']:>9.3f}"
-            + (f"{lower:>9.3f}" if lower is not None else "")
+            + cell(passes.get("map"))
+            + cell(passes.get("spill"))
+            + cell(rec.get("lower"))
         )
+        lines.append(row.rstrip())
     cur = production_seconds(records)
     total = sum(cur.values())
-    lower_total = sum(rec.get("lower", 0.0) for rec in records)
+    # Pass and lowering totals are over monolithic records only: a
+    # partitioned record's passes sum over its pieces.
+    mono = [rec for rec in records if rec["mode"] == "monolithic"]
+    pass_totals = [
+        sum(rec.get("passes", {}).get(name, 0.0) for rec in mono)
+        for name in ("map", "spill")
+    ]
+    lower_total = sum(rec.get("lower", 0.0) for rec in mono)
     lines += [
-        "-" * 71,
-        f"{'production total':<51}{total:>9.3f}{lower_total:>9.3f}",
+        "-" * 89,
+        f"{'production total':<51}{total:>9.3f}"
+        + "".join(cell(t) for t in (*pass_totals, lower_total)),
     ]
     if baseline:
         base = production_seconds(baseline)

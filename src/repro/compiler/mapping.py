@@ -19,15 +19,14 @@ least-contended bank when none is compatible — which the scheduler
 later resolves with ``copy`` instructions (bank conflicts,
 objective I).
 
-The ``Sb`` state lives in numpy: a boolean (io-var, bank) matrix, a
-size vector, and a two-level counting index (per-``|Sb|`` counts per
-256-variable block of the sorted io-var space) that answers "k-th
-smallest-id variable with the minimum ``|Sb|``" in O(blocks) — the
-selection every assignment performs.  The same random choices as the
-historical bucket-of-sets implementation are reproduced exactly: the
-k-th member of a bucket in ascending variable order, with one
-``randrange`` per pop and one per bank choice, so programs (and the
-goldens) are bitwise-unchanged.
+``Sb`` is one int bitmask per io variable, and the unassigned variables
+sit in one set per ``|Sb|``.  Only the minimum bucket is ever popped,
+so a bucket gets an ascending list the first time it is the minimum
+and ``bisect`` keeps that list in step from then on.  Each pop draws
+one ``randrange`` over the minimum bucket (the k-th member in ascending
+variable order) and each bank choice one over ``|Sb|`` (the k-th set
+bit, from bit 0), so a seed fixes the mapping — and the programs and
+goldens built from it.
 
 When an *output* runs out of compatible banks, constraint H cannot be
 traded for a copy (the value exists only in the datapath that cycle),
@@ -41,28 +40,13 @@ the repair provably succeeds.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..arch import ArchConfig, Interconnect
 from ..errors import MappingError
 from .blocks import Decomposition
 from .placement import BlockPlacement, place_block, writer_pe
-
-#: Io-var space is indexed in 256-variable blocks by the counting
-#: index (a power of two keeps ``// BLK`` a shift).
-_BLK = 256
-
-#: Below this io-var count the per-assignment numpy calls cost more
-#: than the plain bucket-of-sets selection, so small compiles (the
-#: whole Table-I suite at test scale) take the set-based path.  Both
-#: paths replay the identical random-choice sequence —
-#: tests/test_compiler_arrays.py::TestMapperPathEquivalence pins the
-#: A/B (including the conflict/repair fallbacks) by forcing each path
-#: on the same decompositions.
-_ARRAY_KERNEL_MIN_VARS = 4096
-
 
 @dataclass
 class Mapping:
@@ -144,112 +128,10 @@ def map_banks(
             out_group_of, groups,
         )
 
-    banks = config.banks
-    n_io = len(io_vars)
-    all_banks = frozenset(range(banks))
-    if n_io < _ARRAY_KERNEL_MIN_VARS:
-        bank_of, conflicts, repairs = _assign_small(
-            rng, config, io_vars, writable, var_groups, groups,
-            out_group_of, all_banks,
-        )
-        return Mapping(
-            bank_of=bank_of,
-            write_pe=write_pe,
-            placements=placements,
-            predicted_read_conflicts=conflicts,
-            repairs=repairs,
-        )
-    var_index = {v: i for i, v in enumerate(io_vars)}
-
-    # Sb as a boolean matrix over (io-var index, bank); outputs start
-    # restricted to their hardware-writable banks (constraint H).
-    sb = np.ones((n_io, banks), dtype=bool)
-    for v, options in writable.items():
-        row = sb[var_index[v]]
-        row[:] = False
-        row[list(options)] = True
-    sizes = sb.sum(axis=1).astype(np.int64)
-    alive = np.ones(n_io, dtype=bool)
-
-    # Two-level counting index: cnt[s, blk] = alive vars with |Sb|=s in
-    # io-var block blk; bucket_tot[s] = row sums, kept incrementally.
-    nblk = (n_io + _BLK - 1) // _BLK or 1
-    blk_of = np.arange(n_io, dtype=np.int64) // _BLK
-    cnt = np.zeros((banks + 1, nblk), dtype=np.int64)
-    np.add.at(cnt, (sizes, blk_of), 1)
-    bucket_tot = np.bincount(sizes, minlength=banks + 1).astype(np.int64)
-
-    # Group membership in index space, for the compatibility updates.
-    group_members: list[np.ndarray] = [
-        np.fromiter(
-            (var_index[v] for v in g), dtype=np.int64, count=len(g)
-        )
-        for g in groups
-    ]
-    gids_of: list[list[int]] = [var_groups[v] for v in io_vars]
-
-    bank_of: dict[int, int] = {}
-    conflicts = 0
-    repairs = 0
-
-    # A pop can lower the minimum |Sb| by at most one (each peer loses
-    # at most one bank), so the min-bucket scan resumes near the
-    # previous minimum instead of restarting at zero.
-    s = 0
-    for _ in range(n_io):
-        # --- pop the min-|Sb| variable, k-th in ascending var order ---
-        if s > 0:
-            s -= 1
-        while not bucket_tot[s]:
-            s += 1
-        k = rng.randrange(int(bucket_tot[s]))
-        row_cum = np.cumsum(cnt[s])
-        blk = int(np.searchsorted(row_cum, k, side="right"))
-        base = int(row_cum[blk - 1]) if blk else 0
-        lo = blk * _BLK
-        seg = (
-            (sizes[lo : lo + _BLK] == s) & alive[lo : lo + _BLK]
-        ).nonzero()[0]
-        v_idx = lo + int(seg[k - base])
-        v = io_vars[v_idx]
-
-        # --- choose its bank -----------------------------------------
-        if s > 0:
-            options = sb[v_idx].nonzero()[0]
-            bank = int(options[rng.randrange(options.size)])
-        elif v in writable:
-            bank, moved = _repair_output(
-                v, writable, bank_of, out_group_of, groups, rng
-            )
-            repairs += moved
-        else:
-            bank = _least_contended(
-                v, all_banks, var_groups, groups, bank_of, rng
-            )
-            conflicts += 1
-        bank_of[v] = bank
-
-        # --- retire v and update peers' compatibility ----------------
-        alive[v_idx] = False
-        cnt[s, v_idx // _BLK] -= 1
-        bucket_tot[s] -= 1
-        gids = gids_of[v_idx]
-        if len(gids) == 1:
-            peers = group_members[gids[0]]
-        else:
-            peers = np.concatenate([group_members[g] for g in gids])
-        hit = sb[peers, bank] & alive[peers]
-        if hit.any():
-            affected = np.unique(peers[hit])
-            sb[affected, bank] = False
-            old = sizes[affected]
-            sizes[affected] = old - 1
-            blks = affected // _BLK
-            np.add.at(cnt, (old, blks), -1)
-            np.add.at(cnt, (old - 1, blks), 1)
-            np.add.at(bucket_tot, old, -1)
-            np.add.at(bucket_tot, old - 1, 1)
-
+    bank_of, conflicts, repairs = _assign(
+        rng, config.banks, io_vars, writable, var_groups, groups,
+        out_group_of,
+    )
     return Mapping(
         bank_of=bank_of,
         write_pe=write_pe,
@@ -259,42 +141,64 @@ def map_banks(
     )
 
 
-def _assign_small(
+def _assign(
     rng: random.Random,
-    config: ArchConfig,
+    banks: int,
     io_vars: list[int],
     writable: dict[int, tuple[int, ...]],
     var_groups: dict[int, list[int]],
     groups: list[list[int]],
     out_group_of: dict[int, int],
-    all_banks: frozenset[int],
 ) -> tuple[dict[int, int], int, int]:
-    """Bucket-of-sets Algorithm 2 (the historical implementation).
-
-    Kept as the small-DAG fast path: identical selection semantics to
-    the array kernel (min-|Sb| bucket, k-th member in ascending var
-    order, same randrange sequence), cheaper below a few thousand io
-    vars.
-    """
-    sb: dict[int, set[int]] = {}
+    """Greedy min-|Sb| assignment; returns (bank_of, conflicts, repairs)."""
+    # Sb as one bank bitmask per io var, indexed by var id; 0 once
+    # assigned, so peer updates skip assigned vars for free.
+    sb = [0] * (io_vars[-1] + 1 if io_vars else 0)
+    full = (1 << banks) - 1
     for v in io_vars:
-        base = set(writable[v]) if v in writable else set(all_banks)
-        sb[v] = base
+        sb[v] = full
+    for v, options in writable.items():
+        mask = 0
+        for b in options:
+            mask |= 1 << b
+        sb[v] = mask
 
-    buckets: list[set[int]] = [set() for _ in range(config.banks + 1)]
+    # Unassigned vars bucketed by |Sb|.  A bucket gets an ascending
+    # list the first time it is the minimum (only the minimum is ever
+    # popped), kept in step by bisect from then on.
+    buckets: list[set[int]] = [set() for _ in range(banks + 1)]
     for v in io_vars:
-        buckets[len(sb[v])].add(v)
+        buckets[sb[v].bit_count()].add(v)
+    ordered: list[list[int] | None] = [None] * (banks + 1)
 
+    all_banks = frozenset(range(banks))
     bank_of: dict[int, int] = {}
     conflicts = 0
     repairs = 0
-    unassigned = set(io_vars)
 
-    while unassigned:
-        v = _pop_min_sb(buckets, sb, unassigned, rng)
-        options = sb[v]
-        if options:
-            bank = _rng_choice(rng, options)
+    # A pop can lower the minimum |Sb| by at most one (each peer loses
+    # at most one bank), so the min-bucket scan resumes near the
+    # previous minimum instead of restarting at zero.
+    s = 0
+    for _ in range(len(io_vars)):
+        # --- pop the min-|Sb| variable, k-th in ascending var order ---
+        if s > 0:
+            s -= 1
+        while not buckets[s]:
+            s += 1
+        bucket = buckets[s]
+        members = ordered[s]
+        if members is None:
+            members = ordered[s] = sorted(bucket)
+        v = members.pop(rng.randrange(len(bucket)))
+        bucket.discard(v)
+
+        # --- choose its bank: the k-th set bit of Sb -----------------
+        if s > 0:
+            mask = sb[v]
+            for _ in range(rng.randrange(s)):
+                mask &= mask - 1
+            bank = (mask & -mask).bit_length() - 1
         elif v in writable:
             bank, moved = _repair_output(
                 v, writable, bank_of, out_group_of, groups, rng
@@ -306,33 +210,23 @@ def _assign_small(
             )
             conflicts += 1
         bank_of[v] = bank
-        unassigned.discard(v)
-        # Compatibility updates: peers sharing a group lose this bank.
+        sb[v] = 0
+
+        # --- peers sharing a group lose this bank --------------------
+        bit = 1 << bank
         for gid in var_groups[v]:
-            for peer in groups[gid]:
-                if peer in unassigned and bank in sb[peer]:
-                    size = len(sb[peer])
-                    sb[peer].discard(bank)
-                    buckets[size].discard(peer)
-                    buckets[size - 1].add(peer)
+            for p in [p for p in groups[gid] if sb[p] & bit]:
+                size = sb[p].bit_count()
+                sb[p] ^= bit
+                buckets[size].discard(p)
+                buckets[size - 1].add(p)
+                src = ordered[size]
+                if src is not None:
+                    del src[bisect_left(src, p)]
+                dst = ordered[size - 1]
+                if dst is not None:
+                    insort(dst, p)
     return bank_of, conflicts, repairs
-
-
-def _pop_min_sb(
-    buckets: list[set[int]],
-    sb: dict[int, set[int]],
-    unassigned: set[int],
-    rng: random.Random,
-) -> int:
-    for size, bucket in enumerate(buckets):
-        while bucket:
-            v = _rng_choice(rng, bucket)
-            if v not in unassigned or len(sb[v]) != size:
-                bucket.discard(v)
-                continue
-            bucket.discard(v)
-            return v
-    raise MappingError("no unassigned variable found (bucket corruption)")
 
 
 def _rng_choice(rng: random.Random, items) -> int:

@@ -295,7 +295,11 @@ def _compile_monolithic(
         )
         # Spilling splits residences; re-run liveness so the flags
         # reflect the final read order, then assert the discipline.
-        final_instrs = annotate_liveness(spilled.instructions)
+        # Spilling only inserts, so an unchanged length means nothing
+        # was inserted and the flags are already final.
+        final_instrs = spilled.instructions
+        if len(final_instrs) != len(flagged):
+            final_instrs = annotate_liveness(final_instrs)
         verify_hazard_free(final_instrs, config)
     steps["spill"] = time.perf_counter() - t0
 

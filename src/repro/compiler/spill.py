@@ -31,7 +31,8 @@ is guarded by an in-flight check with ``nop`` aging as a last resort.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from ..arch import (
     ArchConfig,
@@ -90,11 +91,20 @@ class _SpillState:
         self.spill_stores = 0
         self.spill_loads = 0
         self.nops = 0
-        # Read positions per (bank, var), ascending original indices.
-        self.reads_by_key: dict[tuple[int, int], list[int]] = {}
-        for idx, instr in enumerate(instrs):
-            for bank, var in consumed_vars(instr):
-                self.reads_by_key.setdefault((bank, var), []).append(idx)
+        self._instrs = instrs
+
+    @cached_property
+    def reads_by_key(self) -> dict[tuple[int, int], list[int]]:
+        """Read positions per (bank, var), ascending original indices.
+
+        Built on the first reload: a program that never spills never
+        needs it.
+        """
+        reads: dict[tuple[int, int], list[int]] = {}
+        for idx, instr in enumerate(self._instrs):
+            for key in consumed_vars(instr):
+                reads.setdefault(key, []).append(idx)
+        return reads
 
     def reads_after(self, bank: int, var: int, idx: int) -> list[int]:
         reads = self.reads_by_key.get((bank, var), [])

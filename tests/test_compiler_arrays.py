@@ -196,56 +196,6 @@ class TestDagArrays:
         assert arrays.capped_heights(2).tolist()[-1] >= 1
 
 
-class TestMapperPathEquivalence:
-    """The bank mapper's numpy counting-index kernel and the
-    historical bucket-of-sets path must replay the identical random
-    choice sequence — including the conflict (least-contended) and
-    constraint-H repair fallbacks — whichever side of
-    ``_ARRAY_KERNEL_MIN_VARS`` a DAG lands on."""
-
-    def _both_paths(self, dag, config, seed, monkeypatch):
-        import repro.compiler.mapping as mapping_module
-        from repro.arch import Interconnect
-        from repro.compiler import decompose
-        from repro.graphs import binarize
-
-        decomp = decompose(binarize(dag).dag, config)
-        ic = Interconnect(config)
-        monkeypatch.setattr(mapping_module, "_ARRAY_KERNEL_MIN_VARS", 0)
-        via_arrays = mapping_module.map_banks(decomp, ic, seed=seed)
-        monkeypatch.setattr(
-            mapping_module, "_ARRAY_KERNEL_MIN_VARS", 10**9
-        )
-        via_sets = mapping_module.map_banks(decomp, ic, seed=seed)
-        return via_arrays, via_sets
-
-    @pytest.mark.parametrize("family", ["layered", "reuse",
-                                        "skewed_fanout", "diamond"])
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_identical_mappings(self, family, seed, monkeypatch):
-        from repro.arch import ArchConfig
-
-        dag = generate_synth(family, 900, seed=11)
-        # Small bank count forces contention (conflict fallback).
-        config = ArchConfig(depth=2, banks=8, regs_per_bank=32)
-        a, b = self._both_paths(dag, config, seed, monkeypatch)
-        assert a.bank_of == b.bank_of
-        assert a.write_pe == b.write_pe
-        assert a.predicted_read_conflicts == b.predicted_read_conflicts
-        assert a.repairs == b.repairs
-
-    def test_fallbacks_exercised(self, monkeypatch):
-        """The parity claim must cover the s == 0 interleavings."""
-        from repro.arch import ArchConfig
-
-        dag = generate_synth("layered", 600, seed=3)
-        config = ArchConfig(depth=1, banks=8, regs_per_bank=32)
-        a, b = self._both_paths(dag, config, 5, monkeypatch)
-        assert a.predicted_read_conflicts > 0  # conflict path taken
-        assert a.bank_of == b.bank_of
-        assert a.predicted_read_conflicts == b.predicted_read_conflicts
-
-
 @pytest.mark.parametrize("family", FAMILIES)
 def test_compile_still_bitwise_after_arrays(family):
     """End-to-end guard: array kernels change no compiled program.

@@ -1,5 +1,7 @@
 """Unit tests for block decomposition (step 1) and bank mapping (step 2)."""
 
+import random
+
 import pytest
 
 from repro.arch import ArchConfig, Interconnect, Topology
@@ -10,9 +12,15 @@ from repro.compiler import (
     place_block,
     writer_pe,
 )
+from repro.compiler.mapping import (
+    _least_contended,
+    _repair_output,
+    _rng_choice,
+)
 from repro.errors import MappingError
 from repro.graphs import OpType, binarize
 from repro.testing import make_chain_dag, make_random_dag, make_wide_dag
+from repro.workloads.synth import generate_synth
 
 
 def bdag_of(dag):
@@ -187,3 +195,113 @@ class TestMapping:
                 assert ic.can_write(
                     mapping.write_pe[var], mapping.bank_of[var]
                 )
+
+
+def reference_map_banks(decomposition, interconnect, seed):
+    """Bucket-of-sets Algorithm 2, the mapper's historical implementation.
+
+    ``Sb`` is a set per io variable and each pop sorts its bucket, so
+    this is quadratic on large DAGs; it is kept only as the oracle the
+    bitmask kernel must replay choice for choice.  Returns
+    ``(bank_of, write_pe, conflicts, repairs)``.
+    """
+    rng = random.Random(seed)
+    config = decomposition.config
+    write_pe, writable = {}, {}
+    for block in decomposition.blocks:
+        placement = place_block(block, config)
+        for var in block.output_vars:
+            pe = writer_pe(placement, var, config)
+            write_pe[var] = pe
+            writable[var] = interconnect.banks_writable_from(pe)
+    groups, var_groups, out_group_of = [], {}, {}
+    for block in decomposition.blocks:
+        for members, is_out in ((block.input_vars, False),
+                                (block.output_vars, True)):
+            if not members:
+                continue
+            gid = len(groups)
+            groups.append(sorted(members))
+            for v in members:
+                var_groups.setdefault(v, []).append(gid)
+                if is_out:
+                    out_group_of[v] = gid
+
+    all_banks = frozenset(range(config.banks))
+    sb = {
+        v: set(writable[v]) if v in writable else set(all_banks)
+        for v in sorted(var_groups)
+    }
+    buckets = [set() for _ in range(config.banks + 1)]
+    for v, options in sb.items():
+        buckets[len(options)].add(v)
+    unassigned = set(sb)
+    bank_of = {}
+    conflicts = repairs = 0
+    while unassigned:
+        bucket = next(b for b in buckets if b)
+        v = _rng_choice(rng, bucket)
+        bucket.discard(v)
+        if sb[v]:
+            bank = _rng_choice(rng, sb[v])
+        elif v in writable:
+            bank, moved = _repair_output(
+                v, writable, bank_of, out_group_of, groups, rng
+            )
+            repairs += moved
+        else:
+            bank = _least_contended(
+                v, all_banks, var_groups, groups, bank_of, rng
+            )
+            conflicts += 1
+        bank_of[v] = bank
+        unassigned.discard(v)
+        for gid in var_groups[v]:
+            for peer in groups[gid]:
+                if peer in unassigned and bank in sb[peer]:
+                    size = len(sb[peer])
+                    sb[peer].discard(bank)
+                    buckets[size].discard(peer)
+                    buckets[size - 1].add(peer)
+    return bank_of, write_pe, conflicts, repairs
+
+
+class TestMapperReferenceEquivalence:
+    """``map_banks`` must replay the reference mapper's random-choice
+    sequence exactly — including the least-contended (conflict) and
+    constraint-H repair fallbacks — so seeds keep their programs."""
+
+    def _check(self, dag, config, seed):
+        decomp = decompose(bdag_of(dag), config)
+        ic = Interconnect(config)
+        got = map_banks(decomp, ic, seed=seed)
+        bank_of, write_pe, conflicts, repairs = reference_map_banks(
+            decomp, ic, seed
+        )
+        assert got.bank_of == bank_of
+        assert got.write_pe == write_pe
+        assert got.predicted_read_conflicts == conflicts
+        assert got.repairs == repairs
+        return got
+
+    @pytest.mark.parametrize("family", ["layered", "reuse",
+                                        "skewed_fanout", "diamond"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_identical_mappings(self, family, seed):
+        dag = generate_synth(family, 900, seed=11)
+        # Small bank count forces contention (conflict fallback).
+        config = ArchConfig(depth=2, banks=8, regs_per_bank=32)
+        self._check(dag, config, seed)
+
+    def test_fallbacks_exercised(self):
+        """The parity claim must cover the |Sb| == 0 interleavings."""
+        dag = generate_synth("layered", 600, seed=3)
+        config = ArchConfig(depth=1, banks=8, regs_per_bank=32)
+        got = self._check(dag, config, 5)
+        assert got.predicted_read_conflicts > 0  # conflict path taken
+
+    def test_repair_exercised(self):
+        dag = generate_synth("layered", 400, seed=11)
+        config = ArchConfig(depth=3, banks=16, regs_per_bank=32)
+        got = self._check(dag, config, 1)
+        assert got.repairs >= 1  # constraint-H relocation taken

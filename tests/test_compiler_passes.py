@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.arch import (
+    MIN_EDP_CONFIG,
     ArchConfig,
     CopyInstr,
     ExecInstr,
@@ -398,3 +399,38 @@ class TestSynthPassInvariants:
                 assert produced_at[key] < idx
             for key in produced_vars(instr):
                 produced_at[key] = idx
+
+    @pytest.mark.parametrize("config_name", ["spilly_config", "min_edp"])
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            HealthCheck.function_scoped_fixture,
+        ],
+    )
+    @given(dag=synth_dag_strategy(min_n=30, max_n=140))
+    def test_spill_pass_matches_full_reannotation(
+        self, config_name, request, dag
+    ):
+        """compile_dag skips re-annotating liveness when spilling
+        inserted nothing; its program must equal the formulation that
+        always re-annotates the spilled stream."""
+        cfg = (
+            MIN_EDP_CONFIG
+            if config_name == "min_edp"
+            else request.getfixturevalue(config_name)
+        )
+        result = _compile_synth_or_reject(dag, cfg)
+        decomp = decompose(binarize(dag).dag, cfg)
+        schedule = build_schedule(decomp, map_banks(decomp, Interconnect(cfg)))
+        ro = reorder(
+            schedule.instructions, cfg, extra_deps=schedule.anchor_deps
+        )
+        spilled = insert_spills(
+            annotate_liveness(ro.instructions), cfg,
+            next_row=schedule.num_rows,
+        )
+        assert list(result.program.instructions) == annotate_liveness(
+            spilled.instructions
+        )

@@ -33,6 +33,8 @@ bench name, per-run metadata) is owned by this module.  Use
 CLI::
 
     python tools/bench_to_json.py show BENCH_compile.json
+    python tools/bench_to_json.py table BENCH_compile.json \
+        BASE_LABEL NEW_LABEL [--field passes.map] [--mode monolithic]
     python tools/bench_to_json.py append BENCH_compile.json \
         --bench compile_scaling --label manual < records.json
 """
@@ -167,6 +169,89 @@ def _cmd_show(args: argparse.Namespace) -> int:
     return 0
 
 
+def run_by_label(doc: dict, label: str) -> dict:
+    """The most recent run entry carrying ``label``."""
+    for run in reversed(doc["runs"]):
+        if run.get("label") == label:
+            return run
+    raise KeyError(f"no run labelled {label!r}")
+
+
+def _by_workload(records: list[dict], mode: str | None) -> dict:
+    """One record per workload: the given mode, or (``None``) the
+    fastest mode measured — the production path."""
+    chosen: dict[str, dict] = {}
+    for rec in records:
+        name = rec["workload"]
+        if mode is not None:
+            if rec.get("mode") == mode:
+                chosen[name] = rec
+        elif name not in chosen or rec["seconds"] < chosen[name]["seconds"]:
+            chosen[name] = rec
+    return chosen
+
+
+def _field(rec: dict, field: str):
+    value = rec
+    for key in field.split("."):
+        value = value.get(key) if isinstance(value, dict) else None
+    return value
+
+
+def comparison_table(
+    doc: dict, base: str, new: str, field: str = "seconds",
+    mode: str | None = None,
+) -> str:
+    """Markdown table of ``field`` per workload, run ``base`` vs ``new``.
+
+    ``field`` is a record key, dotted for nesting (``passes.map``).
+    Rows follow ``new``'s workload order and cover workloads both runs
+    measured; the last row totals them.
+    """
+    old_recs, new_recs = (
+        _by_workload(run_by_label(doc, label).get("records", []), mode)
+        for label in (base, new)
+    )
+
+    def ratio(b: float, n: float) -> str:
+        return f"{b / n:.2f}x" if n else "-"
+
+    lines = [
+        f"| workload | nodes | {base} | {new} | speedup |",
+        "|---|---|---|---|---|",
+    ]
+    total_b = total_n = 0.0
+    for name, rec in new_recs.items():
+        b = _field(old_recs.get(name, {}), field)
+        n = _field(rec, field)
+        if b is None or n is None:
+            continue
+        total_b += b
+        total_n += n
+        lines.append(
+            f"| `{name}` | {rec['nodes']} | {b:.3f} s | {n:.3f} s "
+            f"| {ratio(b, n)} |"
+        )
+    lines.append(
+        f"| **total** | | **{total_b:.3f} s** | **{total_n:.3f} s** "
+        f"| **{ratio(total_b, total_n)}** |"
+    )
+    return "\n".join(lines) + "\n"
+
+
+def _cmd_table(args: argparse.Namespace) -> int:
+    doc = load_trajectory(args.path)
+    try:
+        table = comparison_table(
+            doc, args.base, args.new, field=args.field, mode=args.mode
+        )
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
+        return 2
+    print(table, end="")
+    return 0
+
+
 def _cmd_append(args: argparse.Namespace) -> int:
     records = json.load(sys.stdin)
     if not isinstance(records, list):
@@ -183,6 +268,21 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("show", help="summarize a trajectory file")
     p.add_argument("path")
     p.set_defaults(func=_cmd_show)
+    p = sub.add_parser(
+        "table", help="markdown table comparing two labelled runs"
+    )
+    p.add_argument("path")
+    p.add_argument("base", help="label of the baseline run")
+    p.add_argument("new", help="label of the run to compare")
+    p.add_argument(
+        "--field", default="seconds",
+        help="record field, dotted for nesting (e.g. passes.map)",
+    )
+    p.add_argument(
+        "--mode", default=None,
+        help="record mode (default: each workload's fastest mode)",
+    )
+    p.set_defaults(func=_cmd_table)
     p = sub.add_parser("append", help="append records (JSON list on stdin)")
     p.add_argument("path")
     p.add_argument("--bench", required=True)
