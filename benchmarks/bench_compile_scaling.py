@@ -14,8 +14,8 @@ the cold ``result.plan()`` lowering after each monolithic compile
 Results go three places:
 
 * a text report (``results/bench_compile_scaling.txt``) with each
-  record's seconds, its ``map`` and ``spill`` pass times and its
-  ``lower`` time,
+  record's seconds, its ``decompose``, ``map`` and ``spill`` pass
+  times and its ``lower`` time,
 * the machine-readable perf trajectory ``BENCH_compile.json``
   (appended per run, see ``tools/bench_to_json.py``),
 * optionally a baseline file for later comparison
@@ -211,18 +211,19 @@ def render_report(
         f"partition_threshold={args.partition_threshold}, jobs={args.jobs})",
         "",
         f"{'workload':<26}{'nodes':>9}  {'mode':<16}{'seconds':>9}"
-        f"{'map':>9}{'spill':>9}{'lower':>9}",
-        "-" * 89,
+        f"{'decompose':>10}{'map':>9}{'spill':>9}{'lower':>9}",
+        "-" * 99,
     ]
 
-    def cell(value):
-        return f"{value:>9.3f}" if value is not None else f"{'':>9}"
+    def cell(value, width=9):
+        return f"{value:>{width}.3f}" if value is not None else " " * width
 
     for rec in records:
         passes = rec.get("passes", {})
         row = (
             f"{rec['workload']:<26}{rec['nodes']:>9}  "
             f"{rec['mode']:<16}{rec['seconds']:>9.3f}"
+            + cell(passes.get("decompose"), 10)
             + cell(passes.get("map"))
             + cell(passes.get("spill"))
             + cell(rec.get("lower"))
@@ -233,15 +234,16 @@ def render_report(
     # Pass and lowering totals are over monolithic records only: a
     # partitioned record's passes sum over its pieces.
     mono = [rec for rec in records if rec["mode"] == "monolithic"]
-    pass_totals = [
+    decompose_total, map_total, spill_total = (
         sum(rec.get("passes", {}).get(name, 0.0) for rec in mono)
-        for name in ("map", "spill")
-    ]
+        for name in ("decompose", "map", "spill")
+    )
     lower_total = sum(rec.get("lower", 0.0) for rec in mono)
     lines += [
-        "-" * 89,
+        "-" * 99,
         f"{'production total':<51}{total:>9.3f}"
-        + "".join(cell(t) for t in (*pass_totals, lower_total)),
+        + cell(decompose_total, 10)
+        + "".join(cell(t) for t in (map_total, spill_total, lower_total)),
     ]
     if baseline:
         base = production_seconds(baseline)

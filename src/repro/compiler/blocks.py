@@ -37,7 +37,7 @@ from ..errors import CompileError
 from ..graphs import DAG, OpType
 from .arrays import DagArrays
 from .combos import Slot, SlotAllocator
-from .cones import Cone, build_cone, cone_height
+from .cones import Cone, unroll_cone
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def decompose(dag: DAG, config: ArchConfig) -> Decomposition:
 
     while remaining > 0:
         block = _build_block(
-            dag, config, computed, height, buckets, dfs_pos, len(blocks)
+            dag, config, computed, height, buckets, len(blocks)
         )
         if not block.nodes:
             raise CompileError(
@@ -158,7 +158,6 @@ def _build_block(
     computed: list[bool],
     height: list[int],
     buckets: list[list[tuple[int, int]]],
-    dfs_pos: list[int],
     block_id: int,
 ) -> Block:
     """Fill one block: deepest cones first, DFS-proximal within a depth."""
@@ -176,22 +175,17 @@ def _build_block(
         if entry_height == 0:
             break
         dfs_key, node = heapq.heappop(buckets[entry_height])
-        if computed[node]:
-            continue  # stale
         h = height[node]
         if h != entry_height:
-            if 1 <= h <= depth:
-                heapq.heappush(buckets[h], (dfs_pos[node], node))
-            continue  # stale height; requeued in right bucket
+            # Stale: computed (height 0), or _commit_block queued the
+            # node again at its new height.
+            continue
         if node in claimed:
             # Covered by a cone already placed in this block.
             continue
-        cone = build_cone(dag, computed, node, max_depth)
+        # ``h`` is the tracked cone height, and it fits: h <= max_depth.
+        cone = unroll_cone(dag, computed, node, h, claimed)
         if cone is None:
-            # Height beyond the remaining slots; retry in a later block.
-            deferred.append((h, (dfs_key, node)))
-            continue
-        if cone.nodes & claimed:
             # Overlaps a cone of this block; it will shrink once the
             # block commits — defer to the next block.
             deferred.append((h, (dfs_key, node)))

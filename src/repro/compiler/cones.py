@@ -187,7 +187,13 @@ def build_cone(dag: DAG, computed, sink: int, max_height: int) -> Cone | None:
     height = cone_height(dag, computed, sink, max_height)
     if height == 0 or height > max_height:
         return None
+    return unroll_cone(dag, computed, sink, height, frozenset())
 
+
+def unroll_cone(dag: DAG, computed, sink: int, height: int,
+                claimed) -> Cone | None:
+    """Unroll ``sink``'s region of known ``height``; ``None`` at the
+    first uncomputed node in ``claimed`` (covered by another cone)."""
     size = (1 << (height + 1)) - 1
     kinds = [K_ABSENT] * size
     vals = [-1] * size
@@ -212,6 +218,8 @@ def build_cone(dag: DAG, computed, sink: int, max_height: int) -> Cone | None:
             kinds[pos] = K_LEAF
             vals[pos] = n
             continue
+        if n in claimed:
+            return None
         preds = preds_of[n]
         if len(preds) != 2:
             raise CompileError(

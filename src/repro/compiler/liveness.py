@@ -18,6 +18,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..arch import (
     CopyInstr,
     ExecInstr,
@@ -110,9 +112,8 @@ def annotate_liveness(
 
     out: list[Instruction] = []
     for idx, instr in enumerate(instrs):
-        # Instructions whose flags are already correct (common on the
-        # post-spill re-annotation) are reused as-is — the replaced
-        # copy would compare equal anyway.
+        # Instructions whose flags are already correct are reused
+        # as-is — the replaced copy would compare equal anyway.
         if isinstance(instr, ExecInstr):
             rst = frozenset(
                 bank
@@ -157,24 +158,25 @@ def annotate_liveness(
 
 
 def max_live_per_bank(
-    instrs: list[Instruction], banks: int
+    instrs: list[Instruction], banks: int,
+    residences: list[Residence] | None = None,
 ) -> list[int]:
     """Peak simultaneous residences per bank (pre-spill pressure).
 
     Counts a residence live from its write to its last read, which is
-    exactly the automatic-policy occupancy.
+    exactly the automatic-policy occupancy.  ``residences`` is a
+    precomputed :func:`analyze_residences` result for ``instrs``.
     """
-    residences = analyze_residences(instrs)
-    events: list[tuple[int, int, int]] = []  # (time, +1/-1, bank)
-    for res in residences:
-        events.append((res.writer, 1, res.bank))
-        events.append((res.reads[-1], -1, res.bank))
-    # Frees happen at read (issue) before the same instruction's own
-    # writes reserve, so sort frees first at equal time.
-    events.sort(key=lambda e: (e[0], e[1]))
-    live = [0] * banks
-    peak = [0] * banks
-    for _, delta, bank in events:
-        live[bank] += delta
-        peak[bank] = max(peak[bank], live[bank])
-    return peak
+    if residences is None:
+        residences = analyze_residences(instrs)
+    bank = np.array([r.bank for r in residences] * 2, dtype=np.int64)
+    time = np.array([r.writer for r in residences]
+                    + [r.reads[-1] for r in residences], dtype=np.int64)
+    delta = np.repeat([1, -1], len(residences))
+    # Per bank, in time order; frees happen at read (issue) before the
+    # same instruction's own writes reserve, so frees sort first.  Each
+    # bank's events sum to 0, so one running sum serves every bank.
+    order = np.lexsort((delta, time, bank))
+    peak = np.zeros(banks, dtype=np.int64)
+    np.maximum.at(peak, bank[order], np.cumsum(delta[order]))
+    return peak.tolist()

@@ -267,45 +267,37 @@ def _repair_output(
 
     Returns (bank for ``v``, number of relocated peers).
     """
-    gid = out_group_of[v]
-    peers = groups[gid]
-    taken: dict[int, int] = {}
-    for peer in peers:
-        b = bank_of.get(peer)
-        if b is not None:
-            taken[b] = peer
-
-    moved = 0
-
-    def try_take(var: int, visited: set[int]) -> int | None:
-        nonlocal moved
-        for b in writable[var]:
-            if b in visited:
-                continue
-            visited.add(b)
-            owner = taken.get(b)
-            if owner is None:
-                return b
-        for b in list(writable[var]):
-            owner = taken.get(b)
-            if owner is None or owner == var:
-                continue
-            alt = try_take(owner, visited)
-            if alt is not None:
-                taken[alt] = owner
-                bank_of[owner] = alt
-                moved += 1
-                return b
-        return None
-
-    bank = try_take(v, set())
+    taken = {bank_of[p]: p for p in groups[out_group_of[v]] if p in bank_of}
+    bank, moved = _try_take(v, set(), writable, taken, bank_of)
     if bank is None:
         raise MappingError(
             f"output var {v}: no writable bank even after repair — "
             "output interconnect feasibility violated (compiler bug)"
         )
-    taken[bank] = v
     return bank, moved
+
+
+def _try_take(var, visited, writable, taken, bank_of):
+    """One augmenting-path step: (bank for ``var`` or None, peers moved).
+
+    Module level: a self-calling closure would be a reference cycle.
+    """
+    for b in writable[var]:
+        if b in visited:
+            continue
+        visited.add(b)
+        if taken.get(b) is None:
+            return b, 0
+    for b in list(writable[var]):
+        owner = taken.get(b)
+        if owner is None or owner == var:
+            continue
+        alt, moved = _try_take(owner, visited, writable, taken, bank_of)
+        if alt is not None:
+            taken[alt] = owner
+            bank_of[owner] = alt
+            return b, moved + 1
+    return None, 0
 
 
 def _map_random(

@@ -5,7 +5,7 @@ Pass order::
     binarize -> decompose (step 1) -> map banks (step 2)
              -> build schedule     -> reorder (step 3)
              -> liveness flags     -> spill (step 4)
-             -> re-liveness        -> address allocation -> Program
+             -> address allocation -> Program
 
 For very large DAGs the paper first splits the graph with a
 GRAPHOPT-style partitioner (~20k nodes per piece) and compiles pieces
@@ -19,6 +19,7 @@ handles the benchmark suite's sizes.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import time
 from dataclasses import dataclass, field
 
@@ -193,6 +194,10 @@ def compile_dag(
         "compile", "compiler", workload=dag.name, nodes=dag.num_nodes
     )
     compile_span.__enter__()
+    # A compile makes no reference cycles (tests/test_compiler_gc.py
+    # guards this), so a cyclic-GC sweep during it would free nothing.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         result = _compile_monolithic(
             dag,
@@ -209,6 +214,9 @@ def compile_dag(
     except BaseException as exc:
         compile_span.__exit__(type(exc), exc, exc.__traceback__)
         raise
+    finally:
+        if enabled:
+            gc.enable()
     compile_span.__exit__(None, None, None)
     reg = get_registry()
     reg.counter(
@@ -293,13 +301,12 @@ def _compile_monolithic(
         spilled = insert_spills(
             flagged, config, next_row=schedule.num_rows, residences=residences
         )
-        # Spilling splits residences; re-run liveness so the flags
-        # reflect the final read order, then assert the discipline.
-        # Spilling only inserts, so an unchanged length means nothing
-        # was inserted and the flags are already final.
+        # Spilling splits residences without moving a free flag: an
+        # eviction stores with free_source, and each reload starts a
+        # residence whose last read keeps its original flag.
         final_instrs = spilled.instructions
-        if len(final_instrs) != len(flagged):
-            final_instrs = annotate_liveness(final_instrs)
+        if final_instrs is not flagged:
+            analyze_residences(final_instrs)  # raises on a leaked reload
         verify_hazard_free(final_instrs, config)
     steps["spill"] = time.perf_counter() - t0
 

@@ -23,6 +23,10 @@ valid forever: re-spilling a value whose lane still holds it needs no
 store at all — only the register free, which we get by storing it
 again only when its lane was never written.
 
+If no bank's peak of live residences (frees counted before writes at
+one issue) exceeds R, no write finds its bank full: the simulation is
+skipped and the input schedule returned unchanged.
+
 Insertions only ever lengthen producer->consumer gaps, so hazard
 freedom from the reorder pass is preserved; the spill store's own read
 is guarded by an in-flight check with ``nop`` aging as a last resort.
@@ -46,7 +50,7 @@ from ..arch import (
     result_latency,
 )
 from ..errors import SpillError
-from .liveness import Residence, analyze_residences
+from .liveness import Residence, analyze_residences, max_live_per_bank
 
 
 @dataclass
@@ -132,9 +136,19 @@ def insert_spills(
             (liveness flags do not change residence structure, so the
             pipeline reuses the annotation pass's analysis).
     """
-    st = _SpillState(instrs, config, next_row)
     if residences is None:
         residences = analyze_residences(instrs)
+    peaks = max_live_per_bank(instrs, config.banks, residences=residences)
+    if max(peaks) <= config.regs_per_bank:
+        return SpillResult(instrs, spills=0, reloads=0, spill_stores=0,
+                           spill_loads=0, nops_inserted=0, num_rows=next_row)
+    return _simulate(instrs, config, next_row, residences)
+
+
+def _simulate(instrs: list[Instruction], config: ArchConfig, next_row: int,
+              residences: list[Residence]) -> SpillResult:
+    """The occupancy simulation behind :func:`insert_spills`."""
+    st = _SpillState(instrs, config, next_row)
     res_of_write: dict[tuple[int, int, int], tuple[int, ...]] = {
         (r.writer, r.bank, r.var): r.reads for r in residences
     }

@@ -26,6 +26,7 @@ on Linux, so coordinator and worker spans share one timeline).
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import threading
@@ -98,9 +99,9 @@ class _Ring:
         self.n += 1
 
     def take(self) -> list[dict]:
-        out = [e for e in self.buf if e is not None]
-        self.buf = [None] * self.capacity
-        return out
+        # Swap first, so a GC span pushed mid-take is never lost.
+        old, self.buf = self.buf, [None] * self.capacity
+        return [e for e in old if e is not None]
 
 
 def _thread_state() -> tuple[_Ring, list[str]]:
@@ -113,9 +114,9 @@ def _thread_state() -> tuple[_Ring, list[str]]:
             _local.seq = _thread_seq
             ring = _Ring(_capacity)
             _rings.append(ring)
-        _local.ring = ring
         _local.stack = []
         _local.counter = 0
+        _local.ring = ring  # last: _gc_hook records only once it is set
     return ring, _local.stack
 
 
@@ -171,12 +172,30 @@ def enable(
     if capacity is not None:
         _capacity = max(16, int(capacity))
     _enabled = True
+    if _gc_hook not in gc.callbacks:
+        gc.callbacks.append(_gc_hook)
 
 
 def disable() -> None:
     """Turn tracing off; buffered spans stay until :func:`drain`."""
     global _enabled
     _enabled = False
+    if _gc_hook in gc.callbacks:
+        gc.callbacks.remove(_gc_hook)
+
+
+def _gc_hook(phase: str, info: dict) -> None:
+    """Record each generation >= 1 collection as a ``gc.collect`` span
+    under the current span (generation 0 would crowd the ring)."""
+    if info["generation"] == 0 or getattr(_local, "ring", None) is None:
+        return  # a thread without a ring may hold _registry_lock now
+    if phase == "start":
+        _local.gc_start_ns = time.monotonic_ns()
+    elif hasattr(_local, "gc_start_ns"):
+        begin(
+            "gc.collect", "runtime", start_ns=_local.gc_start_ns,
+            generation=info["generation"], collected=info["collected"],
+        ).finish()
 
 
 def is_on() -> bool:

@@ -12,6 +12,8 @@ from repro.compiler import (
     place_block,
     writer_pe,
 )
+from repro.compiler import blocks
+from repro.compiler.cones import cone_height
 from repro.compiler.mapping import (
     _least_contended,
     _repair_output,
@@ -20,7 +22,7 @@ from repro.compiler.mapping import (
 from repro.errors import MappingError
 from repro.graphs import OpType, binarize
 from repro.testing import make_chain_dag, make_random_dag, make_wide_dag
-from repro.workloads.synth import generate_synth
+from repro.workloads.synth import SYNTH_FAMILIES, generate_synth
 
 
 def bdag_of(dag):
@@ -96,6 +98,33 @@ class TestDecompose:
         config = ArchConfig(depth=depth, banks=banks, regs_per_bank=16)
         decomp = decompose(bdag_of(make_random_dag(52)), config)
         check_decomposition(decomp)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("family", sorted(SYNTH_FAMILIES))
+    def test_tracked_heights_match_cone_height(
+        self, monkeypatch, family, depth
+    ):
+        """Cones are unrolled at their tracked height, so after every
+        committed block each uncomputed node's tracked height must be
+        the height a fresh ``cone_height`` walk finds."""
+        commit = blocks._commit_block
+        committed = []
+
+        def checked_commit(dag, depth, computed, height, *rest):
+            commit(dag, depth, computed, height, *rest)
+            for node in dag.nodes():
+                if not computed[node]:
+                    assert height[node] == cone_height(
+                        dag, computed, node, depth
+                    ), f"node {node} after block {len(committed)}"
+            committed.append(True)
+
+        monkeypatch.setattr(blocks, "_commit_block", checked_commit)
+        config = ArchConfig(depth=depth, banks=8, regs_per_bank=16)
+        bdag = bdag_of(generate_synth(family, 250, seed=3))
+        decomp = decompose(bdag, config)
+        check_decomposition(decomp)
+        assert len(committed) == decomp.num_blocks
 
 
 class TestPlacement:

@@ -1,5 +1,7 @@
 """Unit tests for schedule construction, liveness, reorder, spill, regalloc."""
 
+import dataclasses
+
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -413,9 +415,9 @@ class TestSynthPassInvariants:
     def test_spill_pass_matches_full_reannotation(
         self, config_name, request, dag
     ):
-        """compile_dag skips re-annotating liveness when spilling
-        inserted nothing; its program must equal the formulation that
-        always re-annotates the spilled stream."""
+        """compile_dag does not re-annotate liveness after spilling;
+        its program must equal the formulation that always re-annotates
+        the spilled stream."""
         cfg = (
             MIN_EDP_CONFIG
             if config_name == "min_edp"
@@ -433,4 +435,116 @@ class TestSynthPassInvariants:
         )
         assert list(result.program.instructions) == annotate_liveness(
             spilled.instructions
+        )
+
+
+# ---------------------------------------------------------------------
+# The spill pass's no-spill exit and the pressure count behind it
+# ---------------------------------------------------------------------
+def _max_live_by_event_sort(instrs, banks):
+    """The event-sort formulation of ``max_live_per_bank``, kept as an
+    oracle for the vectorised one."""
+    events = []  # (time, +1/-1, bank)
+    for res in analyze_residences(instrs):
+        events.append((res.writer, 1, res.bank))
+        events.append((res.reads[-1], -1, res.bank))
+    events.sort(key=lambda e: (e[0], e[1]))  # frees first at a time
+    live = [0] * banks
+    peak = [0] * banks
+    for _, delta, bank in events:
+        live[bank] += delta
+        peak[bank] = max(peak[bank], live[bank])
+    return peak
+
+
+def _flagged_schedule(dag, cfg):
+    """Steps 1-3 plus liveness: what compile_dag hands the spill pass."""
+    decomp = decompose(binarize(dag).dag, cfg)
+    schedule = build_schedule(decomp, map_banks(decomp, Interconnect(cfg)))
+    ro = reorder(schedule.instructions, cfg, extra_deps=schedule.anchor_deps)
+    residences = analyze_residences(ro.instructions)
+    flagged = annotate_liveness(ro.instructions, residences=residences)
+    return flagged, residences, schedule.num_rows
+
+
+_pass_settings = settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+
+
+class TestNoSpillExit:
+    @_pass_settings
+    @given(dag=synth_dag_strategy(min_n=30, max_n=200),
+           cfg=synth_config_strategy())
+    def test_exit_iff_no_bank_exceeds_r(self, dag, cfg):
+        """With R at the schedule's peak pressure the early exit is
+        taken and agrees with the simulation; one register fewer and
+        the simulation runs and spills."""
+        from repro.compiler.spill import _simulate
+        from repro.errors import SpillError
+
+        flagged, residences, next_row = _flagged_schedule(dag, cfg)
+        peak = max(max_live_per_bank(flagged, cfg.banks))
+        assume(peak >= 3)
+
+        at_peak = dataclasses.replace(cfg, regs_per_bank=peak)
+        result = insert_spills(
+            flagged, at_peak, next_row=next_row, residences=residences
+        )
+        assert result.instructions is flagged  # the exit was taken
+        assert result.spills == 0 and result.num_rows == next_row
+        assert result == _simulate(flagged, at_peak, next_row, residences)
+
+        below = dataclasses.replace(cfg, regs_per_bank=peak - 1)
+        try:
+            spilled = insert_spills(
+                flagged, below, next_row=next_row, residences=residences
+            )
+        except SpillError:
+            return  # only the simulation raises: it ran out of room
+        assert spilled.spills > 0
+
+    def test_spilled_stream_is_rechecked(self, monkeypatch, spilly_config):
+        """A spill bug that leaks a reload (written, never read) still
+        fails the compile: compile_dag re-runs the residence analysis
+        on any stream the spill pass rewrote."""
+        from repro.compiler import compile_dag, pipeline
+
+        real = pipeline.insert_spills
+
+        def leaky(*args, **kwargs):
+            result = real(*args, **kwargs)
+            loads = [i for i in result.instructions
+                     if isinstance(i, LoadInstr)]
+            assert result.spills > 0 and loads
+            return dataclasses.replace(
+                result, instructions=result.instructions + [loads[-1]]
+            )
+
+        monkeypatch.setattr(pipeline, "insert_spills", leaky)
+        with pytest.raises(CompileError, match="never read"):
+            compile_dag(make_random_dag(seed=3, num_leaves=24, num_ops=300),
+                        spilly_config)
+
+    @_pass_settings
+    @given(dag=synth_dag_strategy(min_n=10, max_n=200),
+           cfg=synth_config_strategy())
+    def test_max_live_matches_event_sort(self, dag, cfg):
+        """Before and after spilling (where reloads add residences)."""
+        flagged, residences, next_row = _flagged_schedule(dag, cfg)
+        want = _max_live_by_event_sort(flagged, cfg.banks)
+        assert max_live_per_bank(flagged, cfg.banks) == want
+        assert max_live_per_bank(
+            flagged, cfg.banks, residences=residences
+        ) == want
+        tight = dataclasses.replace(cfg, regs_per_bank=max(2, max(want) - 2))
+        try:
+            spilled = insert_spills(flagged, tight, next_row=next_row)
+        except CompileError:
+            return
+        final = spilled.instructions
+        assert max_live_per_bank(final, cfg.banks) == (
+            _max_live_by_event_sort(final, cfg.banks)
         )

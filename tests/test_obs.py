@@ -18,6 +18,7 @@ Three property groups (hypothesis) plus integration checks:
 from __future__ import annotations
 
 import asyncio
+import gc
 import math
 
 import pytest
@@ -260,9 +261,13 @@ class TestSpanTrees:
         import json
 
         trace.enable(process_token="rt")
-        with trace.span("outer", "test", k="v"):
-            with trace.span("inner", "test"):
-                pass
+        gc.disable()  # a collection here would add a third span
+        try:
+            with trace.span("outer", "test", k="v"):
+                with trace.span("inner", "test"):
+                    pass
+        finally:
+            gc.enable()
         events = trace.drain()
         path = tmp_path / "trace.json"
         assert trace.export_chrome(path, events) == 2
@@ -288,6 +293,99 @@ class TestSpanTrees:
         ]
         selfs = trace.self_times(events)
         assert selfs == {"root": 50, "a": 25, "b": 20, "c": 20, "a1": 5}
+
+
+class TestGcSpans:
+    def test_collection_recorded_under_current_span(self):
+        trace.enable(process_token="gc")
+        with trace.span("outer", "test"):
+            cycle = []
+            cycle.append(cycle)
+            del cycle
+            gc.collect()
+        events = trace.drain()
+        by_id = _assert_well_formed(events)
+        (outer,) = [e for e in events if e["name"] == "outer"]
+        collects = [e for e in events if e["name"] == "gc.collect"]
+        assert all(e["cat"] == "runtime" for e in collects)
+        assert all(
+            set(e["args"]) == {"generation", "collected"} for e in collects
+        )
+        full = [e for e in collects if e["args"]["generation"] == 2]
+        assert full and by_id[full[-1]["parent"]] is outer
+        assert full[-1]["args"]["collected"] >= 1  # the list cycle
+
+    def test_young_collections_not_recorded(self):
+        trace.enable(process_token="gc0")
+        with trace.span("outer", "test"):
+            for _ in range(3):
+                gc.collect(0)
+            gc.collect(1)
+        events = trace.drain()
+        generations = [
+            e["args"]["generation"] for e in events
+            if e["name"] == "gc.collect"
+        ]
+        assert 1 in generations and 0 not in generations
+
+    def test_hook_never_takes_the_registry_lock(self, monkeypatch):
+        # A collection can run while this thread holds the registry
+        # lock (registering its ring, or a ring-less thread's drain);
+        # the hook must then return, not wait on the lock.  The lock
+        # stand-in times out instead of hanging the suite.
+        import threading
+
+        class TimedLock:
+            def __init__(self):
+                self._lock = threading.Lock()
+
+            def __enter__(self):
+                if not self._lock.acquire(timeout=10):
+                    raise TimeoutError("registry lock taken twice")
+
+            def __exit__(self, *exc_info):
+                self._lock.release()
+
+        monkeypatch.setattr(trace, "_registry_lock", TimedLock())
+        trace.enable(process_token="gcdl")
+        info = {"generation": 2, "collected": 0}
+        errors = []
+
+        def collect_under_lock():
+            try:
+                with trace._registry_lock:
+                    trace._gc_hook("start", info)
+                    trace._gc_hook("stop", info)
+            except TimeoutError as exc:
+                errors.append(exc)
+
+        def first_span_with_threshold_one():
+            threshold = gc.get_threshold()
+            gc.set_threshold(1)
+            try:
+                trace.drain()
+                with trace.span("first", "test"):
+                    pass
+            finally:
+                gc.set_threshold(*threshold)
+
+        for target in (collect_under_lock, first_span_with_threshold_one):
+            t = threading.Thread(target=target)
+            t.start()
+            t.join()
+        assert errors == []
+        assert [e["name"] for e in trace.drain() if e["name"] == "first"] == [
+            "first"
+        ]
+
+    def test_hook_installed_once_and_removed_by_disable(self):
+        trace.enable()
+        trace.enable()
+        assert gc.callbacks.count(trace._gc_hook) == 1
+        trace.disable()
+        assert trace._gc_hook not in gc.callbacks
+        gc.collect()
+        assert trace.drain() == []
 
 
 # ---------------------------------------------------------------------
