@@ -21,7 +21,7 @@ package implements the whole system in Python:
   content-addressed artifact cache (``repro sweep/all --jobs N``);
 * :mod:`repro.verify`    — differential verification: synthetic
   scenario generators (:mod:`repro.workloads.synth`) fuzzed through a
-  three-way executor cross-check (``repro fuzz --budget N``).
+  registry of executor cross-checks (``repro fuzz --budget N``).
 
 Quick start::
 

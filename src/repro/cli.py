@@ -15,7 +15,7 @@ Mirrors the paper artifact's ``run.sh`` workflow:
   worker processes;
 * ``encode``   — emit the packed binary program for a DAG;
 * ``fuzz``     — differential verification: seeded synthetic
-  scenarios through the three-way executor cross-check, shrinking
+  scenarios through every stage of the differential oracle, shrinking
   any mismatch to a replayable case under ``results/repro_cases/``;
   ``--campaign <id>`` makes the run durable (checkpointed, killable,
   resumable with ``--resume``), ``--task-timeout S`` bounds each
@@ -441,10 +441,27 @@ def cmd_all(args: argparse.Namespace) -> int:
 def cmd_fuzz(args: argparse.Namespace) -> int:
     """Differential fuzzing: synthetic scenarios x executor cross-check.
 
-    Exit status 0 means every scenario agreed across the reference
-    interpreter, scalar simulator, batch engine, analytic counters and
-    the warm-cache path; 1 means at least one mismatch was found (and
-    shrunk to a replayable case under ``--out-dir``).
+    Every scenario ``i`` runs these oracle stages
+    (:data:`repro.verify.STAGES`); ``--inject-fault`` arms a stage's
+    fault, and ``--image-all`` runs ``image-roundtrip`` everywhere:
+
+    =========================  ==================  =========
+    stage                      fault               scenarios
+    =========================  ==================  =========
+    reference-vs-scalar        scalar_value        all
+    plan-vs-scalar-counters    counter_drift       all
+    scalar-vs-batch            batch_output        all
+    fused-vs-batch             fused_output        i % 4 = 2
+    image-roundtrip            image_corrupt       i % 4 = 0
+    served-vs-direct           serve_output        i % 4 = 1
+    routed-vs-direct           router_output       i % 4 = 1
+    partitioned-vs-reference   partition_boundary  i % 4 = 3
+    warm-vs-cold               warm_output         all
+    =========================  ==================  =========
+
+    Exit status 0 means every scenario passed every stage it ran; 1
+    means at least one mismatch was found (and shrunk to a replayable
+    case under ``--out-dir``).
     """
     from .errors import VerificationError
     from .verify import fuzz
@@ -1230,6 +1247,8 @@ def cmd_encoding_report(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .verify import FAULTS, STALL_FAULT
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="DPU-v2 reproduction: compile/run irregular DAGs",
@@ -1339,8 +1358,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--inject-fault", default="", metavar="NAME",
-        help="deliberately corrupt one executor to demo the harness "
-        "(see repro.verify.FAULTS)",
+        help="deliberately corrupt one executor to demo the harness: "
+        + ", ".join([*FAULTS, STALL_FAULT]),
     )
     p.add_argument(
         "--image-all", action="store_true",

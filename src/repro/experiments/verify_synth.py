@@ -2,7 +2,7 @@
 
 Not a paper figure: this experiment runs a bounded, seeded fuzzing
 campaign (:func:`repro.verify.fuzz.fuzz`) through the registry so the
-three-way executor cross-check participates in ``repro all`` and —
+differential oracle's cross-checks participate in ``repro all`` and —
 via its golden snapshot — in the regression net.  The snapshot pins,
 per deterministic scenario, the generated DAG's fingerprint and the
 plan's cycle count: any drift in a generator, the compiler's cycle

@@ -2,14 +2,16 @@
 
 The stack has three independent ways to execute a DAG — the golden
 reference interpreter, the scalar verifying simulator and the
-vectorized batch engine — plus analytic activity counters and a
-content-addressed artifact cache.  This subsystem turns that
-redundancy into a verification harness:
+vectorized batch engine — plus the fused engine, the serving and
+routing tiers, binary artifact images, the partition-parallel compile
+path, analytic activity counters and a content-addressed artifact
+cache.  This subsystem turns that redundancy into a verification
+harness:
 
-* :mod:`repro.verify.differential` — the three-way oracle
-  (:func:`diff_check_dag` / :func:`check_scenario`): outputs bitwise
-  across all executors, analytic vs observed counters, warm vs cold
-  cache;
+* :mod:`repro.verify.differential` — the differential oracle
+  (:func:`diff_check_dag` / :func:`check_scenario`) and its stage
+  registry :data:`STAGES`, one cross-check per entry; every output is
+  compared bitwise;
 * :mod:`repro.verify.fuzz` — seeded campaign driver
   (:func:`fuzz`) fanning scenarios from
   :mod:`repro.workloads.synth` over the process pool;
@@ -17,6 +19,23 @@ redundancy into a verification harness:
   (:func:`shrink_dag`);
 * :mod:`repro.verify.artifacts` — replayable repro cases under
   ``results/repro_cases/`` (:func:`write_case` / :func:`replay_case`).
+
+The registered stages, the injected fault each must catch, and the
+fuzz scenarios (by index ``i``) that run it:
+
+=========================  ==================  =========
+stage                      fault               scenarios
+=========================  ==================  =========
+reference-vs-scalar        scalar_value        all
+plan-vs-scalar-counters    counter_drift       all
+scalar-vs-batch            batch_output        all
+fused-vs-batch             fused_output        i % 4 = 2
+image-roundtrip            image_corrupt       i % 4 = 0
+served-vs-direct           serve_output        i % 4 = 1
+routed-vs-direct           router_output       i % 4 = 1
+partitioned-vs-reference   partition_boundary  i % 4 = 3
+warm-vs-cold               warm_output         all
+=========================  ==================  =========
 
 CLI entry point: ``python -m repro fuzz --budget N --seed S --jobs J``.
 """
@@ -30,6 +49,7 @@ from .artifacts import (
 )
 from .differential import (
     FAULTS,
+    STAGES,
     DiffReport,
     Mismatch,
     Scenario,
@@ -51,6 +71,7 @@ from .shrink import ShrinkResult, ancestor_closure, extract_subdag, shrink_dag
 
 __all__ = [
     "FAULTS",
+    "STAGES",
     "CONFIG_POOL",
     "STALL_FAULT",
     "TaskTimeout",

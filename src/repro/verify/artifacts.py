@@ -5,8 +5,9 @@ human (or a CI log) and re-executed anywhere.  Each case is one
 self-contained JSON file holding
 
 * the **scenario identity** — generator family + parameters + seed,
-  config label, value seed, batch size and any injected fault — enough
-  to regenerate the original failing DAG from scratch;
+  config label, value seed, batch size, optional oracle stages and any
+  injected fault — enough to regenerate the original failing DAG from
+  scratch and re-run the same checks;
 * the **mismatch** — oracle stage and detail string;
 * the **shrunk DAG** itself (:func:`repro.graphs.to_json` format),
   so replay does not depend on generator code staying bit-stable
@@ -20,6 +21,7 @@ can be deleted.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,13 +30,15 @@ from ..errors import VerificationError
 from ..graphs import DAG, from_json, to_json
 from ..runner.fingerprint import dag_fingerprint
 from ..workloads.synth import SynthParams
-from .differential import DiffReport, Mismatch, Scenario, diff_check_dag
+from .differential import STAGES, DiffReport, Mismatch, Scenario
 
 #: Where the fuzzer drops cases by default (relative to the CWD, like
 #: the benchmark outputs under ``results/``).
 DEFAULT_CASE_DIR = Path("results") / "repro_cases"
 
-_SCHEMA = 1
+#: 2: the scenario lists its optional oracle ``stages``; schema-1
+#: cases (one boolean per stage) still load, see :func:`_from_v1`.
+_SCHEMA = 2
 
 
 @dataclass(frozen=True)
@@ -71,16 +75,8 @@ def write_case(case: ReproCase, out_dir: str | Path | None = None) -> Path:
     payload = {
         "schema": _SCHEMA,
         "scenario": {
+            **dataclasses.asdict(case.scenario),
             "params": case.scenario.params.as_dict(),
-            "config": case.scenario.config_label,
-            "value_seed": case.scenario.value_seed,
-            "batch": case.scenario.batch,
-            "fault": case.scenario.fault,
-            "partition_threshold": case.scenario.partition_threshold,
-            "partition_jobs": case.scenario.partition_jobs,
-            "serve": case.scenario.serve,
-            "fused": case.scenario.fused,
-            "image": case.scenario.image,
         },
         "mismatch": {
             "stage": case.mismatch.stage,
@@ -97,6 +93,26 @@ def write_case(case: ReproCase, out_dir: str | Path | None = None) -> Path:
     return path
 
 
+def _from_v1(raw: dict) -> dict:
+    """A schema-1 scenario in schema-2 terms: ``config`` is
+    ``config_label``, and its one flag per optional stage becomes
+    ``stages`` (``serve`` armed both serving stages, a partition
+    threshold the partitioned one)."""
+    serve, fused, image = (
+        raw.pop(flag, False) for flag in ("serve", "fused", "image")
+    )
+    armed = {
+        "served-vs-direct": serve,
+        "routed-vs-direct": serve,
+        "fused-vs-batch": fused,
+        "image-roundtrip": image,
+        "partitioned-vs-reference": raw.get("partition_threshold") is not None,
+    }
+    raw["stages"] = [s.name for s in STAGES if armed.get(s.name)]
+    raw["config_label"] = raw.pop("config")
+    return raw
+
+
 def load_case(path: str | Path) -> ReproCase:
     """Load a case file back into memory.
 
@@ -105,27 +121,17 @@ def load_case(path: str | Path) -> ReproCase:
     """
     try:
         payload = json.loads(Path(path).read_text())
-        if payload.get("schema") != _SCHEMA:
+        if payload.get("schema") not in (1, _SCHEMA):
             raise VerificationError(
                 f"{path}: unsupported repro-case schema "
                 f"{payload.get('schema')!r}"
             )
-        raw = payload["scenario"]
-        raw_threshold = raw.get("partition_threshold")
-        scenario = Scenario(
-            params=SynthParams.from_dict(raw["params"]),
-            config_label=raw["config"],
-            value_seed=int(raw["value_seed"]),
-            batch=int(raw["batch"]),
-            fault=raw.get("fault"),
-            partition_threshold=(
-                None if raw_threshold is None else int(raw_threshold)
-            ),
-            partition_jobs=int(raw.get("partition_jobs", 1)),
-            serve=bool(raw.get("serve", False)),
-            fused=bool(raw.get("fused", False)),
-            image=bool(raw.get("image", False)),
-        )
+        raw = dict(payload["scenario"])
+        if payload["schema"] == 1:
+            raw = _from_v1(raw)
+        raw["params"] = SynthParams.from_dict(raw["params"])
+        raw["stages"] = tuple(raw.get("stages", ()))
+        scenario = Scenario(**raw)
         mismatch = Mismatch(
             stage=payload["mismatch"]["stage"],
             detail=payload["mismatch"]["detail"],
@@ -154,15 +160,4 @@ def replay_case(path: str | Path) -> DiffReport:
     Injected-fault demo cases replay with their fault re-armed.
     """
     case = load_case(path)
-    return diff_check_dag(
-        case.shrunk_dag,
-        case.scenario.config(),
-        value_seed=case.scenario.value_seed,
-        batch=case.scenario.batch,
-        fault=case.scenario.fault,
-        partition_threshold=case.scenario.partition_threshold,
-        partition_jobs=case.scenario.partition_jobs,
-        serve=case.scenario.serve,
-        fused=case.scenario.fused,
-        image=case.scenario.image,
-    )
+    return case.scenario.diff_check(case.shrunk_dag)

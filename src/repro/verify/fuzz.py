@@ -52,11 +52,11 @@ from ..workloads.synth import MIN_NODES, SYNTH_FAMILIES, SynthParams
 from .artifacts import ReproCase, write_case
 from .differential import (
     FAULTS,
+    STAGES,
     Mismatch,
     Scenario,
     ScenarioOutcome,
     check_scenario,
-    diff_check_dag,
 )
 from .shrink import ShrinkResult, shrink_dag
 
@@ -193,19 +193,22 @@ def make_scenarios(
         else:  # chunky
             n = rng.randint(121, 260)
         kwargs = _family_kwargs(rng, family, n)
-        # Every fourth scenario also exercises the partition-parallel
-        # compile path, a disjoint every-fourth slice drives the live
-        # micro-batcher (served-vs-direct), a third disjoint slice
-        # re-executes through the fused engine
-        # (fused-vs-batch), and the remaining slice round-trips the
-        # compiled artifacts through binary images
-        # (image-roundtrip).  All assignments are derived WITHOUT
-        # consuming the master rng, so the (family, n, seed, config,
-        # value_seed, batch) stream — and with it the pinned
-        # verify_synth golden — is unchanged from earlier revisions.
+        # Each optional stage runs on the scenarios whose index falls
+        # in its registry slot (i % 4), disjoint slices; --image-all
+        # adds the image stage everywhere.  None of this consumes the
+        # master rng, so the (family, n, seed, config, value_seed,
+        # batch) stream — and with it the pinned verify_synth golden —
+        # is unchanged from earlier revisions.
+        stages = [
+            s.name for s in STAGES
+            if s.slot == i % 4 or (image_all and s.name == "image-roundtrip")
+        ]
         partition_threshold = None
-        if i % 4 == 3 and n > 2 * MIN_NODES:
-            partition_threshold = max(1, n // (2 + i % 3))
+        if "partitioned-vs-reference" in stages:
+            if n > 2 * MIN_NODES:
+                partition_threshold = max(1, n // (2 + i % 3))
+            else:  # too small to split into two pieces
+                stages.remove("partitioned-vs-reference")
         scenarios.append(
             Scenario(
                 params=SynthParams(
@@ -218,10 +221,8 @@ def make_scenarios(
                 value_seed=rng.randrange(2**31),
                 batch=rng.choice((1, 2, 4)),
                 fault=fault,
+                stages=tuple(stages),
                 partition_threshold=partition_threshold,
-                serve=i % 4 == 1,
-                fused=i % 4 == 2,
-                image=image_all or i % 4 == 0,
             )
         )
     return scenarios
@@ -373,25 +374,14 @@ def _shrink_failure(
     """Minimize one failing scenario and persist the repro case."""
     scenario = outcome.scenario
     timed_out = outcome.status == "timeout"
-    oracle_fault = (
-        None if scenario.fault == STALL_FAULT else scenario.fault
-    )
+    storable = _storable_scenario(scenario)
     dag = scenario.params.build()
-    config = scenario.config()
 
     def oracle(candidate):
-        return diff_check_dag(
-            candidate,
-            config,
-            value_seed=scenario.value_seed,
-            batch=scenario.batch,
-            fault=oracle_fault,
+        return dataclasses.replace(
+            storable,
             partition_threshold=_shrunk_threshold(scenario, candidate),
-            partition_jobs=scenario.partition_jobs,
-            serve=scenario.serve,
-            fused=scenario.fused,
-            image=scenario.image,
-        )
+        ).diff_check(candidate)
 
     if timed_out:
         # Keep candidates that still blow the wall-clock budget.  The
@@ -428,7 +418,7 @@ def _shrink_failure(
         except TaskTimeout:
             pass
         case = ReproCase(
-            scenario=_storable_scenario(scenario),
+            scenario=storable,
             mismatch=final_mismatch,
             shrunk_dag=shrunk.dag,
             original_nodes=dag.num_nodes,
@@ -496,7 +486,9 @@ def _campaign_fingerprint(
     merged."""
     key = repr(
         (
-            "fuzz",
+            # v2: scenarios carry ``stages``; checkpoints that pickled
+            # the per-stage flags of v1 must not be merged.
+            "fuzz-v2",
             budget,
             seed,
             tuple(families) if families else None,
@@ -578,19 +570,13 @@ def fuzz(
     )
     quarantined: dict[int, dict] = {}
     if campaign_id is None:
-        if task_timeout_s is None:
-            outcomes = parallel_map(
-                check_scenario, scenarios, jobs=jobs, progress=progress,
-                desc="fuzz",
-            )
-        else:
-            outcomes = parallel_map(
-                _check_timed_task,
-                [(s, task_timeout_s) for s in scenarios],
-                jobs=jobs,
-                progress=progress,
-                desc="fuzz",
-            )
+        outcomes = parallel_map(
+            _check_timed_task,
+            [(s, task_timeout_s) for s in scenarios],
+            jobs=jobs,
+            progress=progress,
+            desc="fuzz",
+        )
     else:
         from ..runner.queue import run_campaign
 

@@ -208,7 +208,8 @@ class TestOracleIntegration:
     def test_oracle_partitioned_stage_passes(self):
         dag = generate_synth("layered", 160, seed=3)
         report = diff_check_dag(
-            dag, CFG, value_seed=7, batch=2, partition_threshold=40
+            dag, CFG, value_seed=7, batch=2,
+            stages=("partitioned-vs-reference",), partition_threshold=40,
         )
         assert report.ok, report.mismatch
 

@@ -97,6 +97,36 @@ class TestFuzzCampaign:
             )
 
 
+    def test_campaign_from_before_the_stage_registry_is_refused(
+        self, tmp_path
+    ):
+        """A campaign started while scenarios carried one flag per
+        oracle stage pickled that old ``Scenario`` in its checkpoints;
+        its fingerprint had no version tag, and resuming it must be
+        refused rather than merged."""
+        import hashlib
+        import json
+
+        from repro.runner.queue import CampaignError, campaign_dir
+
+        root = tmp_path / "campaigns"
+        fuzz(
+            BUDGET, seed=5, jobs=1, write_artifacts=False,
+            campaign_id="fuzz-v1", campaign_root=root,
+        )
+        untagged = repr(("fuzz", BUDGET, 5, None, None, None, False, None))
+        manifest = campaign_dir("fuzz-v1", root) / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["params_fingerprint"] = hashlib.blake2b(
+            untagged.encode(), digest_size=16
+        ).hexdigest()
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(CampaignError, match="different parameters"):
+            fuzz(
+                BUDGET, seed=5, jobs=1, write_artifacts=False,
+                campaign_id="fuzz-v1", campaign_root=root, resume=True,
+            )
+
 class TestChaosHarness:
     def test_poison_spec_is_rejected_by_kill_resume_phase(self):
         with pytest.raises(VerificationError, match="run_quarantine_fuzz"):

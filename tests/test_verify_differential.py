@@ -6,16 +6,19 @@ the oracle stage built to detect it, (c) shrink a failing DAG to a
 minimal reproducer, and (d) write/replay repro-case artifacts.
 """
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.arch import ArchConfig
 from repro.errors import VerificationError, WorkloadError
-from repro.graphs import OpType, validate
+from repro.graphs import DAGBuilder, OpType, validate
 from repro.verify import (
     FAULTS,
+    STAGES,
     Scenario,
     check_scenario,
     config_from_label,
@@ -26,6 +29,7 @@ from repro.verify import (
     make_scenarios,
     replay_case,
     shrink_dag,
+    write_case,
 )
 from repro.workloads import SynthParams, generate_synth
 
@@ -88,6 +92,46 @@ class TestFaultInjection:
         outcome = check_scenario(scenario)
         assert outcome.status == "mismatch"
         assert outcome.mismatch.stage == "scalar-vs-batch"
+
+
+    def test_unknown_stage_rejected(self, tiny_config):
+        dag = generate_synth("deep", 10, seed=0)
+        with pytest.raises(VerificationError, match="unknown oracle stage"):
+            diff_check_dag(dag, tiny_config, stages=("gremlins",))
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_fault_caught_when_the_highest_output_overflows(self, fault):
+        """``nextafter`` is a no-op on inf/NaN: the shared injection
+        must corrupt an overflowed output some other way, or 7 of the
+        9 faults silently vanish on this DAG."""
+        b = DAGBuilder()
+        x, y = b.add_input(), b.add_input()
+        v = b.add_op(OpType.ADD, [x, y])
+        for _ in range(14):
+            v = b.add_op(OpType.MUL, [v, v])
+        b.add_op(OpType.ADD, [v, x])
+        dag = b.build()
+        with np.errstate(over="ignore"):
+            report = diff_check_dag(
+                dag, config_from_label("D2-B8-R16"), value_seed=2, batch=2,
+                fault=fault,
+            )
+        assert report.mismatch is not None, "fault vanished on inf output"
+        assert report.mismatch.stage == FAULTS[fault]
+
+    @pytest.mark.parametrize("stage", STAGES, ids=lambda s: s.fault)
+    def test_every_fault_shrinks_to_the_minimum(self, stage):
+        report = fuzz(
+            budget=4,
+            seed=6,
+            families=["near_chain"],
+            fault=stage.fault,
+            write_artifacts=False,
+        )
+        assert len(report.failures) == 4
+        for failure in report.failures:
+            assert failure.outcome.mismatch.stage == stage.name
+            assert failure.shrunk_nodes == 3
 
 
 class TestShrinking:
@@ -188,6 +232,89 @@ class TestFuzzCampaigns:
             assert payload["shrunk_nodes"] == 3
 
 
+class TestStageRegistry:
+    def test_faults_derive_from_the_registry(self):
+        assert FAULTS == {
+            "batch_output": "scalar-vs-batch",
+            "scalar_value": "reference-vs-scalar",
+            "counter_drift": "plan-vs-scalar-counters",
+            "warm_output": "warm-vs-cold",
+            "partition_boundary": "partitioned-vs-reference",
+            "serve_output": "served-vs-direct",
+            "router_output": "routed-vs-direct",
+            "fused_output": "fused-vs-batch",
+            "image_corrupt": "image-roundtrip",
+        }
+        assert len({s.name for s in STAGES}) == len(STAGES)
+
+    @pytest.mark.parametrize(
+        "image_all, digest, counts",
+        [
+            (
+                False,
+                "8f1fa95b692c89203ef3ee4e13f8b754"
+                "e392e3b719c182799d064f7bb28d5aea",
+                (110, 125, 125, 125),
+            ),
+            (
+                True,
+                "5d0d5d869b28ffce468e4f0a54971801"
+                "d6698f2e424636101ac73c954e1124fd",
+                (110, 125, 125, 500),
+            ),
+        ],
+    )
+    def test_stage_selection_law_is_pinned(self, image_all, digest, counts):
+        """Seeded campaigns pick the same stages as when each stage was
+        a hand-wired ``Scenario`` flag: the digest over (index,
+        partition threshold, optional-stage set) of 500 scenarios was
+        recorded from that implementation."""
+        scenarios = make_scenarios(500, seed=0, image_all=image_all)
+        rows = [
+            (i, s.partition_threshold, sorted(s.stages))
+            for i, s in enumerate(scenarios)
+        ]
+        got = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert got == digest
+        assert tuple(
+            sum(name in s.stages for s in scenarios)
+            for name in (
+                "partitioned-vs-reference",
+                "served-vs-direct",
+                "fused-vs-batch",
+                "image-roundtrip",
+            )
+        ) == counts
+        for s in scenarios:
+            assert ("partitioned-vs-reference" in s.stages) == (
+                s.partition_threshold is not None
+            )
+
+    def test_docs_tables_match_the_registry(self):
+        """The README, the package and ``repro fuzz`` docstrings and the
+        CI fuzz job carry one stage | fault | scenarios table each;
+        every row must match :data:`STAGES`."""
+        import repro.verify
+        from repro.cli import cmd_fuzz
+
+        root = Path(__file__).parents[1]
+        readme = (root / "README.md").read_text()
+        texts = {
+            "repro.verify": repro.verify.__doc__,
+            "cmd_fuzz": cmd_fuzz.__doc__,
+            "ci.yml": (root / ".github" / "workflows" / "ci.yml").read_text(),
+        }
+        for stage in STAGES:
+            when = "all" if stage.slot is None else f"i % 4 = {stage.slot}"
+            assert f"| `{stage.name}` | `{stage.fault}` | {when} |" in readme
+            row = [stage.name, stage.fault, *when.split()]
+            for where, text in texts.items():
+                assert any(
+                    line.replace("#", " ").split() == row
+                    for line in text.splitlines()
+                ), (where, stage.name)
+
+
 class TestImageRoundTripStage:
     """The binary-image encode→decode→execute oracle stage."""
 
@@ -195,7 +322,8 @@ class TestImageRoundTripStage:
     def test_image_stage_clean(self, family, tiny_config):
         dag = generate_synth(family, 50, seed=6)
         report = diff_check_dag(
-            dag, tiny_config, value_seed=4, batch=2, image=True
+            dag, tiny_config, value_seed=4, batch=2,
+            stages=("image-roundtrip",),
         )
         assert report.ok, str(report.mismatch)
 
@@ -217,15 +345,21 @@ class TestImageRoundTripStage:
 
     def test_every_fourth_scenario_gets_the_stage(self):
         scenarios = make_scenarios(12, seed=0)
-        flags = [s.image for s in scenarios]
+        flags = ["image-roundtrip" in s.stages for s in scenarios]
         assert flags == [i % 4 == 0 for i in range(12)]
         # The slices stay disjoint from the other optional stages.
         for s in scenarios:
-            assert not (s.image and (s.serve or s.fused))
+            assert s.stages in (
+                (),
+                ("image-roundtrip",),
+                ("fused-vs-batch",),
+                ("served-vs-direct", "routed-vs-direct"),
+                ("partitioned-vs-reference",),
+            )
 
     def test_image_all_overrides_the_slice(self):
         scenarios = make_scenarios(8, seed=0, image_all=True)
-        assert all(s.image for s in scenarios)
+        assert all("image-roundtrip" in s.stages for s in scenarios)
 
     def test_image_all_does_not_perturb_derivation(self):
         base = make_scenarios(8, seed=0)
@@ -247,7 +381,7 @@ class TestImageRoundTripStage:
         )
         assert report.failures
         case = load_case(report.failures[0].case_path)
-        assert case.scenario.image is True
+        assert "image-roundtrip" in case.scenario.stages
 
 
 class TestArtifacts:
@@ -278,6 +412,56 @@ class TestArtifacts:
         payload["scenario"]["fault"] = None
         path.write_text(json.dumps(payload))
         assert replay_case(path).ok
+
+    #: A case written before the oracle had a stage registry: one
+    #: boolean per optional stage instead of a ``stages`` list.
+    LEGACY_CASE = {
+        "dag": {
+            "name": "chain-n70-s1602711601-shrunk",
+            "nodes": [
+                {"input_slot": 0, "op": "input", "preds": []},
+                {"input_slot": 1, "op": "input", "preds": []},
+                {"op": "add", "preds": [0, 1]},
+            ],
+        },
+        "fingerprint": "5c2c23e3ebd64b8a566a921d3a0a6892",
+        "mismatch": {"detail": "var 2 row 0", "stage": "routed-vs-direct"},
+        "original_nodes": 69,
+        "scenario": {
+            "batch": 2,
+            "config": "D2-B8-R8",
+            "fault": "router_output",
+            "fused": True,
+            "image": False,
+            "params": {
+                "family": "near_chain",
+                "kwargs": {"skip_prob": 0.6},
+                "n": 70,
+                "seed": 1602711601,
+            },
+            "partition_jobs": 1,
+            "partition_threshold": None,
+            "serve": True,
+            "value_seed": 94015969,
+        },
+        "schema": 1,
+        "shrink_checks": 1,
+        "shrunk_nodes": 3,
+    }
+
+    def test_legacy_case_loads_and_replays_with_its_stages(self, tmp_path):
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(self.LEGACY_CASE))
+        case = load_case(path)
+        assert case.scenario.stages == (
+            "fused-vs-batch", "served-vs-direct", "routed-vs-direct",
+        )
+        replay = replay_case(path)
+        assert replay.mismatch is not None
+        assert replay.mismatch.stage == "routed-vs-direct"
+        # Re-written in the current schema, it loads back identically.
+        again = load_case(write_case(case, tmp_path / "v2"))
+        assert again.scenario == case.scenario
 
     def test_malformed_artifact_rejected(self, tmp_path):
         bad = tmp_path / "case.json"
