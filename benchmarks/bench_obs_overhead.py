@@ -103,7 +103,7 @@ def bench_batch(args) -> dict[str, list[float]]:
     """Interleaved fused-sweep seconds per mode, one entry per rep."""
     dag = generate_synth("deep", args.nodes, seed=1)
     plan = compile_dag(dag, MIN_EDP_CONFIG, validate_input=False).plan()
-    sim = BatchSimulator(plan, engine="fused")
+    sim = BatchSimulator(plan)
     rng = np.random.default_rng(args.seed)
     matrix = rng.uniform(0.9, 1.1, size=(args.batch, dag.num_inputs))
     sim.run(matrix)  # warm the bound-sweep cache outside the timing

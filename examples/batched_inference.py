@@ -5,8 +5,9 @@ The paper's serving scenario: one static program (the compiled DAG),
 a stream of input vectors (new evidence per tick for a probabilistic
 circuit, new right-hand sides for a triangular solve).  Instead of
 interpreting the program per input, we lower it once to a verified
-ExecutionPlan and sweep whole batches through the vectorized
-executor.
+ExecutionPlan and sweep whole batches through the fused batch engine:
+level-grouped super-op kernels (~2 numpy dispatches per dependence
+level) over a state whose cells are reused by liveness.
 
 Run:  python examples/batched_inference.py
 """
@@ -37,8 +38,7 @@ def main() -> None:
     # Phase 2 — sweep a whole batch at once.
     rng = np.random.default_rng(0)
     matrix = rng.uniform(0.9, 1.1, size=(BATCH, dag.num_inputs))
-    engine = BatchSimulator(plan)
-    batch = engine.run(matrix)
+    batch = BatchSimulator(plan).run(matrix)
     print(f"batch {batch.batch}: {batch.host_seconds * 1e3:.1f}ms "
           f"({batch.host_rows_per_second:,.0f} rows/s simulated)")
 
@@ -52,26 +52,6 @@ def main() -> None:
     scalar_row_s = (time.perf_counter() - t0) / 4
     print(f"scalar reference: {scalar_row_s * 1e3:.1f}ms/row -> "
           f"batched speedup ~{scalar_row_s * BATCH / batch.host_seconds:,.0f}x")
-
-    # Engine selection: the fused engine lowers the plan once more
-    # into level-grouped super-op kernels (~2 numpy dispatches per
-    # dependence level instead of one per tape step) over a state
-    # whose cells are reused by liveness.  Same bits out, several
-    # times the rows/s — the CLI flag is `--engine fused`:
-    #
-    #   python -m repro run tretail --batch 256 --engine fused
-    #
-    fused = BatchSimulator(plan, engine="fused")
-    fused_batch = fused.run(matrix)
-    for var, column in batch.outputs.items():
-        assert np.array_equal(
-            column.view(np.uint64),
-            fused_batch.outputs[var].view(np.uint64),
-        )  # bitwise identical, not merely close
-    print(f"fused engine: {fused_batch.host_seconds * 1e3:.1f}ms "
-          f"({fused_batch.host_rows_per_second:,.0f} rows/s, "
-          f"{batch.host_seconds / fused_batch.host_seconds:.1f}x the "
-          "step interpreter)")
 
     # Device-model metrics scale exactly with B (execution is static).
     ops = result.stats.num_operations

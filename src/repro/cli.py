@@ -54,7 +54,7 @@ from pathlib import Path
 from .arch import ArchConfig, encode_program
 from .compiler import compile_dag
 from .graphs import from_edge_list, from_json, DAG
-from .sim import ENGINES, evaluate_dag, run_program
+from .sim import evaluate_dag, run_program
 from .workloads import DEFAULT_SCALE, build_workload, workload_names
 
 
@@ -295,8 +295,7 @@ def _run_batched(args, dag: DAG, config, result, ops: int) -> int:
     plan = cached_plan(result)  # phase 1: verified lowering (memoized)
     rng = np.random.default_rng(args.seed)
     matrix = rng.uniform(0.9, 1.1, size=(args.batch, dag.num_inputs))
-    sim = BatchSimulator(plan, engine=args.engine)
-    batch = sim.run(matrix)  # phase 2: vector sweep
+    batch = BatchSimulator(plan).run(matrix)  # phase 2: fused sweep
     perf = batch_perf_report(
         dag.name, config, ops, plan.cycles_per_row, batch.batch,
         host_seconds=batch.host_seconds,
@@ -323,8 +322,7 @@ def _run_batched(args, dag: DAG, config, result, ops: int) -> int:
           f"{config.frequency_hz / 1e6:.0f}MHz "
           f"({perf.rows_per_second:,.0f} rows/s on device)")
     print(f"host sweep: {batch.host_seconds * 1e3:.1f}ms "
-          f"({batch.host_rows_per_second:,.0f} rows/s simulated, "
-          f"engine {sim.engine})")
+          f"({batch.host_rows_per_second:,.0f} rows/s simulated)")
     if errors:
         print(f"FAILED: {errors} output mismatches vs golden model "
               f"across {checked} checked rows")
@@ -589,7 +587,6 @@ def _serve_specs(args: argparse.Namespace) -> list:
             seed=args.seed,
             scale=args.scale,
             partition_threshold=args.partition_threshold,
-            engine=args.engine,
         )
         for name in names
     ]
@@ -808,7 +805,6 @@ def _shard_argv(
         "--max-queue", str(args.max_queue),
         "--workers", str(args.workers),
         "--cache-dir", args.cache_dir,
-        "--engine", args.engine,
     ]
     if args.no_cache:
         cmd.append("--no-cache")
@@ -1069,14 +1065,13 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         records = [
             dict(
                 rec,
-                engine=args.engine,
                 shards=args.router or 1,
                 rows_per_request=args.rows_per_request,
             )
             for report in reports
             for rec in report.records()
         ]
-        label = f"loadgen-{'-'.join(patterns)}-{args.engine}"
+        label = f"loadgen-{'-'.join(patterns)}"
         if args.router:
             label += f"-router{args.router}"
             if args.chaos != "none":
@@ -1153,8 +1148,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         plan = result.plan()
         rng = np.random.default_rng(args.seed)
         matrix = rng.uniform(0.9, 1.1, size=(args.batch, dag.num_inputs))
-        sim = BatchSimulator(plan, engine=args.engine)
-        batch = sim.run(matrix)
+        batch = BatchSimulator(plan).run(matrix)
     events = trace.drain()
     # "% wall" comes from self time (duration minus nested spans), so
     # the column, with the unattributed row, sums to 100.
@@ -1195,8 +1189,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
             rows,
             title=(
                 f"{dag.name} @ {config}: profile over a "
-                f"{batch.batch}-row sweep (engine {sim.engine}, "
-                f"wall {wall_us / 1e3:.1f}ms)"
+                f"{batch.batch}-row sweep (wall {wall_us / 1e3:.1f}ms)"
             ),
         )
     )
@@ -1269,14 +1262,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument(
         "--batch", type=int, default=0, metavar="N",
-        help="execute N random input rows through the two-phase "
-        "plan/execute engine instead of the scalar reference simulator",
-    )
-    p.add_argument(
-        "--engine", default="auto", choices=ENGINES,
-        help="batch execution engine (--batch N only): step interpreter "
-        "or fused super-op kernels (auto = fused); both are bitwise "
-        "identical",
+        help="execute N random input rows through the verified plan's "
+        "fused batch engine instead of the scalar reference simulator",
     )
     _add_cache_args(p)
     _add_obs_args(p)
@@ -1469,12 +1456,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="compile DAGs larger than N nodes via the "
             "partition-parallel path",
         )
-        p.add_argument(
-            "--engine", default="auto", choices=ENGINES,
-            help="batch execution engine behind the plan pool "
-            "(default auto: fused super-op kernels); both engines are "
-            "bitwise identical",
-        )
 
     p = sub.add_parser(
         "serve",
@@ -1611,10 +1592,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--batch", type=int, default=256, metavar="N",
         help="rows in the profiled batch sweep (default 256)",
-    )
-    p.add_argument(
-        "--engine", default="auto", choices=ENGINES,
-        help="batch execution engine to profile (default auto)",
     )
     p.add_argument(
         "--out", default="", metavar="FILE",

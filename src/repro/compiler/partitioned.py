@@ -119,16 +119,12 @@ class PartitionedCompileResult:
                 values[orig] = sim.values[node_map[local]]
         return values
 
-    def run_batch(
-        self, inputs: np.ndarray, engine: str = "step"
-    ) -> dict[int, np.ndarray]:
+    def run_batch(self, inputs: np.ndarray) -> dict[int, np.ndarray]:
         """Execute all pieces on the batch engine ((B, num_inputs) in).
 
         Returns ``original node -> (B,)`` arrays for the same set of
-        nodes as :meth:`run`.  ``engine`` selects the per-piece batch
-        engine (see :data:`repro.sim.batch.ENGINES`); simulators are
-        memoized per (piece, engine), so repeated batches through the
-        fused engine reuse their bound sweeps.
+        nodes as :meth:`run`.  Simulators are memoized per piece, so
+        repeated batches reuse their bound sweeps.
         """
         inputs = np.asarray(inputs, dtype=np.float64)
         batch = inputs.shape[0]
@@ -141,25 +137,23 @@ class PartitionedCompileResult:
                     sub[:, slot] = inputs[:, self.dag.input_slot(s)]
                 else:
                     sub[:, slot] = values[s]
-            result = self._sim(idx, engine).run(sub)
+            result = self._sim(idx).run(sub)
             node_map = piece.result.node_map
             for orig, local in piece.extract:
                 values[orig] = result.outputs[node_map[local]]
         return values
 
-    def _sim(self, idx: int, engine: str):
-        """Per-(piece, engine) BatchSimulator memo (not pickled —
-        simulators hold locks and bound state buffers)."""
+    def _sim(self, idx: int):
+        """Per-piece BatchSimulator memo (not pickled — simulators
+        hold locks and bound state buffers)."""
         from ..sim import BatchSimulator
 
         cache = self.__dict__.get("_sim_cache")
         if cache is None:
             cache = self.__dict__["_sim_cache"] = {}
-        sim = cache.get((idx, engine))
+        sim = cache.get(idx)
         if sim is None:
-            sim = cache[(idx, engine)] = BatchSimulator(
-                self.pieces[idx].result.plan(), engine=engine
-            )
+            sim = cache[idx] = BatchSimulator(self.pieces[idx].result.plan())
         return sim
 
     def __getstate__(self):

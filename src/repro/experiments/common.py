@@ -9,7 +9,7 @@ import numpy as np
 from ..arch import ArchConfig, Interconnect, Topology
 from ..compiler import CompileResult
 from ..graphs import DAG
-from ..runner.cache import cached_compile, cached_plan
+from ..runner.cache import cached_compile, cached_fused_plan, cached_plan
 from ..sim.activity import count_activity
 from ..sim.batch import BatchResult, BatchSimulator
 from ..sim.energy import EnergyReport, energy_of_run
@@ -53,7 +53,7 @@ def measure(
     require value-level simulation.  With ``batch > 0`` the compiled
     program is additionally lowered to a verified
     :class:`~repro.sim.plan.ExecutionPlan` and a ``(batch, inputs)``
-    random matrix is executed through the vectorized engine, attaching
+    random matrix is executed through the fused batch engine, attaching
     the :class:`~repro.sim.batch.BatchResult` — this is how the
     throughput experiments actually exercise the production path.
     """
@@ -72,7 +72,8 @@ def measure(
         plan = cached_plan(result, interconnect)
         rng = np.random.default_rng(seed)
         matrix = rng.uniform(0.9, 1.1, size=(batch, dag.num_inputs))
-        batch_result = BatchSimulator(plan).run(matrix)
+        fused = cached_fused_plan(result, interconnect)
+        batch_result = BatchSimulator(plan, fused_plan=fused).run(matrix)
     return Measurement(
         compile_result=result,
         counters=counters,

@@ -6,20 +6,24 @@ all formats supported by the NetworkX package)".  We provide:
 * a JSON format (self-describing, stable, used for fixtures),
 * an edge-list text format,
 * lossless conversion to/from ``networkx.DiGraph`` — which transitively
-  gives access to every NetworkX reader/writer.
+  gives access to every NetworkX reader/writer.  NetworkX is an
+  optional dependency (the ``nx`` extra), imported only by these two
+  converters.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..errors import GraphError
 from .dag import DAG, DAGBuilder
 from .node import OpType
 from .traversal import topological_order
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 _OP_NAMES = {op.value: op for op in OpType}
 
@@ -31,6 +35,8 @@ def to_networkx(dag: DAG) -> nx.DiGraph:
     ``input_slot``.  Edge attribute ``operand`` records the operand
     position so ordered fan-in survives the round trip.
     """
+    import networkx as nx
+
     graph = nx.DiGraph(name=dag.name)
     for node in dag.nodes():
         attrs = {"op": dag.op(node).value}
@@ -56,6 +62,8 @@ def from_networkx(graph: nx.DiGraph) -> DAG:
     the same operand twice (e.g. squaring); build such DAGs with
     :class:`~repro.graphs.DAGBuilder` directly.
     """
+    import networkx as nx
+
     if not nx.is_directed_acyclic_graph(graph):
         raise GraphError("networkx graph is not a DAG")
     try:

@@ -36,7 +36,7 @@ from ..graphs import DAG, OpType, topological_order
 
 #: Version tag of the cached-artifact schema.  Bump on any compiler,
 #: activity-model or payload-layout change so stale artifacts miss.
-COMPILER_CACHE_VERSION = "3"  # 3: MoveStep coalescing/slice metadata in cached plans
+COMPILER_CACHE_VERSION = "4"  # 4: uncoalesced tape, MoveStep without slice metadata
 
 _DIGEST_BYTES = 16
 

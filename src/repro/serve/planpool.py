@@ -52,7 +52,7 @@ from ..runner.fingerprint import (
     config_fingerprint,
     dag_fingerprint,
 )
-from ..sim import ENGINES, BatchSimulator
+from ..sim import BatchSimulator
 from ..workloads import DEFAULT_SCALE, SynthParams, build_workload
 from ..workloads.suite import _BY_NAME as _SUITE_NAMES
 
@@ -94,12 +94,8 @@ class ProgramSpec:
     workload regenerated at ``scale``.  Workers rebuild the identical
     DAG from this spec (generators are seeded and fingerprint-stable),
     and the artifact cache keys by content — so parent and workers
-    converge on the same cached plan.
-
-    ``engine`` selects the batch engine served traffic runs on (one
-    of :data:`repro.sim.batch.ENGINES`; both engines are bitwise
-    identical, so this is purely a throughput knob).  The default
-    ``"auto"`` serves fused plans.
+    converge on the same cached plan.  Served traffic runs on the
+    fused batch engine (:mod:`repro.sim.batch`).
     """
 
     name: str
@@ -110,7 +106,6 @@ class ProgramSpec:
     dag_json: str | None = None
     partition_threshold: int | None = None
     partition_jobs: int = 1
-    engine: str = "auto"
 
     @property
     def key(self) -> str:
@@ -168,12 +163,12 @@ class ServedProgram:
         return [node for node, _ in self.sink_vars]
 
 
-def _plan_executor(plan, sink_vars, engine="step", fused_plan=None):
+def _plan_executor(plan, sink_vars, fused_plan=None):
     """Serve through one monolithic ExecutionPlan (the common path)."""
     # One simulator per served program: its slot-sort/dense-check
-    # precompute (and, for the fused engine, the per-batch-width
-    # bound sweeps) runs once here, not per dispatched micro-batch.
-    sim = BatchSimulator(plan, engine=engine, fused_plan=fused_plan)
+    # precompute and per-batch-width bound sweeps run once here, not
+    # per dispatched micro-batch.
+    sim = BatchSimulator(plan, fused_plan=fused_plan)
 
     def execute(rows: Sequence[np.ndarray]) -> dict[int, np.ndarray]:
         result = sim.run_rows(rows)
@@ -191,7 +186,7 @@ def _plan_executor(plan, sink_vars, engine="step", fused_plan=None):
     return execute
 
 
-def _partitioned_executor(part, sinks, engine="step"):
+def _partitioned_executor(part, sinks):
     """Serve through the stitched partition-parallel executor."""
 
     def execute(rows: Sequence[np.ndarray]) -> dict[int, np.ndarray]:
@@ -204,7 +199,7 @@ def _partitioned_executor(part, sinks, engine="step"):
                     f"row {j}: need a 1-D vector of >= {width} entries"
                 )
             clipped.append(r[:width])
-        values = part.run_batch(np.stack(clipped), engine=engine)
+        values = part.run_batch(np.stack(clipped))
         return {node: values[node] for node in sinks}
 
     return execute
@@ -273,10 +268,6 @@ def build_served_program(spec: ProgramSpec) -> ServedProgram:
     skip compilation.  DAGs above ``spec.partition_threshold`` nodes
     take the partition-parallel compile path instead.
     """
-    if spec.engine not in ENGINES:
-        raise ServeError(
-            f"unknown engine {spec.engine!r}; expected one of {ENGINES}"
-        )
     dag = spec.build_dag()
     config = spec.config()
     fingerprint = dag_fingerprint(dag)
@@ -299,13 +290,13 @@ def build_served_program(spec: ProgramSpec) -> ServedProgram:
             num_nodes=dag.num_nodes,
             cycles_per_row=cycles,
             sink_vars=tuple((s, -1) for s in sinks),
-            _executor=_partitioned_executor(part, sinks, spec.engine),
+            _executor=_partitioned_executor(part, sinks),
         )
     result = cached_compile(dag, config, seed=spec.seed)
     plan = cached_plan(result)
     # The fused lowering goes through the artifact cache: a warm disk
     # cache registers fused programs without re-fusing.
-    fused = cached_fused_plan(result) if spec.engine != "step" else None
+    fused = cached_fused_plan(result)
     sink_vars = tuple((s, result.node_map[s]) for s in sinks)
     return ServedProgram(
         key=spec.key,
@@ -315,7 +306,7 @@ def build_served_program(spec: ProgramSpec) -> ServedProgram:
         num_nodes=dag.num_nodes,
         cycles_per_row=plan.cycles_per_row,
         sink_vars=sink_vars,
-        _executor=_plan_executor(plan, sink_vars, spec.engine, fused),
+        _executor=_plan_executor(plan, sink_vars, fused),
     )
 
 
@@ -346,7 +337,6 @@ class PlanPool:
             config_fingerprint(spec.config()),
             spec.seed,
             spec.partition_threshold,
-            spec.engine,
         )
 
     def register(self, spec: ProgramSpec) -> ServedProgram:
@@ -369,9 +359,7 @@ class PlanPool:
                     _pool_lookups().inc(outcome="hit")
                     self._by_content.move_to_end(content)
                     return existing
-        with trace.span(
-            "planpool.build", "serve", program=spec.key, engine=spec.engine
-        ):
+        with trace.span("planpool.build", "serve", program=spec.key):
             program = build_served_program(spec)
         content = self._content_key(spec, program.fingerprint)
         with self._lock:

@@ -3,18 +3,13 @@
 Execution is two-phase: :mod:`repro.sim.plan` lowers a compiled
 program once (running all verification at lowering time) and
 :mod:`repro.sim.batch` executes ``(B, num_inputs)`` batches through
-the resulting plan with vectorized numpy sweeps.  The scalar
+the plan's fused super-op kernels (:mod:`repro.sim.fused`).  The scalar
 :class:`Simulator` in :mod:`repro.sim.functional` remains the
 fully-checked reference path.
 """
 
 from .activity import batch_counters, count_activity
-from .batch import (
-    ENGINES,
-    BatchResult,
-    BatchSimulator,
-    run_batch,
-)
+from .batch import BatchResult, BatchSimulator, run_batch
 from .fused import (
     FusedKernel,
     FusedPlan,
@@ -50,7 +45,6 @@ __all__ = [
     "BatchSimulator",
     "BatchResult",
     "run_batch",
-    "ENGINES",
     "FusedPlan",
     "FusedKernel",
     "bind_sweep",

@@ -1,39 +1,22 @@
 """Phase 2 of the two-phase execution engine: vectorized batch runs.
 
 Executes an :class:`~repro.sim.plan.ExecutionPlan` on a whole
-``(B, num_inputs)`` input matrix in one sweep.  The state of all B
-independent inferences is held in a single ``(cells, B)`` float64
-array — one register-file/data-memory/scratch image per batch row,
-sharing one allocation — and every tape step is a numpy
-gather/compute/scatter over the batch dimension:
-
-* :class:`~repro.sim.plan.MoveStep` — ``state[dst] = state[src]``;
-* :class:`~repro.sim.plan.ComputeStep` — one fancy-indexed ``+`` /
-  ``*`` / copy per opcode group of one PE-tree layer.
+``(B, num_inputs)`` input matrix in one sweep.  The plan is lowered
+once more into level-grouped super-op kernels over a
+liveness-compacted state (:mod:`repro.sim.fused`): the state of all B
+independent inferences is one ``(cells, B)`` float64 array, and each
+dependence level runs as one gather plus one ``np.add`` /
+``np.multiply`` per opcode instead of one dispatch per tape step.
+This is the library's only batch engine.
 
 No verification happens here: the plan was verified at lowering time
 (hazards, interconnect legality, address predictions, memory tags),
 so the per-row cost is pure arithmetic.  Outputs are bitwise identical
 to the scalar simulator's — both paths perform the same IEEE-double
-operations in the same tree order (asserted across the golden
-workloads in the test suite).
-
-Engine selection
-----------------
-The simulator executes the sweep with one of two engines:
-
-* ``"fused"`` — the plan is further lowered into level-grouped
-  super-op kernels over a liveness-compacted state
-  (:mod:`repro.sim.fused`) and run ~2 kernels per dependence level
-  instead of one dispatch per tape step.  This is the production
-  engine; ``"auto"`` is an accepted name for it;
-* ``"step"`` (the constructor default) — the per-tape-step
-  interpreter above, kept as the differential oracle's batch
-  reference.
-
-Both engines are bitwise identical (same IEEE-double operations, only
-independent lanes regrouped); the differential fuzzer cross-checks
-them continuously.
+operations in the same tree order, fusion only regroups independent
+lanes (asserted across the golden workloads in the test suite, and
+continuously by the differential oracle, which also replays the plan's
+step tape directly as its plan reference).
 """
 
 from __future__ import annotations
@@ -56,16 +39,7 @@ from .fused import (
     execute_fused,
     fuse_plan,
 )
-from .plan import (
-    ComputeStep,
-    ExecutionPlan,
-    MoveStep,
-    contiguous_slice,
-    lower_program,
-)
-
-#: Accepted engine names; ``"auto"`` always resolves to ``"fused"``.
-ENGINES = ("step", "fused", "auto")
+from .plan import ExecutionPlan, contiguous_slice, lower_program
 
 #: Bound (state, sweep) pairs retained per simulator: one per distinct
 #: batch width, oldest evicted beyond this many (bounds the buffer
@@ -133,66 +107,57 @@ class BatchSimulator:
     Args:
         plan_or_program: The plan (or program to lower) to execute.
         interconnect: Interconnect model for a program lowering.
-        engine: One of :data:`ENGINES`; see the module docstring.
         fused_plan: Optional pre-fused plan (e.g. from
-            :func:`repro.runner.cache.cached_fused_plan`) to reuse for
-            the fused engine instead of fusing here.
+            :func:`repro.runner.cache.cached_fused_plan`) to reuse
+            instead of fusing here.
+        engine: Accepted for callers of the former two-engine API;
+            only ``"fused"`` and its alias ``"auto"`` are valid.
     """
+
+    #: The one batch engine (read by callers of the former API).
+    engine = "fused"
 
     def __init__(
         self,
         plan_or_program: ExecutionPlan | Program,
         interconnect: Interconnect | None = None,
-        engine: str = "step",
+        *,
         fused_plan: FusedPlan | None = None,
+        engine: str = "fused",
     ) -> None:
+        # Scripts written when a step interpreter was selectable still
+        # pass engine="auto"; keep them running, refuse anything else.
+        if engine not in ("auto", "fused"):
+            raise SimulationError(
+                f"unknown engine {engine!r}; the batch engine is 'fused' "
+                "('auto' is accepted as its alias)"
+            )
         if isinstance(plan_or_program, ExecutionPlan):
             self.plan = plan_or_program
         else:
             self.plan = lower_program(
                 plan_or_program, interconnect=interconnect
             )
-        if engine not in ENGINES:
+        if fused_plan is None:
+            fused_plan = fuse_plan(self.plan)
+        elif (
+            fused_plan.num_inputs != self.plan.num_inputs
+            or fused_plan.output_vars != self.plan.output_vars
+        ):
             raise SimulationError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
+                "fused_plan does not match the execution plan"
             )
-        if engine == "auto":
-            engine = "fused"
-        self.engine = engine
-        self._fused: FusedPlan | None = None
+        self._fused = fused_plan
         # Bound (state, sweep) pairs keyed by batch width, guarded by
         # a non-blocking lock: concurrent runs of one simulator fall
         # back to a fresh throwaway state instead of serializing.
         self._bound: dict[int, tuple[np.ndarray, Callable[[], None]]] = {}
         self._bound_lock = threading.Lock()
-        if engine == "fused":
-            if fused_plan is None:
-                fused_plan = fuse_plan(self.plan)
-            elif (
-                fused_plan.num_inputs != self.plan.num_inputs
-                or fused_plan.output_vars != self.plan.output_vars
-            ):
-                raise SimulationError(
-                    "fused_plan does not match the execution plan"
-                )
-            self._fused = fused_plan
-        active = self._fused if self._fused is not None else self.plan
-        self._output_cells = active.output_cells
-        # The fused engine scatters inputs into the compact fused
-        # state; the step engine into the machine-state image.
-        self._input_cells = (
-            self._fused.input_pos
-            if self._fused is not None
-            else self.plan.input_cells
-        )
+        self._input_cells = fused_plan.input_pos
         # The compact fused layout keeps base cells ascending, so the
         # input region is almost always one basic slice — the scatter
         # then writes straight into the state without a fancy index.
-        self._input_seg = (
-            contiguous_slice(self._input_cells)
-            if self._fused is not None
-            else None
-        )
+        self._input_seg = contiguous_slice(self._input_cells)
         # Slot-sorted copies of the input scatter arrays, prepared
         # once: when the sorted slots are exactly 0..k-1 (the usual
         # case), per-row assembly in run_rows degrades to a basic
@@ -328,21 +293,13 @@ class BatchSimulator:
     ) -> tuple[np.ndarray, Callable[[], None] | None, threading.Lock | None]:
         """State image (+ bound sweep) for one run.
 
-        The step engine gets a fresh zero-initialized machine state.
-        The fused engine reuses a per-batch-width bound
-        ``(state, sweep)`` pair — state buffer, gather blocks and all
-        operand views constructed exactly once (see
-        :func:`~repro.sim.fused.bind_sweep`) — holding the returned
-        lock for the duration of the run.  If another thread holds the
-        pair, the run falls back to a throwaway state swept by the
-        generic interpreter, preserving full concurrency.
+        Reuses a per-batch-width bound ``(state, sweep)`` pair — state
+        buffer, gather blocks and all operand views constructed exactly
+        once (see :func:`~repro.sim.fused.bind_sweep`) — holding the
+        returned lock for the duration of the run.  If another thread
+        holds the pair, the run falls back to a throwaway state swept
+        by the generic kernel loop, preserving full concurrency.
         """
-        if self._fused is None:
-            return (
-                np.zeros((self.plan.state_size, batch), dtype=np.float64),
-                None,
-                None,
-            )
         if self._bound_lock.acquire(blocking=False):
             try:
                 entry = self._bound.get(batch)
@@ -364,38 +321,31 @@ class BatchSimulator:
         t0: float,
         sweep: Callable[[], None] | None = None,
     ) -> BatchResult:
-        """The shared sweep: tape execution + output gather."""
+        """The shared sweep: kernel execution + output gather."""
         plan = self.plan
         # Scalar Python floats overflow to inf silently; match that
         # instead of spraying RuntimeWarnings over deep product chains.
-        # The sampled span is per batch (not per row or step), so the
+        # The sampled span is per batch (not per row or level), so the
         # disabled path pays one boolean check per sweep.
         sp = trace.sampled_span(
             "batch.sweep",
             "engine",
-            engine=self.engine,
             batch=batch,
             workload=plan.source_name,
         )
         with np.errstate(over="ignore", invalid="ignore"), sp:
-            if self._fused is not None and sp.span_id is not None:
+            if sp.span_id is not None:
                 # Sampled sweep: swap the bound closure for the traced
                 # twin so per-level spans land under this batch.sweep
                 # (the closure's hot path carries no instrumentation).
                 _execute_fused_traced(self._fused, state)
             elif sweep is not None:
                 sweep()
-            elif self._fused is not None:
-                execute_fused(self._fused, state)
             else:
-                for step in plan.steps:
-                    if type(step) is MoveStep:
-                        self._move(state, step)
-                    else:
-                        self._compute(state, step)
+                execute_fused(self._fused, state)
         outputs = {
             var: state[cell].copy()
-            for var, cell in zip(plan.output_vars, self._output_cells)
+            for var, cell in zip(plan.output_vars, self._fused.output_cells)
         }
         host_seconds = time.perf_counter() - t0
         return BatchResult(
@@ -406,40 +356,13 @@ class BatchSimulator:
             host_seconds=host_seconds,
         )
 
-    @staticmethod
-    def _move(state: np.ndarray, step: MoveStep) -> None:
-        """``state[dst] = state[src]`` with the slice fast paths the
-        lowering proved safe (see :class:`~repro.sim.plan.MoveStep`)."""
-        ds, ss = step.dst_slice, step.src_slice
-        if ds is not None:
-            if ss is not None and step.disjoint:
-                state[ds[0] : ds[1]] = state[ss[0] : ss[1]]
-            else:
-                # Fancy src gathers into a fresh array first, so a
-                # slice write is safe even when src and dst overlap.
-                state[ds[0] : ds[1]] = state[step.src]
-        elif ss is not None and step.disjoint:
-            state[step.dst] = state[ss[0] : ss[1]]
-        else:
-            state[step.dst] = state[step.src]
-
-    @staticmethod
-    def _compute(state: np.ndarray, step: ComputeStep) -> None:
-        if step.mov_out.size:
-            state[step.mov_out] = state[step.mov_src]
-        if step.add_out.size:
-            state[step.add_out] = state[step.add_a] + state[step.add_b]
-        if step.mul_out.size:
-            state[step.mul_out] = state[step.mul_a] * state[step.mul_b]
-
 
 def run_batch(
     plan_or_program: ExecutionPlan | Program,
     inputs: np.ndarray,
     interconnect: Interconnect | None = None,
-    engine: str = "step",
 ) -> BatchResult:
     """Convenience wrapper: build a BatchSimulator and run once."""
-    return BatchSimulator(
-        plan_or_program, interconnect=interconnect, engine=engine
-    ).run(inputs)
+    return BatchSimulator(plan_or_program, interconnect=interconnect).run(
+        inputs
+    )

@@ -2,13 +2,14 @@
 
 The step tape of an :class:`~repro.sim.plan.ExecutionPlan` is faithful
 to the machine — one :class:`~repro.sim.plan.MoveStep` or
-:class:`~repro.sim.plan.ComputeStep` per lowered event — but that
-fidelity costs one Python-dispatched numpy gather/compute/scatter per
-step, plus a full register-file/data-memory/scratch state image per
-batch row.  At batch 256 the interpreter overhead, the fancy-index
-intermediates and the state traffic dominate the sweep.  This module
-lowers the tape one step further into a :class:`FusedPlan`, built on
-three observations:
+:class:`~repro.sim.plan.ComputeStep` per lowered event — but
+interpreting it directly costs one Python-dispatched numpy
+gather/compute/scatter per step, plus a full register-file/data-
+memory/scratch state image per batch row.  At batch 256 that dispatch
+overhead, the fancy-index intermediates and the state traffic dominate
+the sweep.  This module lowers the tape one step further into a
+:class:`FusedPlan` — the form the batch engine
+(:mod:`repro.sim.batch`) runs — built on three observations:
 
 1. **Moves are renames.**  The tape's data movement (copies, loads,
    stores, exec write-backs, PASS_A/PASS_B bypasses) never computes
@@ -35,10 +36,10 @@ three observations:
    contiguous block of cells whose previous values are dead, so the
    fused state grows with the peak live width, not the op count — for
    real workloads a fraction of the register-file + data-memory +
-   scratch image the step engine carries per batch row.  Within a
-   run, every cell is written before it is read: inputs by the
-   caller's scatter, results by their kernel, and a cell is handed on
-   only after the last level that reads its value.
+   scratch image a direct tape interpreter carries per batch row.
+   Within a run, every cell is written before it is read: inputs by
+   the caller's scatter, results by their kernel, and a cell is handed
+   on only after the last level that reads its value.
 
 Execution runs level by level: the level's non-contiguous operands are
 collected by **one** fancy gather into a scratch block, then each
@@ -58,8 +59,9 @@ from the previous batch are never observed.
 
 Everything here is bitwise-exact: kernels perform the same IEEE-double
 adds and muls, only regrouping *independent* lanes, so fused outputs
-are asserted bit-identical to the step engine's by the differential
-fuzzer and the property-based suite.
+are asserted bit-identical to a direct interpretation of the step tape
+(:func:`repro.verify.differential.interpret_plan`) by the differential
+fuzzer, and to the scalar simulator by the property-based suite.
 """
 
 from __future__ import annotations

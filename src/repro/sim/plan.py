@@ -22,8 +22,9 @@ PE layers and operand sources come from the static per-(D, B) wiring
 table :meth:`~repro.arch.ArchConfig.pe_wiring`; every check above
 still runs on every instruction.
 
-After lowering, a plan can be executed by the vectorized batch engine
-(:mod:`repro.sim.batch`) with **zero** per-run verification cost, and
+After lowering, a plan is fused (:mod:`repro.sim.fused`) and executed
+by the batch engine (:mod:`repro.sim.batch`) with **zero** per-run
+verification cost, and
 its :class:`~repro.sim.functional.ActivityCounters` are derived
 analytically from the instruction stream (they are provably identical
 to what the scalar simulator would count — asserted in tests).
@@ -103,29 +104,10 @@ class MoveStep:
     address resolution they are all the same gather/scatter.  The
     semantics are gather-then-scatter: all of ``src`` is read before
     any of ``dst`` is written, so ``src``/``dst`` overlap is legal.
-
-    ``src_slice`` / ``dst_slice`` / ``disjoint`` are derived once at
-    construction so the batch engine can pick a slice fast path
-    without per-run analysis: a contiguous ``dst`` is always safe to
-    write as a slice (the fancy-``src`` gather copies first), while a
-    contiguous ``src`` may be used as a *view* only when ``disjoint``
-    proves no write lands in the read range.
     """
 
     src: np.ndarray
     dst: np.ndarray
-    src_slice: tuple[int, int] | None = field(default=None, init=False)
-    dst_slice: tuple[int, int] | None = field(default=None, init=False)
-    disjoint: bool = field(default=False, init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "src_slice", contiguous_slice(self.src))
-        object.__setattr__(self, "dst_slice", contiguous_slice(self.dst))
-        object.__setattr__(
-            self,
-            "disjoint",
-            set(self.src.tolist()).isdisjoint(self.dst.tolist()),
-        )
 
 
 @dataclass(frozen=True)
@@ -148,42 +130,6 @@ class ComputeStep:
 
 
 Step = MoveStep | ComputeStep
-
-
-def coalesce_moves(steps: list[Step]) -> list[Step]:
-    """Merge runs of adjacent :class:`MoveStep` steps into bulk moves.
-
-    A move joins the run before it iff it reads nothing the run wrote
-    (the merged gather would see pre-move data) and writes no cell the
-    run wrote (the merged scatter would have duplicate destinations).
-    Each run becomes one step, so a run of loads or stores collapses
-    into one gather/scatter — and the concatenated index vectors
-    frequently form a contiguous run, unlocking the :class:`MoveStep`
-    slice fast path even on the unfused engine.
-    """
-    runs: list[list[Step]] = []
-    written: set[int] = set()  # cells the open run of moves writes
-    for step in steps:
-        if type(step) is MoveStep:
-            dst = step.dst.tolist()
-            if (
-                runs
-                and type(runs[-1][0]) is MoveStep
-                and written.isdisjoint(step.src.tolist())
-                and written.isdisjoint(dst)
-            ):
-                runs[-1].append(step)
-                written.update(dst)
-                continue
-            written = set(dst)
-        runs.append([step])
-    return [
-        run[0] if len(run) == 1 else MoveStep(
-            np.concatenate([m.src for m in run]),
-            np.concatenate([m.dst for m in run]),
-        )
-        for run in runs
-    ]
 
 
 @dataclass(frozen=True)
@@ -306,7 +252,7 @@ class _Lowerer:
         self.pending = still
 
     # -- per-instruction lowering -------------------------------------
-    def lower(self, coalesce: bool = True) -> ExecutionPlan:
+    def lower(self) -> ExecutionPlan:
         program = self.program
         input_cells, input_slots = self._populate_inputs()
         for cycle, instr in enumerate(program.instructions):
@@ -350,9 +296,7 @@ class _Lowerer:
             state_size=self.scratch_base + self.cfg.num_pes,
             input_cells=_arr(input_cells),
             input_slots=_arr(input_slots),
-            steps=tuple(
-                coalesce_moves(self.steps) if coalesce else self.steps
-            ),
+            steps=tuple(self.steps),
             output_vars=tuple(output_vars),
             output_cells=_arr(output_cells),
             counters=count_activity(program, self.inter),
@@ -503,7 +447,6 @@ def lower_program(
     program: Program,
     interconnect: Interconnect | None = None,
     check_addresses: list[dict[int, int]] | None = None,
-    coalesce: bool = True,
 ) -> ExecutionPlan:
     """Lower a compiled program into an :class:`ExecutionPlan`.
 
@@ -517,14 +460,9 @@ def lower_program(
         check_addresses: Optional per-instruction ``bank -> addr``
             read-address predictions from the compiler; verified
             against the replayed priority encoder.
-        coalesce: Merge adjacent compatible :class:`MoveStep`s into
-            slice copies (on by default; benchmarks disable it to
-            reconstruct the uncoalesced historical tape shape).
 
     Raises:
         HazardError: Read of in-flight data.
         SimulationError: Any architectural misuse.
     """
-    return _Lowerer(program, interconnect, check_addresses).lower(
-        coalesce=coalesce
-    )
+    return _Lowerer(program, interconnect, check_addresses).lower()

@@ -1,11 +1,11 @@
 """Differential verification: synthetic scenarios x executor cross-checks.
 
 The stack has three independent ways to execute a DAG — the golden
-reference interpreter, the scalar verifying simulator and the
-vectorized batch engine — plus the fused engine, the serving and
-routing tiers, binary artifact images, the partition-parallel compile
-path, analytic activity counters and a content-addressed artifact
-cache.  This subsystem turns that redundancy into a verification
+reference interpreter, the scalar verifying simulator and the fused
+batch engine — plus the oracle's direct interpreter of a plan's step
+tape, the serving and routing tiers, binary artifact images, the
+partition-parallel compile path, analytic activity counters and a
+content-addressed artifact cache.  This subsystem turns that redundancy into a verification
 harness:
 
 * :mod:`repro.verify.differential` — the differential oracle

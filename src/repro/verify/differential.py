@@ -5,8 +5,10 @@ SynthParams`) pushed through the full compile -> lower -> execute
 pipeline once — the golden interpreter (:func:`repro.sim.reference.
 evaluate_dag` on the binarized DAG), the scalar verifying simulator
 (:class:`repro.sim.functional.Simulator`), verified lowering and the
-vectorized batch engine (:class:`repro.sim.batch.BatchSimulator`) —
-and then cross-checked along every redundant path the stack offers.
+fused batch engine (:class:`repro.sim.batch.BatchSimulator`) — and
+then cross-checked along every redundant path the stack offers,
+including :func:`interpret_plan`, the oracle's direct interpreter of
+a plan's step tape.
 Every executor performs the same IEEE-double operations in the same
 tree order, so any divergence at all is a bug, not noise: outputs are
 compared **bitwise**.
@@ -53,7 +55,7 @@ from ..runner.fingerprint import dag_fingerprint
 from ..sim import BatchSimulator, evaluate_dag, run_program
 from ..sim.batch import BatchResult
 from ..sim.functional import SimResult
-from ..sim.plan import ExecutionPlan
+from ..sim.plan import ExecutionPlan, MoveStep
 from ..workloads.synth import SynthParams
 
 
@@ -274,8 +276,8 @@ def _check_counters(ctx: StageContext, inject: bool) -> Mismatch | None:
 
 
 def _check_batch(ctx: StageContext, inject: bool) -> Mismatch | None:
-    """The batch engine's row 0 equals the scalar simulator's stored
-    outputs, every row equals the golden interpreter
+    """The fused batch engine's row 0 equals the scalar simulator's
+    stored outputs, every row equals the golden interpreter
     (``reference-vs-batch``), and its counter totals are exactly the
     per-row counters x B (``batch-counters``)."""
     outputs = ctx.batch.outputs
@@ -295,23 +297,51 @@ def _check_batch(ctx: StageContext, inject: bool) -> Mismatch | None:
     return mismatch
 
 
-def _check_fused(ctx: StageContext, inject: bool) -> Mismatch | None:
-    """The fused super-op engine (:mod:`repro.sim.fused`) re-executes
-    the batch and must match the step interpreter bitwise — outputs
-    *and* activity counters (fusion regroups independent lanes and
-    reuses dead cells; it must not change a single IEEE operation or
-    the analytic activity model)."""
-    try:
-        fused = BatchSimulator(ctx.plan, engine="fused").run(ctx.matrix)
-    except ReproError as exc:
-        return _failed("fused-execute", exc)
-    mismatch = _same_outputs(
-        "fused-vs-batch", fused.outputs, ctx.batch.outputs, ctx.rows, inject
+def interpret_plan(plan: ExecutionPlan, matrix: np.ndarray) -> BatchResult:
+    """The oracle's plan reference: ``plan``'s step tape run as it
+    stands, one numpy gather/compute/scatter per step, on a fresh
+    zeroed ``(state_size, B)`` machine image.
+
+    No fusion, no cell reuse, no bound buffers — so when the fused
+    batch engine disagrees with this, fusion is wrong; when both
+    disagree with the scalar simulator, lowering is.
+    """
+    batch = len(matrix)
+    state = np.zeros((plan.state_size, batch))
+    with np.errstate(over="ignore", invalid="ignore"):
+        state[plan.input_cells] = matrix[:, plan.input_slots].T
+        for step in plan.steps:
+            if type(step) is MoveStep:
+                state[step.dst] = state[step.src]
+                continue
+            if step.mov_out.size:
+                state[step.mov_out] = state[step.mov_src]
+            if step.add_out.size:
+                state[step.add_out] = state[step.add_a] + state[step.add_b]
+            if step.mul_out.size:
+                state[step.mul_out] = state[step.mul_a] * state[step.mul_b]
+    return BatchResult(
+        outputs=dict(zip(plan.output_vars, state[plan.output_cells])),
+        batch=batch,
+        counters=plan.scaled_counters(batch),
+        peak_occupancy=list(plan.peak_occupancy),
     )
-    if mismatch is None and fused.counters != ctx.batch.counters:
+
+
+def _check_fused(ctx: StageContext, inject: bool) -> Mismatch | None:
+    """The fused batch (:mod:`repro.sim.fused`) matches
+    :func:`interpret_plan` on the same plan bitwise — outputs *and*
+    activity counters (fusion regroups independent lanes and reuses
+    dead cells; it must not change a single IEEE operation or the
+    analytic activity model)."""
+    tape = interpret_plan(ctx.plan, ctx.matrix)
+    mismatch = _same_outputs(
+        "fused-vs-batch", ctx.batch.outputs, tape.outputs, ctx.rows, inject
+    )
+    if mismatch is None and ctx.batch.counters != tape.counters:
         return Mismatch(
             "fused-vs-batch",
-            "fused engine counters diverged from the step interpreter's",
+            "fused batch counters diverged from the plan interpreter's",
         )
     return mismatch
 
@@ -679,7 +709,7 @@ def _run_pipeline(
     except ReproError as exc:
         return DiffReport(_failed("lowering", exc))
 
-    # ---- vectorized batch engine ------------------------------------
+    # ---- fused batch engine -----------------------------------------
     try:
         batch_result = BatchSimulator(plan).run(matrix)
     except ReproError as exc:

@@ -40,21 +40,15 @@ class TestCommands:
         assert rc == 0
         assert "verified" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("engine", ["step", "fused", "auto"])
-    def test_run_batched_engines_verify(self, engine, capsys):
+    def test_run_batched_verifies(self, capsys):
         rc = main(
             ["run", "bp_200", "--scale", "0.02", "--config", "D2-B8-R32",
-             "--batch", "16", "--engine", engine]
+             "--batch", "16"]
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "verified" in out
-        resolved = "fused" if engine == "auto" else engine
-        assert f"engine {resolved}" in out
-
-    def test_run_rejects_unknown_engine(self):
-        with pytest.raises(SystemExit):
-            main(["run", "bp_200", "--batch", "4", "--engine", "warp"])
+        assert "verified: 8/16 rows" in out
+        assert "host sweep" in out
 
     def test_compile_dag_file(self, tmp_path, capsys):
         dag = make_random_dag(181)

@@ -1,7 +1,15 @@
 """Unit tests for DAG serialization and interop."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import networkx as nx
 import pytest
+
+import repro
 
 from repro.errors import GraphError
 from repro.graphs import (
@@ -108,6 +116,31 @@ class TestNetworkxInterop:
         dag = from_networkx(g)
         assert dag.num_nodes == 3
         assert dag.num_inputs == 2
+
+    def test_networkx_is_optional(self):
+        """networkx is an optional extra: with it unimportable, repro
+        still imports and builds a workload; only the converters need
+        it, and they say so when called."""
+        script = textwrap.dedent("""
+            import sys
+            sys.modules["networkx"] = None  # any import of it fails
+            import repro
+            from repro.workloads import build_workload
+            dag = build_workload("tretail", scale=0.02)
+            assert dag.num_nodes > 0
+            try:
+                repro.graphs.to_networkx(dag)
+            except ImportError:
+                print("ok")
+        """)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
 
 
 class TestRelabel:

@@ -370,54 +370,6 @@ class TestPlanPool:
         for node in a:
             assert np.array_equal(a[node], b[node], equal_nan=True)
 
-    @pytest.mark.parametrize("engine", ["fused", "auto"])
-    def test_engine_selection_serves_bitwise(self, engine):
-        step = build_served_program(
-            ProgramSpec(
-                name=SPEC.name,
-                config_label=SPEC.config_label,
-                scale=SPEC.scale,
-                engine="step",
-            )
-        )
-        other = build_served_program(
-            ProgramSpec(
-                name=SPEC.name,
-                config_label=SPEC.config_label,
-                scale=SPEC.scale,
-                engine=engine,
-            )
-        )
-        rows = [request_inputs(step.num_inputs, seed) for seed in range(5)]
-        a = step.execute_rows(rows)
-        b = other.execute_rows(rows)
-        assert sorted(a) == sorted(b)
-        for node in a:
-            assert np.array_equal(
-                np.asarray(a[node]).view(np.uint64),
-                np.asarray(b[node]).view(np.uint64),
-            )
-
-    def test_engine_is_part_of_the_pool_content_key(self):
-        pool = PlanPool()
-        a = pool.register(SPEC)
-        b = pool.register(
-            ProgramSpec(
-                name=SPEC.name,
-                config_label=SPEC.config_label,
-                scale=SPEC.scale,
-                engine="step",
-            )
-        )
-        # Same DAG + config, different engine: must NOT alias.
-        assert b is not a
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ServeError, match="unknown engine"):
-            build_served_program(
-                ProgramSpec(name="synth_layered", engine="warp")
-            )
-
 
 class TestTrafficGenerators:
     @pytest.mark.parametrize(

@@ -3,11 +3,13 @@ binding.
 
 The fused engine's whole contract is "same IEEE operations, only
 independent lanes regrouped" — so nearly every test here is a bitwise
-comparison against the step interpreter, across generated DAGs
-(hypothesis), every synthetic family, the partitioned compile path and
-the serving assembly path.  Because the fused state reuses cells by
-liveness, a symbolic replay (:func:`_assert_layout_safe`) also checks
-that every kernel read sees the value it was scheduled to read.
+comparison against the differential oracle's plan interpreter
+(:func:`~repro.verify.differential.interpret_plan`) or the scalar
+simulator, across generated DAGs (hypothesis), every synthetic family,
+the partitioned compile path and the serving assembly path.  Because
+the fused state reuses cells by liveness, a symbolic replay
+(:func:`_assert_layout_safe`) also checks that every kernel read sees
+the value it was scheduled to read.
 """
 
 from collections import Counter
@@ -29,21 +31,17 @@ from repro.runner.cache import (
 )
 from repro.runner.fingerprint import _h, fused_key, metrics_key, plan_key
 from repro.sim import (
-    ENGINES,
     BatchSimulator,
     FusedPlan,
     bind_sweep,
     execute_fused,
     fuse_plan,
+    run_program,
 )
 from repro.sim.batch import BOUND_SWEEP_CAP
 from repro.sim.fused import FUSED_ADD, FUSED_MUL, SRC_STATE
-from repro.sim.plan import (
-    ComputeStep,
-    MoveStep,
-    coalesce_moves,
-    contiguous_slice,
-)
+from repro.sim.plan import MoveStep, contiguous_slice
+from repro.verify.differential import interpret_plan
 from repro.workloads.synth import SYNTH_FAMILIES, generate_synth
 
 CFG = ArchConfig(depth=2, banks=8, regs_per_bank=16)
@@ -86,7 +84,7 @@ _OP = {FUSED_ADD: "add", FUSED_MUL: "mul"}
 
 
 def _step_replay(plan, val):
-    """Replay the step tape over symbolic values, with the step
+    """Replay the step tape over symbolic values, with the plan
     interpreter's exact write order.  Returns the multiset of computed
     op values and each output variable's value."""
     state = [val("zero")] * plan.state_size
@@ -202,56 +200,6 @@ class TestContiguousSlice:
         assert contiguous_slice(np.array([5, 4, 3])) is None
 
 
-class TestCoalesceMoves:
-    def _move(self, src, dst):
-        return MoveStep(np.asarray(src), np.asarray(dst))
-
-    def test_disjoint_run_collapses(self):
-        steps = [
-            self._move([0], [10]),
-            self._move([1], [11]),
-            self._move([2], [12]),
-        ]
-        out = coalesce_moves(steps)
-        assert len(out) == 1
-        assert out[0].src.tolist() == [0, 1, 2]
-        assert out[0].dst.tolist() == [10, 11, 12]
-        # The merged vectors form the slice fast path.
-        assert out[0].dst_slice == (10, 13)
-
-    def test_read_after_write_blocks_merge(self):
-        # Second move reads cell 10, which the first wrote: merging
-        # would gather pre-move data.
-        steps = [self._move([0], [10]), self._move([10], [11])]
-        assert len(coalesce_moves(steps)) == 2
-
-    def test_duplicate_destination_blocks_merge(self):
-        steps = [self._move([0], [10]), self._move([1], [10])]
-        assert len(coalesce_moves(steps)) == 2
-
-    def test_compute_step_breaks_runs(self):
-        dag = generate_synth("layered", 30, seed=2)
-        plan = compile_dag(dag, CFG).plan()
-        kinds = [type(s) for s in plan.steps]
-        assert ComputeStep in kinds  # sanity: tape is mixed
-        # No two adjacent mergeable moves survive coalescing.
-        assert coalesce_moves(list(plan.steps)) == list(plan.steps)
-
-    def test_lower_coalesce_flag(self):
-        from repro.sim.plan import lower_program
-
-        dag = generate_synth("wide", 40, seed=5)
-        result = compile_dag(dag, CFG)
-        coalesced = lower_program(result.program)
-        raw = lower_program(result.program, coalesce=False)
-        n_coal = sum(1 for s in coalesced.steps if type(s) is MoveStep)
-        n_raw = sum(1 for s in raw.steps if type(s) is MoveStep)
-        assert n_coal < n_raw  # loads/stores actually merged
-        sim_c = BatchSimulator(coalesced).run(_inputs(dag, 5))
-        sim_r = BatchSimulator(raw).run(_inputs(dag, 5))
-        _assert_bitwise(sim_c.outputs, sim_r.outputs)
-
-
 # ---------------------------------------------------------------------------
 # Fused lowering structure
 # ---------------------------------------------------------------------------
@@ -288,16 +236,6 @@ class TestFusePlan:
             codes = [code for code, _ in lvl]
             assert codes == sorted(codes)
 
-    @pytest.mark.parametrize("family", ["deep", "wide", "reuse"])
-    def test_auto_resolves_to_fused(self, family):
-        """``auto`` is only a name for the fused engine: there is no
-        size cap left to fall back to the step interpreter at."""
-        dag = generate_synth(family, 60, seed=4)
-        plan = compile_dag(dag, CFG).plan()
-        sim = BatchSimulator(plan, engine="auto")
-        assert sim.engine == "fused"
-        assert sim._fused is not None
-
     def test_state_is_liveness_compacted(self):
         """Cells are reused: the state is smaller than one cell per op
         plus the base prefix, and never below the widest level."""
@@ -310,28 +248,48 @@ class TestFusePlan:
         assert fused.state_size >= widest
 
     def test_unknown_engine_rejected(self):
+        """``engine`` survives only as a compatibility shim: ``fused``
+        and its alias ``auto`` build the one (fused) engine, and every
+        other name — the removed step interpreter included — raises."""
         dag = generate_synth("deep", 10, seed=0)
         plan = compile_dag(dag, CFG).plan()
-        with pytest.raises(SimulationError, match="unknown engine"):
-            BatchSimulator(plan, engine="warp")
-        assert "warp" not in ENGINES
+        for name in ("auto", "fused"):
+            sim = BatchSimulator(plan, engine=name)
+            assert sim.engine == "fused"
+            assert isinstance(sim._fused, FusedPlan)
+        for name in ("step", "warp"):
+            with pytest.raises(SimulationError, match="unknown engine"):
+                BatchSimulator(plan, engine=name)
+
+
+def _assert_matches_scalar(fused, program, matrix, rows):
+    """The first ``rows`` batch rows equal scalar simulator runs."""
+    for row in range(rows):
+        scalar = run_program(program, list(matrix[row]))
+        _assert_bitwise(
+            {var: fused.outputs[var][row] for var in fused.outputs},
+            scalar.outputs,
+        )
 
 
 # ---------------------------------------------------------------------------
-# Bitwise parity: every engine, every family, every entry point
+# Bitwise parity: every family, every entry point, against the plan
+# interpreter and the scalar simulator
 # ---------------------------------------------------------------------------
 class TestEngineParity:
     @pytest.mark.parametrize("family", sorted(SYNTH_FAMILIES))
     @pytest.mark.parametrize("engine", ["fused"])
     def test_families_bitwise_equal(self, family, engine):
         dag = generate_synth(family, 60, seed=13)
-        plan = compile_dag(dag, CFG).plan()
+        result = compile_dag(dag, CFG)
+        plan = result.plan()
         matrix = _inputs(dag, 17, seed=5)
-        step = BatchSimulator(plan).run(matrix)
-        other = BatchSimulator(plan, engine=engine).run(matrix)
-        _assert_bitwise(other.outputs, step.outputs)
-        assert other.counters == step.counters
-        assert other.peak_occupancy == step.peak_occupancy
+        tape = interpret_plan(plan, matrix)
+        fused = BatchSimulator(plan, engine=engine).run(matrix)
+        _assert_bitwise(fused.outputs, tape.outputs)
+        assert fused.counters == tape.counters
+        assert fused.peak_occupancy == tape.peak_occupancy
+        _assert_matches_scalar(fused, result.program, matrix, 2)
 
     def test_run_rows_parity(self):
         dag = generate_synth("skewed_fanout", 70, seed=2)
@@ -342,10 +300,11 @@ class TestEngineParity:
             rng.uniform(0.9, 1.1, size=dag.num_inputs + (i % 3) * 7)
             for i in range(11)
         ]
-        step = BatchSimulator(plan).run_rows(rows)
-        fused = BatchSimulator(plan, engine="fused").run_rows(rows)
-        _assert_bitwise(fused.outputs, step.outputs)
-        assert fused.counters == step.counters
+        matrix = np.stack([r[: dag.num_inputs] for r in rows])
+        tape = interpret_plan(plan, matrix)
+        fused = BatchSimulator(plan).run_rows(rows)
+        _assert_bitwise(fused.outputs, tape.outputs)
+        assert fused.counters == tape.counters
 
     def test_partitioned_run_batch_parity(self):
         dag = generate_synth("layered", 120, seed=6)
@@ -354,10 +313,12 @@ class TestEngineParity:
         )
         assert part.num_pieces >= 2
         matrix = _inputs(dag, 9, seed=1)
-        step = part.run_batch(matrix)
-        for engine in ("fused", "auto"):
-            other = part.run_batch(matrix, engine=engine)
-            _assert_bitwise(other, step)
+        batch = part.run_batch(matrix)
+        for row in range(3):
+            scalar = part.run(list(matrix[row]))
+            _assert_bitwise(
+                {node: col[row] for node, col in batch.items()}, scalar
+            )
 
     @settings(
         max_examples=25,
@@ -375,18 +336,18 @@ class TestEngineParity:
         self, family, n, seed, batch, value_seed
     ):
         """The acceptance-criterion property: outputs AND counters of
-        the fused engine equal the step interpreter bitwise on any
-        generated scenario."""
+        the fused engine equal the step tape run by the plan
+        interpreter, bitwise, on any generated scenario."""
         dag = generate_synth(family, n, seed=seed)
         try:
             plan = compile_dag(dag, CFG).plan()
         except SpillError:
             return  # config legitimately too small — not under test
         matrix = _inputs(dag, batch, seed=value_seed)
-        step = BatchSimulator(plan).run(matrix)
-        other = BatchSimulator(plan, engine="fused").run(matrix)
-        _assert_bitwise(other.outputs, step.outputs)
-        assert other.counters == step.counters
+        tape = interpret_plan(plan, matrix)
+        fused = BatchSimulator(plan).run(matrix)
+        _assert_bitwise(fused.outputs, tape.outputs)
+        assert fused.counters == tape.counters
 
     @settings(
         max_examples=30,
@@ -450,12 +411,12 @@ class TestBoundSweeps:
         dag, plan = self._plan()
         fused = fuse_plan(plan)
         assert fused.state_size < fused.base_cells.size + fused.num_ops
-        sim = BatchSimulator(plan, engine="fused", fused_plan=fused)
+        sim = BatchSimulator(plan, fused_plan=fused)
         for widths in ((6,), range(1, BOUND_SWEEP_CAP + 1)):
             for seed in (1, 2, 1):
                 for width in widths:
                     matrix = _inputs(dag, width, seed=seed)
-                    fresh = BatchSimulator(plan, engine="fused").run(matrix)
+                    fresh = BatchSimulator(plan).run(matrix)
                     _assert_bitwise(sim.run(matrix).outputs, fresh.outputs)
                     _assert_bitwise(
                         sim.run_rows(list(matrix)).outputs, fresh.outputs
@@ -467,14 +428,14 @@ class TestBoundSweeps:
         throwaway state; A, B, A there must match a fresh simulator and
         leave the bound state untouched."""
         dag, plan = self._plan()
-        sim = BatchSimulator(plan, engine="fused")
+        sim = BatchSimulator(plan)
         a, b = _inputs(dag, 5, seed=1), _inputs(dag, 5, seed=2)
         sim.run(a)
         bound = sim._bound[5][0].copy()
         assert sim._bound_lock.acquire(blocking=False)
         try:
             for matrix in (a, b, a):
-                fresh = BatchSimulator(plan, engine="fused").run(matrix)
+                fresh = BatchSimulator(plan).run(matrix)
                 _assert_bitwise(sim.run(matrix).outputs, fresh.outputs)
         finally:
             sim._bound_lock.release()
@@ -482,12 +443,12 @@ class TestBoundSweeps:
             sim._bound[5][0].view(np.uint64), bound.view(np.uint64)
         )
         for matrix in (b, a):
-            fresh = BatchSimulator(plan, engine="fused").run(matrix)
+            fresh = BatchSimulator(plan).run(matrix)
             _assert_bitwise(sim.run(matrix).outputs, fresh.outputs)
 
     def test_bound_pair_cache_evicts_oldest(self):
         dag, plan = self._plan()
-        sim = BatchSimulator(plan, engine="fused")
+        sim = BatchSimulator(plan)
         for batch in range(1, BOUND_SWEEP_CAP + 4):
             sim.run(_inputs(dag, batch))
         assert len(sim._bound) <= BOUND_SWEEP_CAP
