@@ -36,8 +36,8 @@ Mirrors the paper artifact's ``run.sh`` workflow:
   ``loadgen`` also take ``--trace FILE`` / ``--metrics FILE``
   directly;
 * ``profile``  — span-level profile of one workload: per-pass compile
-  times, plan lowering, fused kernel timings and the batch sweep,
-  aggregated into a table.
+  times, plan lowering, fusion and the batch sweep, aggregated into a
+  table.
 
 The evaluation commands (``run``, ``suite``, ``dse``, ``sweep``,
 ``all``) share ``--cache-dir``/``--no-cache``: compiled programs and
@@ -1142,7 +1142,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     dag = _resolve_workload(args.workload, args.scale)
     config = _parse_config(args.config)
     trace.enable()
-    trace.set_sample_every(1)  # a profile wants every kernel span
+    trace.set_sample_every(1)  # a profile wants every sweep span
     with trace.span("profile", "cli", workload=dag.name):
         result = compile_dag(dag, config, seed=args.seed)
         plan = result.plan()
@@ -1586,7 +1586,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "profile",
         help="span-level profile of one workload: compile passes, "
-        "plan lowering, fused kernels, batch sweep",
+        "plan lowering, fusion, batch sweep",
     )
     _add_common(p)
     p.add_argument(

@@ -14,7 +14,6 @@ from .fused import (
     FusedKernel,
     FusedPlan,
     bind_sweep,
-    execute_fused,
     fuse_plan,
 )
 from .area import AreaBreakdown, area_of, paper_area_breakdown_mm2
@@ -49,7 +48,6 @@ __all__ = [
     "FusedKernel",
     "bind_sweep",
     "fuse_plan",
-    "execute_fused",
     "BatchPerfReport",
     "batch_perf_report",
     "energy_of_batch",

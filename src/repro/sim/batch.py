@@ -2,12 +2,18 @@
 
 Executes an :class:`~repro.sim.plan.ExecutionPlan` on a whole
 ``(B, num_inputs)`` input matrix in one sweep.  The plan is lowered
-once more into level-grouped super-op kernels over a
-liveness-compacted state (:mod:`repro.sim.fused`): the state of all B
-independent inferences is one ``(cells, B)`` float64 array, and each
-dependence level runs as one gather plus one ``np.add`` /
-``np.multiply`` per opcode instead of one dispatch per tape step.
-This is the library's only batch engine.
+once more into a level-major schedule of ops over a liveness-compacted
+state (:mod:`repro.sim.fused`): the state of all B independent
+inferences is one ``(cells, B)`` float64 array, and a sweep runs every
+op over the batch dimension.  This is the library's only batch engine.
+
+The sweep and the input scatter run on the native C kernel
+(:mod:`repro.sim.native`): one fixed loop over the plan's flat op
+table, built once per process when the simulator is constructed.
+Without a working C compiler the process logs one warning and runs the
+numpy sweep instead — one gather per level and one ufunc per
+(level, opcode) — with the same outputs.  Nothing configures the
+choice.
 
 No verification happens here: the plan was verified at lowering time
 (hazards, interconnect legality, address predictions, memory tags),
@@ -31,14 +37,9 @@ import numpy as np
 from ..arch import Interconnect, Program
 from ..errors import SimulationError
 from ..obs import trace
+from . import native
 from .functional import ActivityCounters
-from .fused import (
-    FusedPlan,
-    _execute_fused_traced,
-    bind_sweep,
-    execute_fused,
-    fuse_plan,
-)
+from .fused import FusedPlan, bind_sweep, fuse_plan
 from .plan import ExecutionPlan, contiguous_slice, lower_program
 
 #: Bound (state, sweep) pairs retained per simulator: one per distinct
@@ -148,32 +149,31 @@ class BatchSimulator:
                 "fused_plan does not match the execution plan"
             )
         self._fused = fused_plan
+        # Build (or find) the native kernel now, in set-up, not in the
+        # first timed run; None means this process sweeps on numpy.
+        kernel = native.load()
         # Bound (state, sweep) pairs keyed by batch width, guarded by
-        # a non-blocking lock: concurrent runs of one simulator fall
-        # back to a fresh throwaway state instead of serializing.
+        # a non-blocking lock: concurrent runs of one simulator bind a
+        # throwaway pair instead of serializing.
         self._bound: dict[int, tuple[np.ndarray, Callable[[], None]]] = {}
         self._bound_lock = threading.Lock()
-        self._input_cells = fused_plan.input_pos
-        # The compact fused layout keeps base cells ascending, so the
-        # input region is almost always one basic slice — the scatter
-        # then writes straight into the state without a fancy index.
-        self._input_seg = contiguous_slice(self._input_cells)
-        # Slot-sorted copies of the input scatter arrays, prepared
-        # once: when the sorted slots are exactly 0..k-1 (the usual
-        # case), per-row assembly in run_rows degrades to a basic
-        # slice — a straight memcpy instead of a bounds-checked
-        # gather, which matters at wide num_inputs.
+        # The input scatters, bound once.  run() writes matrix columns
+        # input_slots into cells input_pos; run_rows() first assembles
+        # the slot-sorted columns into a dense (B, k) block.  When the
+        # sorted slots are exactly 0..k-1 (the usual case), that
+        # assembly is a basic slice per row — a straight memcpy
+        # instead of a bounds-checked gather.
         slots = self.plan.input_slots
+        cells = fused_plan.input_pos
         order = np.argsort(slots, kind="stable")
         self._slots_sorted = slots[order]
-        self._cells_sorted = self._input_cells[order]
+        columns = np.arange(slots.size, dtype=np.int64)
         self._dense_inputs = bool(
-            slots.size
-            and np.array_equal(
-                self._slots_sorted,
-                np.arange(slots.size, dtype=slots.dtype),
-            )
+            slots.size and np.array_equal(self._slots_sorted, columns)
         )
+        bind = _bind_numpy_scatter if kernel is None else kernel.bind_scatter
+        self._scatter = bind(_i64(slots), _i64(cells))
+        self._scatter_rows = bind(columns, _i64(cells[order]))
 
     def run(self, inputs: np.ndarray) -> BatchResult:
         """Execute a ``(B, num_inputs)`` input matrix in one sweep.
@@ -203,24 +203,8 @@ class BatchSimulator:
         t0 = time.perf_counter()
         state, sweep, lock = self._acquire_state(batch)
         try:
-            if self._input_cells.size:
-                if self._input_seg is not None:
-                    # Contiguous fused input region: gather the slot
-                    # columns straight into the state slice, no
-                    # intermediate and no fancy write.
-                    np.take(
-                        matrix.T,
-                        plan.input_slots,
-                        0,
-                        state[self._input_seg[0] : self._input_seg[1]],
-                        "clip",
-                    )
-                else:
-                    # Index the transposed *view* so the gather lands
-                    # directly in (slots, B) scatter order — one copy
-                    # total, never a (B, slots) intermediate plus a
-                    # strided assignment.
-                    state[self._input_cells] = matrix.T[plan.input_slots]
+            if self._slots_sorted.size:
+                self._scatter(matrix, state)
             return self._finish(state, batch, t0, sweep)
         finally:
             if lock is not None:
@@ -255,8 +239,7 @@ class BatchSimulator:
         try:
             k = self._slots_sorted.size
             if k:
-                # (B, k) with contiguous row writes; the transposed
-                # view feeds the scatter without another intermediate.
+                # (B, k) with contiguous row writes.
                 assembled = np.empty((batch, k), dtype=np.float64)
                 dense = self._dense_inputs
                 slots = self._slots_sorted
@@ -276,7 +259,7 @@ class BatchSimulator:
                         assembled[j] = r[:k]  # basic slice: plain memcpy
                     else:
                         assembled[j] = r[slots]
-                state[self._cells_sorted] = assembled.T
+                self._scatter_rows(assembled, state)
             else:
                 for j, row in enumerate(rows):
                     if np.asarray(row).ndim != 1:
@@ -290,15 +273,14 @@ class BatchSimulator:
 
     def _acquire_state(
         self, batch: int
-    ) -> tuple[np.ndarray, Callable[[], None] | None, threading.Lock | None]:
-        """State image (+ bound sweep) for one run.
+    ) -> tuple[np.ndarray, Callable[[], None], threading.Lock | None]:
+        """State image and bound sweep for one run.
 
-        Reuses a per-batch-width bound ``(state, sweep)`` pair — state
-        buffer, gather blocks and all operand views constructed exactly
-        once (see :func:`~repro.sim.fused.bind_sweep`) — holding the
-        returned lock for the duration of the run.  If another thread
-        holds the pair, the run falls back to a throwaway state swept
-        by the generic kernel loop, preserving full concurrency.
+        Reuses a per-batch-width bound ``(state, sweep)`` pair (see
+        :func:`~repro.sim.fused.bind_sweep`), holding the returned lock
+        for the duration of the run.  If another thread holds the
+        pair, the run binds a throwaway pair instead of waiting, so
+        concurrent runs of one simulator overlap.
         """
         if self._bound_lock.acquire(blocking=False):
             try:
@@ -312,37 +294,27 @@ class BatchSimulator:
                 self._bound_lock.release()
                 raise
             return entry[0], entry[1], self._bound_lock
-        return self._fused.make_state(batch), None, None
+        state, sweep = bind_sweep(self._fused, batch)
+        return state, sweep, None
 
     def _finish(
         self,
         state: np.ndarray,
         batch: int,
         t0: float,
-        sweep: Callable[[], None] | None = None,
+        sweep: Callable[[], None],
     ) -> BatchResult:
         """The shared sweep: kernel execution + output gather."""
         plan = self.plan
-        # Scalar Python floats overflow to inf silently; match that
-        # instead of spraying RuntimeWarnings over deep product chains.
-        # The sampled span is per batch (not per row or level), so the
+        # The sampled span is per batch (not per row or op), so the
         # disabled path pays one boolean check per sweep.
-        sp = trace.sampled_span(
+        with trace.sampled_span(
             "batch.sweep",
             "engine",
             batch=batch,
             workload=plan.source_name,
-        )
-        with np.errstate(over="ignore", invalid="ignore"), sp:
-            if sp.span_id is not None:
-                # Sampled sweep: swap the bound closure for the traced
-                # twin so per-level spans land under this batch.sweep
-                # (the closure's hot path carries no instrumentation).
-                _execute_fused_traced(self._fused, state)
-            elif sweep is not None:
-                sweep()
-            else:
-                execute_fused(self._fused, state)
+        ):
+            sweep()
         outputs = {
             var: state[cell].copy()
             for var, cell in zip(plan.output_vars, self._fused.output_cells)
@@ -355,6 +327,37 @@ class BatchSimulator:
             peak_occupancy=list(plan.peak_occupancy),
             host_seconds=host_seconds,
         )
+
+
+def _i64(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.int64)
+
+
+def _bind_numpy_scatter(
+    slots: np.ndarray, cells: np.ndarray
+) -> Callable[[np.ndarray, np.ndarray], None]:
+    """The numpy twin of :meth:`repro.sim.native.Kernel.bind_scatter`:
+    ``scatter(matrix, state)`` writes ``state[cells[j]] =
+    matrix[:, slots[j]]``."""
+    seg = contiguous_slice(cells)
+    if seg is not None:
+        lo, hi = seg
+
+        def scatter(matrix: np.ndarray, state: np.ndarray) -> None:
+            # The compact fused layout keeps base cells ascending, so
+            # the input region is almost always one basic slice: gather
+            # the slot columns straight into it, no intermediate.
+            np.take(matrix.T, slots, 0, state[lo:hi], "clip")
+
+    else:
+
+        def scatter(matrix: np.ndarray, state: np.ndarray) -> None:
+            # Index the transposed *view* so the gather lands directly
+            # in (slots, B) order — one copy, never a (B, slots)
+            # intermediate plus a strided assignment.
+            state[cells] = matrix.T[slots]
+
+    return scatter
 
 
 def run_batch(

@@ -41,27 +41,33 @@ the sweep.  This module lowers the tape one step further into a
    the caller's scatter, results by their kernel, and a cell is handed
    on only after the last level that reads its value.
 
-Execution runs level by level: the level's non-contiguous operands are
-collected by **one** fancy gather into a scratch block, then each
-kernel is one ufunc call over *flat 1-D contiguous views* (the state
-is C-contiguous, so cell range ``[lo, hi)`` is flat range
-``[lo*B, hi*B)`` — the cheapest code path numpy has).
+The schedule is kept in two equivalent forms.  :attr:`FusedPlan.ops`
+is a flat table of ``(opcode, a_cell, b_cell, out_cell)`` rows in
+level-major order, which the native kernel (:mod:`repro.sim.native`)
+runs in one fixed C loop: no per-level or per-kernel dispatch at all.
+:attr:`FusedPlan.levels` groups the same ops into per-(level, opcode)
+kernels for the numpy sweep, the fallback when no C compiler works:
+each level's non-contiguous operands are collected by **one** fancy
+gather into a scratch block, then each kernel is one ufunc call over
+*flat 1-D contiguous views* (the state is C-contiguous, so cell range
+``[lo, hi)`` is flat range ``[lo*B, hi*B)``).  Which of the two runs is
+fixed per process by whether the kernel builds; nothing configures it.
 
-Because every slice endpoint is a pure function of (plan, batch
-width), the whole sweep can additionally be **bound** once per batch
-width (:func:`bind_sweep`): the state buffer, the per-level gather
-blocks and every operand/result view are constructed up front and
-reused across runs, so the per-run hot path degenerates to raw ufunc
-dispatches — no allocation, no slice construction, no index
-arithmetic.  Reusing the state is safe because within a run every
-cell is written before it is read (observation 3), so stale values
-from the previous batch are never observed.
+Either way the sweep is **bound** once per batch width
+(:func:`bind_sweep`): the state buffer is allocated and the kernel's
+pointers (or the numpy views) are computed up front and reused across
+runs, so the per-run hot path is one C call or raw ufunc dispatches —
+no allocation, no slice construction, no index arithmetic.  Reusing
+the state is safe because within a run every cell is written before
+it is read (observation 3), so stale values from the previous batch
+are never observed.
 
-Everything here is bitwise-exact: kernels perform the same IEEE-double
-adds and muls, only regrouping *independent* lanes, so fused outputs
-are asserted bit-identical to a direct interpretation of the step tape
-(:func:`repro.verify.differential.interpret_plan`) by the differential
-fuzzer, and to the scalar simulator by the property-based suite.
+Everything here is bitwise-exact: both sweeps perform the same
+IEEE-double adds and muls, only regrouping *independent* lanes, so
+fused outputs are asserted bit-identical to a direct interpretation
+of the step tape (:func:`repro.verify.differential.interpret_plan`) by
+the differential fuzzer, and to the scalar simulator by the
+property-based suite.
 """
 
 from __future__ import annotations
@@ -75,6 +81,7 @@ import numpy as np
 
 from ..errors import SimulationError
 from ..obs import trace
+from . import native
 from .functional import ActivityCounters
 from .plan import ComputeStep, ExecutionPlan, MoveStep, contiguous_slice
 
@@ -93,7 +100,7 @@ _ID = np.int64
 #: Version tag of the fused-plan layout: seeds the content fingerprint
 #: and the artifact-cache key (``repro.runner.fingerprint.fused_key``),
 #: so a cache written by an older lowering is never served.
-FUSED_LAYOUT = "fused-v3"
+FUSED_LAYOUT = "fused-v4"
 
 
 @dataclass(frozen=True)
@@ -158,6 +165,10 @@ class FusedPlan:
             zero-initialized cells that are read but never written and
             never scattered; empty for verified programs).
         levels: Execution schedule, ascending by level.
+        ops: The same schedule as a flat int64 ``(num_ops, 4)`` table
+            of ``(opcode, a_cell, b_cell, out_cell)`` rows, level-major
+            and opcode-minor — what the native kernel
+            (:mod:`repro.sim.native`) runs, one row per op.
         output_vars / output_cells: Parallel output arrays; output
             cells are never reused, so they hold their values after
             the sweep.
@@ -179,6 +190,7 @@ class FusedPlan:
     input_slots: np.ndarray
     zero_pos: np.ndarray
     levels: tuple[FusedLevel, ...]
+    ops: np.ndarray
     output_vars: tuple[int, ...]
     output_cells: np.ndarray
     counters: ActivityCounters
@@ -337,6 +349,9 @@ def _fuse_plan(plan: ExecutionPlan) -> FusedPlan:
     )
     a_new = slot[a_new]
     b_new = slot[b_new]
+    ops = np.column_stack(
+        (kind_s, a_new, b_new, slot[n_base + np.arange(n_ops)])
+    )
 
     # One kernel per (level, opcode) segment of the level-major order;
     # a level's results are one contiguous block in pass-2 order, so a
@@ -392,6 +407,7 @@ def _fuse_plan(plan: ExecutionPlan) -> FusedPlan:
         input_slots=plan.input_slots,
         zero_pos=zero_pos,
         levels=tuple(levels_out),
+        ops=ops,
         output_vars=plan.output_vars,
         output_cells=output_cells,
         counters=plan.counters,
@@ -527,90 +543,39 @@ def _fused_fingerprint(
     return h.hexdigest()
 
 
-def execute_fused(fused: FusedPlan, state: np.ndarray) -> None:
-    """Run every level over a ``(state_size, B)`` C-contiguous state.
-
-    All kernel reads and writes go through flat 1-D contiguous views
-    — cell range ``[lo, hi)`` is flat range ``[lo*B, hi*B)`` — with
-    one merged fancy gather per level for the non-contiguous operands.
-
-    When tracing is enabled, a sampled fraction of sweeps (one in
-    :func:`repro.obs.trace.set_sample_every`, default 16) records a
-    span per dependence level — per-kernel timing at full rate would
-    dwarf the microsecond-scale ufunc calls it measures.
-    """
-    if trace.is_on() and trace.should_sample():
-        _execute_fused_traced(fused, state)
-        return
-    batch = state.shape[1]
-    flat = state.reshape(-1)
-    for lv in fused.levels:
-        gf = state[lv.gather].reshape(-1) if lv.gather is not None else None
-        for k in lv.kernels:
-            a_buf = flat if k.a_src == SRC_STATE else gf
-            b_buf = flat if k.b_src == SRC_STATE else gf
-            _UFUNCS[k.opcode](
-                a_buf[k.a_start * batch : k.a_stop * batch],
-                b_buf[k.b_start * batch : k.b_stop * batch],
-                out=flat[k.out_start * batch : k.out_stop * batch],
-            )
-
-
-def _execute_fused_traced(fused: FusedPlan, state: np.ndarray) -> None:
-    """The sampled-sweep twin of :func:`execute_fused`: identical
-    kernel calls, plus one span per level."""
-    batch = state.shape[1]
-    flat = state.reshape(-1)
-    with trace.span(
-        "fused.sweep",
-        "engine",
-        workload=fused.source_name,
-        batch=batch,
-        levels=len(fused.levels),
-    ):
-        for li, lv in enumerate(fused.levels):
-            with trace.span(
-                "fused.level",
-                "engine",
-                level=li + 1,
-                kernels=len(lv.kernels),
-                gather_rows=0 if lv.gather is None else int(
-                    lv.gather.shape[0]
-                ),
-            ):
-                gf = (
-                    state[lv.gather].reshape(-1)
-                    if lv.gather is not None
-                    else None
-                )
-                for k in lv.kernels:
-                    a_buf = flat if k.a_src == SRC_STATE else gf
-                    b_buf = flat if k.b_src == SRC_STATE else gf
-                    _UFUNCS[k.opcode](
-                        a_buf[k.a_start * batch : k.a_stop * batch],
-                        b_buf[k.b_start * batch : k.b_stop * batch],
-                        out=flat[k.out_start * batch : k.out_stop * batch],
-                    )
-
-
 def bind_sweep(
     fused: FusedPlan, batch: int
 ) -> tuple[np.ndarray, Callable[[], None]]:
     """Bind a reusable ``(state, sweep)`` pair for one batch width.
 
-    Allocates the state buffer and one shared gather scratch block
-    once, precomputes all operand/result views, and returns a
-    zero-argument sweep whose hot path is nothing but pre-bound ufunc
-    dispatches (gathers run through ``np.take`` into the scratch —
-    ``mode="clip"`` skips the bounds check the lowering already
-    proved).  Every level gathers into the *same* scratch prefix: the
-    serial reuse keeps the block cache-hot across the sweep, where
-    per-level persistent blocks would all be cold by the time their
-    level comes around again.  The pair is safe to reuse across runs:
-    within a run every cell is written before it is read, and the
-    pinned zero cells are never written at all.
+    Allocates the state and returns a zero-argument sweep over it.
+    With the native kernel (:func:`repro.sim.native.load`) the sweep is
+    one pre-bound C call running :attr:`FusedPlan.ops`; without a
+    working C compiler it is the numpy sweep (:func:`_bind_numpy`).
+    The pair is safe to reuse across runs: within a run every cell is
+    written before it is read, and the pinned zero cells are never
+    written at all.
     """
     state = fused.make_state(batch)
+    kernel = native.load()
+    if kernel is not None:
+        return state, kernel.bind_sweep(fused.ops, state)
+    return state, _bind_numpy(fused, state)
+
+
+def _bind_numpy(fused: FusedPlan, state: np.ndarray) -> Callable[[], None]:
+    """The numpy sweep over ``state``: one gather per level, one ufunc
+    per kernel.
+
+    Precomputes all operand/result views, so the hot path is nothing
+    but pre-bound ufunc dispatches (gathers run through ``np.take``
+    into a scratch block — ``mode="clip"`` skips the bounds check the
+    lowering already proved).  Every level gathers into the *same*
+    scratch prefix: the serial reuse keeps the block cache-hot across
+    the sweep, where per-level persistent blocks would all be cold by
+    the time their level comes around again.
+    """
+    batch = state.shape[1]
     flat = state.reshape(-1)
     max_gather = max(
         (lv.gather.shape[0] for lv in fused.levels if lv.gather is not None),
@@ -648,7 +613,10 @@ def bind_sweep(
             )
 
     def sweep(_prog: list = prog) -> None:
-        for f, args in _prog:
-            f(*args)
+        # Scalar Python floats overflow to inf silently; match that
+        # instead of spraying RuntimeWarnings over deep product chains.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for f, args in _prog:
+                f(*args)
 
-    return state, sweep
+    return sweep

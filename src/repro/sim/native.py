@@ -1,0 +1,349 @@
+"""The native sweep kernel: a fused plan's op table run in one C loop.
+
+The numpy sweep (:func:`repro.sim.fused.bind_sweep`'s fallback) pays
+one ufunc dispatch per (level, opcode) and one gather per level, so a
+deep plan with one op per level is dispatch-bound and a wide one is
+gather-bound.  DPU-v2's datapath runs a DAG's nodes with no per-node
+launch cost; this module does the same on the host.  A
+:class:`~repro.sim.fused.FusedPlan` carries its ops as a flat
+``(n_ops, 4)`` table of ``(opcode, a_cell, b_cell, out_cell)`` in
+level-major order, and :data:`SOURCE` walks it in one fixed loop:
+``o[i] = a[i] op b[i]`` for every row ``i`` of the ``(cells, B)``
+state.  A second function, ``scatter``, writes the input matrix into
+the input cells, transposed, in row blocks.
+
+Bitwise parity with the numpy sweep holds because both perform the
+same IEEE-double add or multiply on the same operands: the library is
+built with ``-O2 -ffp-contract=off`` (no FMA contraction) and never
+with ``-ffast-math`` or ``-march=native``.
+
+**The fallback rule.**  The library is built once per process, on
+first use, with the ``cc`` found on ``PATH``.  With no ``cc``, or a
+``cc`` that fails, one warning is logged and every sweep of the
+process runs on numpy, with the same outputs.  Nothing configures
+this: there is no option, environment variable or flag.
+
+The built ``.so`` is named by a digest of the source, the flags,
+``platform.machine()`` and ``cc --version``.  When an artifact cache
+is configured (:func:`repro.runner.cache.get_cache`) it is kept under
+the cache's ``native/`` directory and reused by later processes;
+otherwise it is built in a private temporary directory.  Builds write
+a temporary name and ``os.replace`` it into place, so processes that
+share a cache never load a half-written file.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import logging
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
+import threading
+from collections.abc import Callable
+from pathlib import Path
+
+import numpy as np
+
+from ..obs import trace
+
+#: The kernel.  Opcodes are :data:`repro.sim.fused.FUSED_ADD` (1) and
+#: :data:`repro.sim.fused.FUSED_MUL` (2).
+SOURCE = r"""
+#include <stdint.h>
+
+/* o[i] = a[i] OP b[i] for i < n, four rows per step.  The four
+   independent statements let -O2 pack them into vector adds/muls;
+   restrict is sound because a result cell never holds an operand of
+   its own level (a and b may alias each other: only o is written). */
+#define LANES(OP)                                                   \
+    int64_t i = 0;                                                  \
+    for (; i + 4 <= n; i += 4) {                                    \
+        o[i] = a[i] OP b[i];                                        \
+        o[i + 1] = a[i + 1] OP b[i + 1];                            \
+        o[i + 2] = a[i + 2] OP b[i + 2];                            \
+        o[i + 3] = a[i + 3] OP b[i + 3];                            \
+    }                                                               \
+    for (; i < n; ++i)                                              \
+        o[i] = a[i] OP b[i];
+
+static void add(const double *restrict a, const double *restrict b,
+                double *restrict o, int64_t n)
+{
+    LANES(+)
+}
+
+static void mul(const double *restrict a, const double *restrict b,
+                double *restrict o, int64_t n)
+{
+    LANES(*)
+}
+
+/* Run every (opcode, a_cell, b_cell, out_cell) row of ops, in order,
+   over the (cells, batch) row-major state; opcode 1 adds, 2 multiplies. */
+void repro_sweep(const int64_t *ops, int64_t n_ops, double *state,
+                 int64_t batch)
+{
+    for (int64_t k = 0; k < n_ops; ++k, ops += 4) {
+        const double *a = state + ops[1] * batch;
+        const double *b = state + ops[2] * batch;
+        double *o = state + ops[3] * batch;
+        if (ops[0] == 1)
+            add(a, b, o, batch);
+        else
+            mul(a, b, o, batch);
+    }
+}
+
+/* state[cells[j]][r] = matrix[r][slots[j]] for r < batch, j < n.
+   Strides are in doubles.  Row blocks keep the matrix rows being read
+   and the cell rows being written in cache together. */
+void repro_scatter(const double *matrix, int64_t row_stride,
+                   int64_t col_stride, int64_t batch, const int64_t *slots,
+                   const int64_t *cells, int64_t n, double *state)
+{
+    enum { ROWS = 64 };
+    for (int64_t r0 = 0; r0 < batch; r0 += ROWS) {
+        int64_t r1 = r0 + ROWS < batch ? r0 + ROWS : batch;
+        for (int64_t j = 0; j < n; ++j) {
+            const double *src = matrix + slots[j] * col_stride;
+            double *dst = state + cells[j] * batch;
+            for (int64_t r = r0; r < r1; ++r)
+                dst[r] = src[r * row_stride];
+        }
+    }
+}
+"""
+
+#: Compiler flags.  ``-ffp-contract=off`` keeps a multiply and an add
+#: from fusing into one FMA on hosts that have it, which would change
+#: rounding; ``-ffast-math`` and ``-march=native`` are never used.
+FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+_log = logging.getLogger(__name__)
+
+_PTR = ctypes.c_void_p
+_I64 = ctypes.c_int64
+
+
+class Kernel:
+    """The loaded library: pre-bound sweeps and the input scatter."""
+
+    def __init__(self, lib: ctypes.CDLL) -> None:
+        self._sweep = lib.repro_sweep
+        self._sweep.argtypes = (_PTR, _I64, _PTR, _I64)
+        self._sweep.restype = None
+        self._scatter = lib.repro_scatter
+        self._scatter.argtypes = (
+            _PTR, _I64, _I64, _I64, _PTR, _PTR, _I64, _PTR
+        )
+        self._scatter.restype = None
+
+    def bind_sweep(
+        self, ops: np.ndarray, state: np.ndarray
+    ) -> Callable[[], None]:
+        """A zero-argument call running ``ops`` over ``state``.
+
+        The pointers are computed once here; the returned call holds
+        references to both arrays, so they outlive it.  ``ctypes``
+        releases the GIL for the call's duration.
+
+        Raises:
+            ValueError: A malformed table, an opcode other than 1 or 2,
+                or a cell outside ``state``.
+        """
+        _check(ops, np.int64, 2)
+        _check(state, np.float64, 2)
+        if ops.shape[1] != 4:
+            raise ValueError(f"op table must be (n, 4), got {ops.shape}")
+        if ops.size and (
+            not np.isin(ops[:, 0], (1, 2)).all()
+            or ops[:, 1:].min() < 0
+            or ops[:, 1:].max() >= state.shape[0]
+        ):
+            raise ValueError("op table has a bad opcode or cell")
+        return functools.partial(
+            self._sweep,
+            ops.ctypes.data_as(_PTR),
+            _I64(ops.shape[0]),
+            state.ctypes.data_as(_PTR),
+            _I64(state.shape[1]),
+        )
+
+    def bind_scatter(
+        self, slots: np.ndarray, cells: np.ndarray
+    ) -> Callable[[np.ndarray, np.ndarray], None]:
+        """A call ``scatter(matrix, state)`` doing
+        ``state[cells[j], r] = matrix[r, slots[j]]`` for every row
+        ``r < state.shape[1]`` and every ``j``.
+
+        ``slots``/``cells`` are parallel int64 vectors, bound once;
+        ``matrix`` may be any float64 ``(rows, cols)`` array, strided
+        or not, and ``state`` a C-contiguous float64 state.
+
+        Raises:
+            ValueError: Negative or unequal-length ``slots``/``cells``
+                at binding; at a call, a matrix or state too small for
+                them, or a state that is not C-contiguous float64.
+        """
+        _check(slots, np.int64, 1)
+        _check(cells, np.int64, 1)
+        if slots.shape != cells.shape or (
+            slots.size and min(slots.min(), cells.min()) < 0
+        ):
+            raise ValueError("slots and cells must be equal, nonnegative")
+        cols = int(slots.max()) + 1 if slots.size else 0
+        rows = int(cells.max()) + 1 if cells.size else 0
+        fn = self._scatter
+        slots_p = slots.ctypes.data_as(_PTR)
+        cells_p = cells.ctypes.data_as(_PTR)
+        n = _I64(slots.shape[0])
+
+        def scatter(matrix: np.ndarray, state: np.ndarray) -> None:
+            if (
+                matrix.ndim != 2
+                or matrix.shape[1] < cols
+                or matrix.shape[0] < state.shape[1]
+                or state.shape[0] < rows
+                or state.dtype != np.float64
+                or not state.flags.c_contiguous
+            ):
+                raise ValueError(
+                    f"scatter of {matrix.shape} into {state.shape} "
+                    f"needs {cols} columns and {rows} cells"
+                )
+            rs, cs = matrix.strides
+            if matrix.dtype != np.float64 or rs % 8 or cs % 8:
+                matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+                rs, cs = matrix.strides
+            fn(
+                matrix.ctypes.data,
+                rs // 8,
+                cs // 8,
+                state.shape[1],
+                slots_p,
+                cells_p,
+                n,
+                state.ctypes.data,
+            )
+
+        return scatter
+
+
+def _check(arr: np.ndarray, dtype, ndim: int) -> None:
+    if (
+        arr.dtype != dtype
+        or arr.ndim != ndim
+        or not arr.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"native kernel needs a C-contiguous {np.dtype(dtype)} "
+            f"{ndim}-D array, got {arr.dtype} {arr.shape}"
+        )
+
+
+_LOAD_LOCK = threading.Lock()
+
+
+def load() -> Kernel | None:
+    """The process's kernel, built on first call; ``None`` when no
+    working C compiler is found (one warning is logged).
+
+    The lock makes concurrent first calls build once and warn once.
+    """
+    with _LOAD_LOCK:
+        return _load()
+
+
+@functools.cache
+def _load() -> Kernel | None:
+    cc = shutil.which("cc")
+    if cc is None:
+        _log.warning(
+            "no C compiler ('cc') on PATH: batch sweeps run on numpy"
+        )
+        return None
+    try:
+        with trace.span("native.load", "engine"):
+            version = subprocess.run(
+                [cc, "--version"],
+                capture_output=True,
+                check=True,
+                timeout=60,
+            ).stdout
+            lib = _open(cc, _digest(version))
+    except (OSError, subprocess.SubprocessError) as exc:
+        _log.warning(
+            "native sweep kernel unavailable (%s): batch sweeps run on "
+            "numpy",
+            exc,
+        )
+        return None
+    return Kernel(lib)
+
+
+def available() -> bool:
+    """Whether batch sweeps in this process run on the native kernel."""
+    return load() is not None
+
+
+def _digest(cc_version: bytes) -> str:
+    h = hashlib.blake2b(digest_size=16)
+    for part in (
+        SOURCE.encode(),
+        " ".join(FLAGS).encode(),
+        platform.machine().encode(),
+        cc_version,
+    ):
+        h.update(len(part).to_bytes(8, "little"))
+        h.update(part)
+    return h.hexdigest()
+
+
+def _open(cc: str, digest: str) -> ctypes.CDLL:
+    """Load the library named by ``digest``, building it if needed."""
+    from ..runner.cache import ArtifactCache, get_cache  # local: no cycle
+
+    cache = get_cache()
+    if not isinstance(cache, ArtifactCache):
+        with tempfile.TemporaryDirectory(prefix="repro-native-") as tmp:
+            path = Path(tmp) / f"sweep-{digest}.so"
+            _build(cc, path)
+            # The mapping outlives the directory.
+            return ctypes.CDLL(str(path))
+    path = cache.directory / "native" / f"sweep-{digest}.so"
+    if path.exists():
+        try:
+            return ctypes.CDLL(str(path))
+        except OSError:
+            pass  # torn or foreign file: rebuild over it
+    _build(cc, path)
+    return ctypes.CDLL(str(path))
+
+
+def _build(cc: str, path: Path) -> None:
+    """Compile :data:`SOURCE` to ``path`` through a temporary name."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=".sweep-", suffix=".so.tmp"
+    )
+    os.close(fd)
+    try:
+        subprocess.run(
+            [cc, *FLAGS, "-x", "c", "-", "-o", tmp],
+            input=SOURCE.encode(),
+            capture_output=True,
+            check=True,
+            timeout=120,
+        )
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise

@@ -35,6 +35,29 @@ class TestCommon:
         assert m.energy.cycles == m.counters.cycles
         assert m.throughput_gops > 0
 
+    def test_measure_reports_a_bound_run(self, monkeypatch):
+        """The batch result is a steady run: its batch width's state
+        and sweep were bound before it started, so binding is not
+        timed into ``host_rows_per_second``."""
+        from repro.experiments import common
+        from repro.sim import BatchSimulator
+
+        runs = []
+
+        class Recording(BatchSimulator):
+            def run(self, inputs):
+                bound = len(inputs) in self._bound
+                result = super().run(inputs)
+                runs.append((bound, result))
+                return result
+
+        monkeypatch.setattr(common, "BatchSimulator", Recording)
+        cfg = ArchConfig(depth=2, banks=8, regs_per_bank=16)
+        m = measure(make_random_dag(131), cfg, batch=64)
+        assert [bound for bound, _ in runs] == [False, True]
+        assert m.batch_result is runs[-1][1]
+        assert m.batch_result.batch == 64
+
 
 class TestFig01:
     def test_gpu_improves_with_size(self):
