@@ -9,8 +9,8 @@ workloads at batch 256:
   fresh zeroed state).  On today's uncoalesced lowering this is the
   original PR-1 batch loop, the historical baseline the fused
   engine's acceptance bar is measured against;
-* **fused** — the batch engine: level-grouped super-op kernels with
-  bound sweeps over a liveness-compacted state.
+* **fused** — the batch engine: the fused plan's level-major op
+  table, swept by a bound kernel over a liveness-compacted state.
 
 Each record also carries the per-row state of each layout in bytes
 at the bench's batch width: the interpreter's machine image, the
@@ -126,11 +126,13 @@ def bench_workload(label, build, args) -> dict:
         "batch": args.batch,
         "cycles_per_row": plan.cycles_per_row,
         "tape_steps": len(plan.steps),
-        "fused_levels": sum(len(lv.kernels) for lv in fused.levels),
-        # Per-batch state buffers, f64 cells x batch rows.
+        "fused_levels": fused.num_levels,
+        # Per-batch state buffers, f64 cells x batch rows; the
+        # uncompacted layout is the fused prefix (inputs and pinned
+        # zeros) plus one cell per op.
         "pr1_state_bytes": plan.state_size * args.batch * 8,
         "uncompacted_fused_state_bytes": (
-            fused.base_cells.size + fused.num_ops
+            np.union1d(fused.input_pos, fused.zero_pos).size + fused.num_ops
         ) * args.batch * 8,
         "fused_state_bytes": fused.state_size * args.batch * 8,
     }

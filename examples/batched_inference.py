@@ -6,8 +6,8 @@ a stream of input vectors (new evidence per tick for a probabilistic
 circuit, new right-hand sides for a triangular solve).  Instead of
 interpreting the program per input, we lower it once to a verified
 ExecutionPlan and sweep whole batches through the fused batch engine:
-level-grouped super-op kernels (~2 numpy dispatches per dependence
-level) over a state whose cells are reused by liveness.
+one level-major op table, run by a native C loop (or by numpy where no
+C compiler works), over a state whose cells are reused by liveness.
 
 Run:  python examples/batched_inference.py
 """

@@ -146,11 +146,11 @@ class DagArrays:
         """Per level, arithmetic node ids grouped by opcode.
 
         The same-opcode-per-level grouping the fused execution engine
-        lowers to super-op kernels (:mod:`repro.sim.fused`): entry
+        orders its op table by (:mod:`repro.sim.fused`): entry
         ``[lvl]`` lists ``(opcode, node_ids)`` pairs, opcodes
         ascending, node ids in topo order.  Level 0 (the inputs) is
-        included and always empty.  A plan's kernel count is bounded
-        below by the number of pairs returned here — the DAG is the
+        included and always empty.  A fused plan has at most as many
+        one-opcode runs as there are pairs here — the DAG is the
         source of the dependence structure the fusion exploits.
         """
         grouped: list[list[tuple[int, np.ndarray]]] = []

@@ -3,19 +3,14 @@
 Execution is two-phase: :mod:`repro.sim.plan` lowers a compiled
 program once (running all verification at lowering time) and
 :mod:`repro.sim.batch` executes ``(B, num_inputs)`` batches through
-the plan's fused super-op kernels (:mod:`repro.sim.fused`).  The scalar
+the plan's fused op table (:mod:`repro.sim.fused`).  The scalar
 :class:`Simulator` in :mod:`repro.sim.functional` remains the
 fully-checked reference path.
 """
 
 from .activity import batch_counters, count_activity
 from .batch import BatchResult, BatchSimulator, run_batch
-from .fused import (
-    FusedKernel,
-    FusedPlan,
-    bind_sweep,
-    fuse_plan,
-)
+from .fused import FusedPlan, bind_sweep, fuse_plan
 from .area import AreaBreakdown, area_of, paper_area_breakdown_mm2
 from .energy import (
     EnergyBreakdown,
@@ -45,7 +40,6 @@ __all__ = [
     "BatchResult",
     "run_batch",
     "FusedPlan",
-    "FusedKernel",
     "bind_sweep",
     "fuse_plan",
     "BatchPerfReport",

@@ -11,9 +11,9 @@ The sweep and the input scatter run on the native C kernel
 (:mod:`repro.sim.native`): one fixed loop over the plan's flat op
 table, built once per process when the simulator is constructed.
 Without a working C compiler the process logs one warning and runs the
-numpy sweep instead — one gather per level and one ufunc per
-(level, opcode) — with the same outputs.  Nothing configures the
-choice.
+numpy sweep instead — bound from the same op table: one gather per
+level and one ufunc per run of one opcode — with the same outputs.
+Nothing configures the choice.
 
 No verification happens here: the plan was verified at lowering time
 (hazards, interconnect legality, address predictions, memory tags),
@@ -22,7 +22,11 @@ to the scalar simulator's — both paths perform the same IEEE-double
 operations in the same tree order, fusion only regroups independent
 lanes (asserted across the golden workloads in the test suite, and
 continuously by the differential oracle, which also replays the plan's
-step tape directly as its plan reference).
+step tape directly as its plan reference).  The exception is an add or
+mul that meets two NaNs with *different* payloads: IEEE 754 leaves the
+result's payload open, and Python floats, numpy and C pick
+differently, so the engines agree bitwise only while at most one NaN
+payload is in play.
 """
 
 from __future__ import annotations
@@ -157,23 +161,13 @@ class BatchSimulator:
         # throwaway pair instead of serializing.
         self._bound: dict[int, tuple[np.ndarray, Callable[[], None]]] = {}
         self._bound_lock = threading.Lock()
-        # The input scatters, bound once.  run() writes matrix columns
-        # input_slots into cells input_pos; run_rows() first assembles
-        # the slot-sorted columns into a dense (B, k) block.  When the
-        # sorted slots are exactly 0..k-1 (the usual case), that
-        # assembly is a basic slice per row — a straight memcpy
-        # instead of a bounds-checked gather.
-        slots = self.plan.input_slots
-        cells = fused_plan.input_pos
-        order = np.argsort(slots, kind="stable")
-        self._slots_sorted = slots[order]
-        columns = np.arange(slots.size, dtype=np.int64)
-        self._dense_inputs = bool(
-            slots.size and np.array_equal(self._slots_sorted, columns)
-        )
+        # The input scatter, bound once: run() writes matrix columns
+        # input_slots into cells input_pos; run_rows() first copies
+        # its rows into a (B, num_inputs) matrix.
         bind = _bind_numpy_scatter if kernel is None else kernel.bind_scatter
-        self._scatter = bind(_i64(slots), _i64(cells))
-        self._scatter_rows = bind(columns, _i64(cells[order]))
+        self._scatter = bind(
+            _i64(self.plan.input_slots), _i64(fused_plan.input_pos)
+        )
 
     def run(self, inputs: np.ndarray) -> BatchResult:
         """Execute a ``(B, num_inputs)`` input matrix in one sweep.
@@ -203,7 +197,7 @@ class BatchSimulator:
         t0 = time.perf_counter()
         state, sweep, lock = self._acquire_state(batch)
         try:
-            if self._slots_sorted.size:
+            if plan.input_slots.size:
                 self._scatter(matrix, state)
             return self._finish(state, batch, t0, sweep)
         finally:
@@ -217,13 +211,12 @@ class BatchSimulator:
         (and usually non-contiguous) row vectors, possibly of
         *heterogeneous* widths — each row only needs at least
         ``plan.num_inputs`` leading entries, so rows sliced out of
-        wider tenant buffers are accepted as-is.  Only the
-        ``input_slots`` cells of each row are gathered, straight into
-        the ``(slots, B)`` scatter source; the full ``(B, num_inputs)``
-        matrix is never materialized, so there is no assembly copy
-        beyond the single unavoidable gather.
+        wider tenant buffers are accepted as-is.  The leading entries
+        are copied into one ``(B, num_inputs)`` matrix (a basic slice
+        per row, a plain memcpy), which :meth:`run`'s input scatter
+        then writes into the state.
 
-        Bitwise identical to ``run(np.stack([...]))`` — same gather
+        Bitwise identical to ``run(np.stack([...]))`` — same scatter
         values, same sweep (asserted in the test suite).
 
         Raises:
@@ -231,41 +224,28 @@ class BatchSimulator:
                 shorter than ``plan.num_inputs``.
         """
         plan = self.plan
+        k = plan.num_inputs
         batch = len(rows)
         if batch < 1:
             raise SimulationError("input matrix has no rows to execute")
         t0 = time.perf_counter()
+        matrix = np.empty((batch, k), dtype=np.float64)
+        for j, row in enumerate(rows):
+            r = np.asarray(row, dtype=np.float64)
+            if r.ndim != 1:
+                raise SimulationError(
+                    f"row {j}: expected a 1-D vector, got shape {r.shape}"
+                )
+            if r.shape[0] < k:
+                raise SimulationError(
+                    f"row {j} too narrow: need {k} entries, got "
+                    f"{r.shape[0]}"
+                )
+            matrix[j] = r[:k]
         state, sweep, lock = self._acquire_state(batch)
         try:
-            k = self._slots_sorted.size
-            if k:
-                # (B, k) with contiguous row writes.
-                assembled = np.empty((batch, k), dtype=np.float64)
-                dense = self._dense_inputs
-                slots = self._slots_sorted
-                for j, row in enumerate(rows):
-                    r = np.asarray(row, dtype=np.float64)
-                    if r.ndim != 1:
-                        raise SimulationError(
-                            f"row {j}: expected a 1-D vector, got "
-                            f"shape {r.shape}"
-                        )
-                    if r.shape[0] < plan.num_inputs:
-                        raise SimulationError(
-                            f"row {j} too narrow: need {plan.num_inputs} "
-                            f"entries, got {r.shape[0]}"
-                        )
-                    if dense:
-                        assembled[j] = r[:k]  # basic slice: plain memcpy
-                    else:
-                        assembled[j] = r[slots]
-                self._scatter_rows(assembled, state)
-            else:
-                for j, row in enumerate(rows):
-                    if np.asarray(row).ndim != 1:
-                        raise SimulationError(
-                            f"row {j}: expected a 1-D vector"
-                        )
+            if plan.input_slots.size:
+                self._scatter(matrix, state)
             return self._finish(state, batch, t0, sweep)
         finally:
             if lock is not None:

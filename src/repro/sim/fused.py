@@ -21,16 +21,17 @@ the sweep.  This module lowers the tape one step further into a
 2. **Same-opcode ops of one dependence level fuse.**  With moves gone,
    only true RAW dependences remain (every op defines a fresh id, so
    WAW/WAR hazards cannot exist).  Each arithmetic op's level is
-   ``1 + max(level of operands)``; all adds of one level become a
-   single vectorized ``np.add``, all muls one ``np.multiply`` — a
-   *super-op kernel*.  A plan with thousands of tape steps collapses
-   to roughly ``2 x depth`` kernels.
+   ``1 + max(level of operands)``.  Ops are ordered by level, then
+   opcode, so all adds of one level form one run of the schedule — a
+   *super-op* the numpy sweep runs as a single ``np.add``, all muls
+   one ``np.multiply``.  A plan with thousands of tape steps collapses
+   to roughly ``2 x depth`` runs.
 
 3. **The machine state can be left behind.**  The only original
    cells the fused engine ever *reads* are the externally scattered
    inputs (anything else reads the zero initialization, which gets
    one pinned zero cell).  Value ids are permuted level-major, so
-   every kernel *writes a basic slice* and operands frequently *read*
+   every run *writes a basic slice* and operands frequently *read*
    one.  Then, as the DPU-v2 compiler reuses registers by liveness,
    cells are reused by last use: each level's results take one
    contiguous block of cells whose previous values are dead, so the
@@ -38,20 +39,22 @@ the sweep.  This module lowers the tape one step further into a
    real workloads a fraction of the register-file + data-memory +
    scratch image a direct tape interpreter carries per batch row.
    Within a run, every cell is written before it is read: inputs by
-   the caller's scatter, results by their kernel, and a cell is handed
+   the caller's scatter, results by their op, and a cell is handed
    on only after the last level that reads its value.
 
-The schedule is kept in two equivalent forms.  :attr:`FusedPlan.ops`
-is a flat table of ``(opcode, a_cell, b_cell, out_cell)`` rows in
-level-major order, which the native kernel (:mod:`repro.sim.native`)
-runs in one fixed C loop: no per-level or per-kernel dispatch at all.
-:attr:`FusedPlan.levels` groups the same ops into per-(level, opcode)
-kernels for the numpy sweep, the fallback when no C compiler works:
-each level's non-contiguous operands are collected by **one** fancy
-gather into a scratch block, then each kernel is one ufunc call over
-*flat 1-D contiguous views* (the state is C-contiguous, so cell range
-``[lo, hi)`` is flat range ``[lo*B, hi*B)``).  Which of the two runs is
-fixed per process by whether the kernel builds; nothing configures it.
+The schedule is one flat table, :attr:`FusedPlan.ops`: ``(opcode,
+a_cell, b_cell, out_cell)`` rows in level-major, opcode-minor order,
+with :attr:`FusedPlan.level_bounds` marking where each dependence
+level starts.  The native kernel (:mod:`repro.sim.native`) runs the
+table in one fixed C loop: no per-level or per-kernel dispatch at all.
+Without a working C compiler the numpy sweep runs instead, and it
+derives its program from the same table when it is bound: each level
+splits into runs of one opcode, each run is one ufunc call over *flat
+1-D contiguous views* (the state is C-contiguous, so cell range
+``[lo, hi)`` is flat range ``[lo*B, hi*B)``), and the level's operands
+whose cells are not consecutive are collected by **one** gather into
+a scratch block first.  Which of the two runs is fixed per process by
+whether the kernel builds; nothing configures it.
 
 Either way the sweep is **bound** once per batch width
 (:func:`bind_sweep`): the state buffer is allocated and the kernel's
@@ -67,7 +70,11 @@ IEEE-double adds and muls, only regrouping *independent* lanes, so
 fused outputs are asserted bit-identical to a direct interpretation
 of the step tape (:func:`repro.verify.differential.interpret_plan`) by
 the differential fuzzer, and to the scalar simulator by the
-property-based suite.
+property-based suite.  One case is outside that guarantee: an add or
+mul whose two operands are NaNs with *different* payloads.  IEEE 754
+leaves the result's payload open, and Python floats, numpy and C pick
+differently, so the sweeps and the scalar simulator agree bitwise only
+while at most one NaN payload is in play.
 """
 
 from __future__ import annotations
@@ -89,10 +96,6 @@ from .plan import ComputeStep, ExecutionPlan, MoveStep, contiguous_slice
 FUSED_ADD = 1
 FUSED_MUL = 2
 
-#: Operand source tags: the fused state vector / the level's gather block.
-SRC_STATE = 0
-SRC_GATHER = 1
-
 _UFUNCS = {FUSED_ADD: np.add, FUSED_MUL: np.multiply}
 
 _ID = np.int64
@@ -100,48 +103,7 @@ _ID = np.int64
 #: Version tag of the fused-plan layout: seeds the content fingerprint
 #: and the artifact-cache key (``repro.runner.fingerprint.fused_key``),
 #: so a cache written by an older lowering is never served.
-FUSED_LAYOUT = "fused-v4"
-
-
-@dataclass(frozen=True)
-class FusedKernel:
-    """One super-op: every same-opcode op of one dependence level.
-
-    Attributes:
-        opcode: :data:`FUSED_ADD` or :data:`FUSED_MUL`.
-        level: Dependence level (1-based).
-        out_start / out_stop: The kernel writes fused state cells
-            ``[out_start, out_stop)`` — always a basic slice.
-        a_src / a_start / a_stop: First operand: cells ``[start, stop)``
-            of the fused state (:data:`SRC_STATE`, a contiguous run of
-            value ids) or rows ``[start, stop)`` of the level's gather
-            block (:data:`SRC_GATHER`).
-        b_src / b_start / b_stop: Second operand, same encoding.
-    """
-
-    opcode: int
-    level: int
-    out_start: int
-    out_stop: int
-    a_src: int
-    a_start: int
-    a_stop: int
-    b_src: int
-    b_start: int
-    b_stop: int
-
-    @property
-    def width(self) -> int:
-        return self.out_stop - self.out_start
-
-
-@dataclass(frozen=True)
-class FusedLevel:
-    """One dependence level: an optional merged operand gather plus
-    the level's kernels (at most one per opcode)."""
-
-    gather: np.ndarray | None
-    kernels: tuple[FusedKernel, ...]
+FUSED_LAYOUT = "fused-v5"
 
 
 @dataclass(frozen=True)
@@ -155,20 +117,21 @@ class FusedPlan:
             original cells followed by the result cells, which are
             reused by liveness (about the peak live width).
         num_ops: Fused arithmetic ops.
-        base_cells: Original plan cell ids backing fused cells
-            ``[0, len(base_cells))``, ascending — kept for tests and
-            debugging; execution never consults it.
         input_pos / input_slots: Parallel arrays scattering column
             ``input_slots[i]`` of the input matrix into fused cell
             ``input_pos[i]`` (same slot order as the source plan).
         zero_pos: Fused cells that must read as ``0.0`` (original
             zero-initialized cells that are read but never written and
             never scattered; empty for verified programs).
-        levels: Execution schedule, ascending by level.
-        ops: The same schedule as a flat int64 ``(num_ops, 4)`` table
-            of ``(opcode, a_cell, b_cell, out_cell)`` rows, level-major
-            and opcode-minor — what the native kernel
-            (:mod:`repro.sim.native`) runs, one row per op.
+        ops: The schedule: a flat int64 ``(num_ops, 4)`` table of
+            ``(opcode, a_cell, b_cell, out_cell)`` rows, level-major
+            and opcode-minor.  The native kernel
+            (:mod:`repro.sim.native`) runs it one row per op; the numpy
+            sweep binds its program from it.
+        level_bounds: int64 row offsets of the dependence levels:
+            level ``i`` is rows ``[level_bounds[i], level_bounds[i +
+            1])`` of ``ops``.  No level reads a cell it writes, and a
+            level's results are one contiguous block of cells.
         output_vars / output_cells: Parallel output arrays; output
             cells are never reused, so they hold their values after
             the sweep.
@@ -185,12 +148,11 @@ class FusedPlan:
     num_inputs: int
     state_size: int
     num_ops: int
-    base_cells: np.ndarray
     input_pos: np.ndarray
     input_slots: np.ndarray
     zero_pos: np.ndarray
-    levels: tuple[FusedLevel, ...]
     ops: np.ndarray
+    level_bounds: np.ndarray
     output_vars: tuple[int, ...]
     output_cells: np.ndarray
     counters: ActivityCounters
@@ -208,14 +170,9 @@ class FusedPlan:
         return self.counters.scaled(batch)
 
     @property
-    def kernels(self) -> tuple[FusedKernel, ...]:
-        """All kernels in execution order (level-major)."""
-        return tuple(k for lv in self.levels for k in lv.kernels)
-
-    @property
     def num_levels(self) -> int:
         """Dependence depth of the fused op graph."""
-        return len(self.levels)
+        return self.level_bounds.size - 1
 
     def make_state(self, batch: int) -> np.ndarray:
         """Fresh ``(state_size, batch)`` state, zero cells pinned.
@@ -231,7 +188,7 @@ class FusedPlan:
 
 
 def fuse_plan(plan: ExecutionPlan) -> FusedPlan:
-    """Fuse a verified plan into level-grouped super-op kernels.
+    """Fuse a verified plan into a level-major op table.
 
     Pure lowering: no hazard or interconnect checks happen here (the
     source plan already carries them), and no data is touched — the
@@ -333,11 +290,13 @@ def _fuse_plan(plan: ExecutionPlan) -> FusedPlan:
     # Pass 3 — liveness compaction.  Map every pass-2 id to a state
     # cell, reusing cells whose value is dead (see _compact_slots), so
     # the state grows with peak live width instead of op count.
-    # Leading bound 0 of the level and segment bounds; with no ops
-    # there is no level and no segment, so no leading bound.
-    first = np.zeros(min(n_ops, 1), dtype=np.intp)
+    # With no ops there is no level, so no leading bound 0.
     level_bounds = np.concatenate(
-        (first, np.flatnonzero(np.diff(lvl_s)) + 1, [n_ops])
+        (
+            np.zeros(min(n_ops, 1), dtype=_ID),
+            np.flatnonzero(np.diff(lvl_s)) + 1,
+            [n_ops],
+        )
     )
     out_new = id_map[out_ids]
     slot, state_size = _compact_slots(
@@ -353,39 +312,6 @@ def _fuse_plan(plan: ExecutionPlan) -> FusedPlan:
         (kind_s, a_new, b_new, slot[n_base + np.arange(n_ops)])
     )
 
-    # One kernel per (level, opcode) segment of the level-major order;
-    # a level's results are one contiguous block in pass-2 order, so a
-    # kernel's results start at its first op's cell.
-    seg = np.flatnonzero(np.diff(lvl_s) | np.diff(kind_s)) + 1
-    seg_lo = np.concatenate((first, seg))
-    seg_hi = np.concatenate((seg, [n_ops]))
-    levels_out: list[FusedLevel] = []
-    by_level = itertools.groupby(
-        zip(
-            seg_lo.tolist(),
-            seg_hi.tolist(),
-            kind_s[seg_lo].tolist(),
-            lvl_s[seg_lo].tolist(),
-            slot[n_base + seg_lo].tolist(),
-        ),
-        key=lambda sg: sg[3],
-    )
-    for level, segments in by_level:
-        parts: list[np.ndarray] = []
-        kernels = tuple(
-            FusedKernel(
-                code,
-                level,
-                out,
-                out + hi - lo,
-                *_operand(a_new[lo:hi], parts),
-                *_operand(b_new[lo:hi], parts),
-            )
-            for lo, hi, code, _, out in segments
-        )
-        gather = np.concatenate(parts) if parts else None
-        levels_out.append(FusedLevel(gather, kernels))
-
     output_cells = slot[out_new]
     fingerprint = _fused_fingerprint(
         state_size,
@@ -393,7 +319,8 @@ def _fuse_plan(plan: ExecutionPlan) -> FusedPlan:
         plan.input_slots,
         zero_pos,
         output_cells,
-        levels_out,
+        ops,
+        level_bounds,
     )
     return FusedPlan(
         config=plan.config,
@@ -402,32 +329,17 @@ def _fuse_plan(plan: ExecutionPlan) -> FusedPlan:
         num_inputs=plan.num_inputs,
         state_size=state_size,
         num_ops=n_ops,
-        base_cells=base_cells,
         input_pos=input_pos,
         input_slots=plan.input_slots,
         zero_pos=zero_pos,
-        levels=tuple(levels_out),
         ops=ops,
+        level_bounds=level_bounds,
         output_vars=plan.output_vars,
         output_cells=output_cells,
         counters=plan.counters,
         peak_occupancy=list(plan.peak_occupancy),
         fingerprint=fingerprint,
     )
-
-
-def _operand(
-    ids: np.ndarray, parts: list[np.ndarray]
-) -> tuple[int, int, int]:
-    """``(src, start, stop)`` encoding of one kernel operand: a basic
-    slice of the state when ``ids`` are consecutive cells, else rows
-    appended to the level's gather block (``parts``)."""
-    sl = contiguous_slice(ids)
-    if sl is not None:
-        return (SRC_STATE, sl[0], sl[1])
-    start = sum(p.size for p in parts)
-    parts.append(ids)
-    return (SRC_GATHER, start, start + int(ids.size))
 
 
 def _compact_slots(
@@ -508,38 +420,13 @@ def _compact_slots(
     return slot, top
 
 
-def _fused_fingerprint(
-    state_size: int,
-    input_pos: np.ndarray,
-    input_slots: np.ndarray,
-    zero_pos: np.ndarray,
-    output_cells: np.ndarray,
-    levels: list[FusedLevel],
-) -> str:
+def _fused_fingerprint(state_size: int, *arrays: np.ndarray) -> str:
     h = hashlib.blake2b(digest_size=16)
     h.update(FUSED_LAYOUT.encode())
     h.update(int(state_size).to_bytes(8, "little"))
-    for arr in (input_pos, input_slots, zero_pos, output_cells):
+    for arr in arrays:
+        h.update(b"%d;" % arr.size)
         h.update(np.ascontiguousarray(arr, dtype=_ID).tobytes())
-    for lv in levels:
-        h.update(b"L")
-        if lv.gather is not None:
-            h.update(lv.gather.tobytes())
-        for k in lv.kernels:
-            h.update(
-                b"%d,%d,%d,%d,%d,%d,%d,%d,%d;"
-                % (
-                    k.opcode,
-                    k.out_start,
-                    k.out_stop,
-                    k.a_src,
-                    k.a_start,
-                    k.a_stop,
-                    k.b_src,
-                    k.b_start,
-                    k.b_stop,
-                )
-            )
     return h.hexdigest()
 
 
@@ -564,53 +451,9 @@ def bind_sweep(
 
 
 def _bind_numpy(fused: FusedPlan, state: np.ndarray) -> Callable[[], None]:
-    """The numpy sweep over ``state``: one gather per level, one ufunc
-    per kernel.
-
-    Precomputes all operand/result views, so the hot path is nothing
-    but pre-bound ufunc dispatches (gathers run through ``np.take``
-    into a scratch block — ``mode="clip"`` skips the bounds check the
-    lowering already proved).  Every level gathers into the *same*
-    scratch prefix: the serial reuse keeps the block cache-hot across
-    the sweep, where per-level persistent blocks would all be cold by
-    the time their level comes around again.
-    """
-    batch = state.shape[1]
-    flat = state.reshape(-1)
-    max_gather = max(
-        (lv.gather.shape[0] for lv in fused.levels if lv.gather is not None),
-        default=0,
-    )
-    scratch = np.empty((max_gather, batch), dtype=np.float64)
-    sflat = scratch.reshape(-1)
-    prog: list[tuple[Callable, tuple]] = []
-    for lv in fused.levels:
-        if lv.gather is not None:
-            prog.append(
-                (
-                    np.take,
-                    (
-                        state,
-                        lv.gather,
-                        0,
-                        scratch[: lv.gather.shape[0]],
-                        "clip",
-                    ),
-                )
-            )
-        for k in lv.kernels:
-            a_buf = flat if k.a_src == SRC_STATE else sflat
-            b_buf = flat if k.b_src == SRC_STATE else sflat
-            prog.append(
-                (
-                    _UFUNCS[k.opcode],
-                    (
-                        a_buf[k.a_start * batch : k.a_stop * batch],
-                        b_buf[k.b_start * batch : k.b_stop * batch],
-                        flat[k.out_start * batch : k.out_stop * batch],
-                    ),
-                )
-            )
+    """The numpy sweep over ``state``: :func:`_numpy_program`'s calls,
+    run in order."""
+    prog = _numpy_program(fused, state)
 
     def sweep(_prog: list = prog) -> None:
         # Scalar Python floats overflow to inf silently; match that
@@ -620,3 +463,72 @@ def _bind_numpy(fused: FusedPlan, state: np.ndarray) -> Callable[[], None]:
                 f(*args)
 
     return sweep
+
+
+def _numpy_program(
+    fused: FusedPlan, state: np.ndarray
+) -> list[tuple[Callable, tuple]]:
+    """The numpy sweep's calls, derived from :attr:`FusedPlan.ops`: per
+    level, at most one gather, then one ufunc per run of one opcode.
+
+    A run's operand whose cells are consecutive is read as a view of
+    the state; the level's other operands are gathered by one
+    ``np.take`` into a scratch block (``mode="clip"`` skips the bounds
+    check the lowering already proved).  Every level gathers into the
+    *same* scratch prefix: the serial reuse keeps the block cache-hot
+    across the sweep, where per-level blocks would all be cold by the
+    time their level comes around again.  All views are computed here,
+    so the hot path is nothing but pre-bound ufunc dispatches.
+    """
+    ops = fused.ops
+    # Pass 1: per level, the cells it gathers and its runs, each
+    # operand a (gathered, lo, hi) row range of the scratch (gathered)
+    # or of the state.
+    levels = []
+    for lo, hi in itertools.pairwise(fused.level_bounds.tolist()):
+        cuts = (np.flatnonzero(np.diff(ops[lo:hi, 0])) + lo + 1).tolist()
+        gather: list[np.ndarray] = []
+        n_gathered = 0
+        runs = []
+        for run_lo, run_hi in itertools.pairwise([lo, *cuts, hi]):
+            operands = []
+            for cells in (ops[run_lo:run_hi, 1], ops[run_lo:run_hi, 2]):
+                seg = contiguous_slice(cells)
+                if seg is not None:
+                    operands.append((False, *seg))
+                    continue
+                gather.append(cells)
+                operands.append((True, n_gathered, n_gathered + cells.size))
+                n_gathered += cells.size
+            out = int(ops[run_lo, 3])
+            runs.append(
+                (int(ops[run_lo, 0]), operands, out, out + run_hi - run_lo)
+            )
+        levels.append((np.concatenate(gather) if gather else None, runs))
+
+    # Pass 2: bind the views, now that the scratch's size is known.
+    batch = state.shape[1]
+    flat = state.reshape(-1)
+    scratch = np.empty(
+        (max((g.size for g, _ in levels if g is not None), default=0), batch),
+        dtype=np.float64,
+    )
+    sflat = scratch.reshape(-1)
+    prog: list[tuple[Callable, tuple]] = []
+    for gather, runs in levels:
+        if gather is not None:
+            prog.append(
+                (np.take, (state, gather, 0, scratch[: gather.size], "clip"))
+            )
+        for code, operands, out_lo, out_hi in runs:
+            views = [
+                (sflat if gathered else flat)[lo * batch : hi * batch]
+                for gathered, lo, hi in operands
+            ]
+            prog.append(
+                (
+                    _UFUNCS[code],
+                    (*views, flat[out_lo * batch : out_hi * batch]),
+                )
+            )
+    return prog

@@ -281,6 +281,8 @@ class TestMicroBatcherLive:
             assert calls == [[1], [2]]
             assert isinstance(batcher.last_error, RuntimeError)
 
+        run(main())
+
     def test_max_wait_anchored_to_arrival_not_collector_wakeup(self):
         """The anchor law, live: an item that queued up while the
         previous batch executed has its max_wait clock running from
@@ -318,5 +320,3 @@ class TestMicroBatcherLive:
         # Dispatched ~max_wait after ENQUEUE (0.3s), not ~max_wait
         # after the collector woke up (0.2 + 0.3 = 0.5s).
         assert 0.2 <= waited < 0.45
-
-        run(main())

@@ -7,11 +7,14 @@ comparison against the differential oracle's plan interpreter
 (:func:`~repro.verify.differential.interpret_plan`) or the scalar
 simulator, across generated DAGs (hypothesis), every synthetic family,
 the partitioned compile path and the serving assembly path.  Because
-the fused state reuses cells by liveness, a symbolic replay
-(:func:`_assert_layout_safe`) also checks that every kernel read sees
+the fused state reuses cells by liveness, a symbolic replay of the op
+table (:func:`_assert_layout_safe`) also checks that every op reads
 the value it was scheduled to read.
 """
 
+import hashlib
+import itertools
+import json
 from collections import Counter
 
 import numpy as np
@@ -38,7 +41,7 @@ from repro.sim import (
     run_program,
 )
 from repro.sim.batch import BOUND_SWEEP_CAP
-from repro.sim.fused import FUSED_ADD, FUSED_MUL, SRC_STATE
+from repro.sim.fused import FUSED_ADD, FUSED_MUL, _numpy_program
 from repro.sim.plan import MoveStep, contiguous_slice
 from repro.verify.differential import interpret_plan
 from repro.workloads.synth import SYNTH_FAMILIES, generate_synth
@@ -118,17 +121,21 @@ def _step_replay(plan, val):
 
 
 def _assert_layout_safe(fused, plan):
-    """Replay ``fused`` symbolically and check its cell reuse.
+    """Replay ``fused.ops`` symbolically, level by level, and check its
+    cell reuse.
 
     Every cell holds the symbolic value last written to it; values are
-    hash-consed expressions, so a kernel lane that read a clobbered
-    cell computes an expression the step tape never computes.  Asserts:
-    no cell is read before it is written in the run; no level reads a
-    cell it also writes, and its kernels write disjoint ranges; the
-    multiset of lane values equals the step tape's ops and every output
-    ends with the step tape's value (so every read saw the value it was
-    scheduled to read); zero cells are never written, nor output cells
-    after their value is.
+    hash-consed expressions, so an op that read a clobbered cell
+    computes an expression the step tape never computes.  Asserts:
+    ``level_bounds`` tiles the table; no cell is read before it is
+    written in the run; no level writes a cell twice or reads a cell it
+    writes (so running a level's rows in any order, as the native
+    kernel does one by one, is the same); a level is sorted by opcode
+    and its results are one block of consecutive cells (the numpy
+    sweep's one ufunc per run); the multiset of op values equals the
+    step tape's ops and every output ends with the step tape's value
+    (so every read saw the value it was scheduled to read); zero cells
+    are never written, nor output cells after their value is.
     """
     val = _Values()
     want_ops, want_outputs = _step_replay(plan, val)
@@ -145,31 +152,25 @@ def _assert_layout_safe(fused, plan):
         assert None not in values, "cell read before it was written"
         return values
 
-    for lv in fused.levels:
-        gather = [] if lv.gather is None else lv.gather.tolist()
-        gathered = read(gather)
-        reads = set(gather)
-        written: set[int] = set()
-        for k in lv.kernels:
-            operands = []
-            for src, start, stop in (
-                (k.a_src, k.a_start, k.a_stop),
-                (k.b_src, k.b_start, k.b_stop),
-            ):
-                if src == SRC_STATE:
-                    reads.update(range(start, stop))
-                    operands.append(read(range(start, stop)))
-                else:
-                    operands.append(gathered[start:stop])
-            out = range(k.out_start, k.out_stop)
-            assert written.isdisjoint(out), "kernels of a level overlap"
-            written.update(out)
-            new = [val(_OP[k.opcode], a, b) for a, b in zip(*operands)]
-            got_ops.update(new)
-            for c, v in zip(out, new):
-                holder[c] = v
-                history.setdefault(c, []).append(v)
-        assert reads.isdisjoint(written), "a level reads a cell it writes"
+    bounds = fused.level_bounds.tolist()
+    assert bounds[0] == 0 and bounds[-1] == fused.num_ops
+    assert all(lo < hi for lo, hi in itertools.pairwise(bounds))
+    assert fused.num_levels == len(bounds) - 1
+    for lo, hi in itertools.pairwise(bounds):
+        codes, a_cells, b_cells, outs = fused.ops[lo:hi].T.tolist()
+        assert codes == sorted(codes), "a level is not sorted by opcode"
+        assert outs == list(range(outs[0], outs[0] + len(outs)))
+        assert set(outs).isdisjoint(a_cells + b_cells), (
+            "a level reads a cell it writes"
+        )
+        new = [
+            val(_OP[code], a, b)
+            for code, a, b in zip(codes, read(a_cells), read(b_cells))
+        ]
+        got_ops.update(new)
+        for c, v in zip(outs, new):
+            holder[c] = v
+            history.setdefault(c, []).append(v)
     assert got_ops == want_ops
     for var, cell in zip(fused.output_vars, fused.output_cells.tolist()):
         assert holder[cell] == want_outputs[var], f"output var {var}"
@@ -181,6 +182,30 @@ def _assert_layout_safe(fused, plan):
         else:
             assert not written
     assert not any(c in history for c in fused.zero_pos.tolist())
+
+
+def _describe_program(fused, batch=3):
+    """The numpy sweep's bound calls as plain data: ufunc or gather
+    name, then each argument — the state, a view (buffer, element
+    offset, shape) or a gather index array (shape, digest)."""
+    state = fused.make_state(batch)
+
+    def arg(x):
+        if not isinstance(x, np.ndarray):
+            return x
+        if x is state:
+            return "state"
+        if x.dtype.kind == "i":
+            digest = hashlib.sha256(np.ascontiguousarray(x).tobytes())
+            return ["index", list(x.shape), digest.hexdigest()[:16]]
+        name = "state" if x.base is state else "scratch"
+        offset = (x.ctypes.data - x.base.ctypes.data) // 8
+        return [name, offset, list(x.shape)]
+
+    return [
+        [f.__name__, [arg(x) for x in args]]
+        for f, args in _numpy_program(fused, state)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +229,9 @@ class TestContiguousSlice:
 # ---------------------------------------------------------------------------
 class TestFusePlan:
     def test_kernel_count_bounded_by_dag_groups(self):
-        """One super-op kernel per (level, opcode) at most — the DAG's
-        level/opcode grouping is the lower bound the fusion targets."""
+        """One run of one opcode per (level, opcode) at most — the
+        DAG's level/opcode grouping is the lower bound the fusion
+        targets."""
         from repro.graphs import binarize
 
         dag = generate_synth("layered", 80, seed=3)
@@ -213,12 +239,15 @@ class TestFusePlan:
         fused = fuse_plan(result.plan())
         groups = DagArrays.of(binarize(dag).dag).level_opcode_groups()
         n_groups = sum(len(g) for g in groups)
-        n_kernels = sum(len(lv.kernels) for lv in fused.levels)
+        opcodes = [
+            [code for code, _ in itertools.groupby(fused.ops[lo:hi, 0])]
+            for lo, hi in itertools.pairwise(fused.level_bounds.tolist())
+        ]
+        n_kernels = sum(len(level) for level in opcodes)
         assert 0 < n_kernels <= n_groups
-        for lv in fused.levels:
-            opcodes = [k.opcode for k in lv.kernels]
-            assert len(opcodes) <= 2  # at most one ADD + one MUL kernel
-            assert opcodes == sorted(set(opcodes))
+        for level in opcodes:
+            # At most one ADD run and one MUL run per level.
+            assert level == sorted(set(level))
 
     def test_level_opcode_groups_partition_arith_nodes(self):
         dag = generate_synth("diamond", 50, seed=1)
@@ -240,10 +269,8 @@ class TestFusePlan:
         plus the base prefix, and never below the widest level."""
         dag = generate_synth("layered", 90, seed=3)
         fused = fuse_plan(compile_dag(dag, CFG).plan())
-        assert fused.state_size < fused.base_cells.size + fused.num_ops
-        widest = max(
-            sum(k.width for k in lv.kernels) for lv in fused.levels
-        )
+        assert fused.state_size < _base_cells(fused) + fused.num_ops
+        widest = int(np.diff(fused.level_bounds).max())
         assert fused.state_size >= widest
 
     def test_unknown_engine_rejected(self):
@@ -259,6 +286,12 @@ class TestFusePlan:
         for name in ("step", "warp"):
             with pytest.raises(SimulationError, match="unknown engine"):
                 BatchSimulator(plan, engine=name)
+
+
+def _base_cells(fused):
+    """Cells of the fused prefix the source plan's cells back: the
+    scattered inputs and the pinned zero cells."""
+    return np.union1d(fused.input_pos, fused.zero_pos).size
 
 
 def _assert_matches_scalar(fused, program, matrix, rows):
@@ -381,6 +414,24 @@ class TestEngineParity:
             _assert_layout_safe(fuse_plan(plan), plan)
 
 
+#: Per synth family (150 nodes, seed 13, ``CFG``): the numpy sweep's
+#: call count and the sha256 prefix of ``json.dumps`` of
+#: :func:`_describe_program`.  Recorded from the per-level kernel
+#: objects the sweep was bound from before it was derived from
+#: ``FusedPlan.ops``; a change to compiled programs moves them, as it
+#: moves the goldens.
+NUMPY_PROGRAMS = {
+    "deep": (74, "d868b9eb6fdc8194f32c2a38c3542c37"),
+    "diamond": (132, "305a9a8b1ce8feac38e2568f13e221c4"),
+    "disconnected": (18, "e5b6e3634b7c7504c53d67d8d12770b6"),
+    "layered": (76, "c2e0c0773e470ae652fa7b81ae35882c"),
+    "near_chain": (79, "bfd912a8229920a28c175435f50c5d70"),
+    "reuse": (22, "360fad9c904401e9df2855343db08493"),
+    "skewed_fanout": (36, "12243b702d966cfb4013ee87dc8f9108"),
+    "wide": (16, "17f7bb5145047603b2ddb36ed22b77cf"),
+}
+
+
 # ---------------------------------------------------------------------------
 # Bound sweeps: state reuse across runs and batch widths
 # ---------------------------------------------------------------------------
@@ -409,7 +460,7 @@ class TestBoundSweeps:
         points — must equal a fresh simulator's result bitwise."""
         dag, plan = self._plan()
         fused = fuse_plan(plan)
-        assert fused.state_size < fused.base_cells.size + fused.num_ops
+        assert fused.state_size < _base_cells(fused) + fused.num_ops
         sim = BatchSimulator(plan, fused_plan=fused)
         for widths in ((6,), range(1, BOUND_SWEEP_CAP + 1)):
             for seed in (1, 2, 1):
@@ -453,6 +504,16 @@ class TestBoundSweeps:
         assert len(sim._bound) <= BOUND_SWEEP_CAP
         assert 1 not in sim._bound  # oldest width evicted
 
+    @pytest.mark.parametrize("family", sorted(NUMPY_PROGRAMS))
+    def test_numpy_program_is_pinned(self, family):
+        """The numpy sweep bound from the op table makes the same calls,
+        in the same order, over the same views and gather indices as
+        the recorded program."""
+        dag = generate_synth(family, 150, seed=13)
+        calls = _describe_program(fuse_plan(compile_dag(dag, CFG).plan()))
+        digest = hashlib.sha256(json.dumps(calls).encode()).hexdigest()
+        assert (len(calls), digest[:32]) == NUMPY_PROGRAMS[family]
+
     def test_bind_sweep_matches_reference_executor(self):
         """A bare bound pair, scattered and swept by hand, equals the
         oracle's plan interpreter bitwise."""
@@ -483,9 +544,10 @@ class TestFusedCache:
         assert len(keys) == 3
 
     def test_pre_bump_entry_is_not_reused(self, tmp_path):
-        """A fused plan cached under the key of the uncompacted layout
-        (no layout version in it) is never served: the layout version
-        in ``fused_key`` moves every lookup to a fresh key."""
+        """A fused plan cached under the key of an older layout — the
+        uncompacted one (no layout version in its key) or ``fused-v4``
+        — is never served: the layout version in ``fused_key`` moves
+        every lookup to a fresh key."""
         from repro.arch import DEFAULT_TOPOLOGY
 
         configure_cache(tmp_path / "cache")
@@ -494,9 +556,14 @@ class TestFusedCache:
         pkey = plan_key(result.cache_key, DEFAULT_TOPOLOGY)
         old_key = _h(b"fused", pkey.encode()).hex()
         assert fused_key(pkey) != old_key
+        # The key of the last layout with per-level kernel objects.
+        v4_key = _h(b"fused", b"fused-v4", pkey.encode()).hex()
+        assert fused_key(pkey) != v4_key
         get_cache().put(old_key, "stale uncompacted plan")
+        get_cache().put(v4_key, "stale level-tree plan")
         fused = cached_fused_plan(result)
         assert isinstance(fused, FusedPlan)
         assert fused.fingerprint == fuse_plan(result.plan()).fingerprint
         assert get_cache().get(fused_key(pkey)) is not None
         assert get_cache().get(old_key) == "stale uncompacted plan"
+        assert get_cache().get(v4_key) == "stale level-tree plan"
