@@ -7,9 +7,7 @@ the cold ``result.plan()`` lowering after each monolithic compile
 (timed separately, recorded as ``lower``), across:
 
 * the Table-I ``pc`` + ``sptrsv`` workloads at the default test scale;
-* the ``synth_xl`` group (50k-200k node synthetic DAGs) where the
-  partition-parallel path (``partition_threshold`` / ``jobs``) is the
-  production configuration.
+* the ``synth_xl`` group (50k-200k node synthetic DAGs).
 
 Results go three places:
 
@@ -30,13 +28,12 @@ against the checked-in reference envelope.
 Run from the repo root::
 
     PYTHONPATH=src:tools python benchmarks/bench_compile_scaling.py \
-        --profile suite --jobs 2
+        --profile suite
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -54,13 +51,6 @@ from repro.arch import MIN_EDP_CONFIG  # noqa: E402
 from repro.compiler import compile_dag  # noqa: E402
 from repro.workloads import DEFAULT_SCALE, build_workload, workload_names  # noqa: E402
 
-#: compile_dag grows partition/jobs knobs in the array-kernel rewrite;
-#: feature-detect so this script can also time the pre-rewrite
-#: compiler when capturing baselines.
-_HAS_PARTITION = (
-    "partition_threshold" in inspect.signature(compile_dag).parameters
-)
-
 BENCH_NAME = "compile_scaling"
 
 
@@ -70,8 +60,7 @@ def _profile_workloads(profile: str) -> list[tuple[str, float]]:
     xl = [(n, 1.0) for n in workload_names(("synth_xl",))]
     if profile == "smoke":
         # Small, CI-friendly fixture: two Table-I shapes plus one
-        # mid-size synth DAG large enough to exercise partitioning
-        # with a lowered threshold.
+        # mid-size synth DAG.
         return [
             ("tretail", DEFAULT_SCALE),
             ("dw2048", DEFAULT_SCALE),
@@ -86,7 +75,7 @@ def _profile_workloads(profile: str) -> list[tuple[str, float]]:
     raise SystemExit(f"unknown profile {profile!r}")
 
 
-def _time_compile(make_dag, repeat: int, **kwargs) -> tuple[float, object]:
+def _time_compile(make_dag, repeat: int) -> tuple[float, object]:
     """Min-of-``repeat`` cold compile time, with that compile's result
     (so a record's per-pass times come from its timed compile).
 
@@ -100,9 +89,7 @@ def _time_compile(make_dag, repeat: int, **kwargs) -> tuple[float, object]:
     for _ in range(repeat):
         dag = make_dag()
         t0 = time.perf_counter()
-        result = compile_dag(
-            dag, MIN_EDP_CONFIG, validate_input=False, **kwargs
-        )
+        result = compile_dag(dag, MIN_EDP_CONFIG, validate_input=False)
         dt = time.perf_counter() - t0
         if best is None or dt < best[0]:
             best = (dt, result)
@@ -117,25 +104,18 @@ def _time_lower(result) -> float:
     return time.perf_counter() - t0
 
 
-def _record(name, dag, mode, seconds, result, lower=None) -> dict:
-    stats = getattr(result, "stats", None)
-    rec = {
+def _record(name, dag, seconds, result, lower) -> dict:
+    return {
         "workload": name,
         "nodes": dag.num_nodes,
-        "mode": mode,
+        "mode": "monolithic",
         "seconds": round(seconds, 4),
+        "lower": round(lower, 4),
+        "instructions": result.total_instructions,
+        "passes": {
+            k: round(v, 4) for k, v in result.stats.step_seconds.items()
+        },
     }
-    if lower is not None:
-        rec["lower"] = round(lower, 4)
-    if stats is not None:
-        rec["instructions"] = getattr(result, "total_instructions", None)
-        rec["passes"] = {
-            k: round(v, 4) for k, v in stats.step_seconds.items()
-        }
-        pieces = getattr(stats, "pieces", 0)
-        if pieces:
-            rec["pieces"] = pieces
-    return rec
 
 
 def run_bench(args: argparse.Namespace) -> list[dict]:
@@ -147,49 +127,24 @@ def run_bench(args: argparse.Namespace) -> list[dict]:
         dag = make_dag()
         seconds, result = _time_compile(make_dag, args.repeat)
         lower = _time_lower(result)
-        records.append(
-            _record(name, dag, "monolithic", seconds, result, lower)
-        )
+        records.append(_record(name, dag, seconds, result, lower))
         print(
             f"  {name:<24} {dag.num_nodes:>8} nodes  "
-            f"monolithic      {seconds:8.3f}s  lower {lower:7.3f}s",
+            f"{seconds:8.3f}s  lower {lower:7.3f}s",
             flush=True,
         )
-        if not _HAS_PARTITION or dag.num_nodes <= args.partition_threshold:
-            continue
-        for jobs in sorted({1, args.jobs}):
-            mode = f"partitioned-j{jobs}"
-            seconds, result = _time_compile(
-                make_dag,
-                args.repeat,
-                partition_threshold=args.partition_threshold,
-                jobs=jobs,
-            )
-            records.append(_record(name, dag, mode, seconds, result))
-            print(
-                f"  {name:<24} {dag.num_nodes:>8} nodes  "
-                f"{mode:<15} {seconds:8.3f}s",
-                flush=True,
-            )
     return records
 
 
-def production_seconds(records: list[dict]) -> dict[str, float]:
-    """Per-workload production-path time: the fastest measured mode.
-
-    Monolithic vs partitioned vs partitioned+jobs is a deployment
-    knob; a production sweep picks whichever is fastest for the
-    machine at hand (partitioning pays off with many cores and bounds
-    peak memory; on small hosts the monolithic array kernels often
-    win outright now).
-    """
-    best: dict[str, float] = {}
-    for rec in records:
-        name = rec["workload"]
-        seconds = rec["seconds"]
-        if name not in best or seconds < best[name]:
-            best[name] = seconds
-    return best
+def workload_seconds(records: list[dict]) -> dict[str, float]:
+    """Per-workload compile seconds.  Older trajectories also hold
+    ``partitioned-jN`` records of the removed partition-parallel
+    compiler; only ``monolithic`` records are compared."""
+    return {
+        rec["workload"]: rec["seconds"]
+        for rec in records
+        if rec["mode"] == "monolithic"
+    }
 
 
 def record_seconds(records: list[dict]) -> dict[str, float]:
@@ -207,46 +162,40 @@ def render_report(
 ) -> str:
     lines = [
         "cold compile scaling "
-        f"(profile={args.profile}, repeat={args.repeat}, "
-        f"partition_threshold={args.partition_threshold}, jobs={args.jobs})",
+        f"(profile={args.profile}, repeat={args.repeat})",
         "",
-        f"{'workload':<26}{'nodes':>9}  {'mode':<16}{'seconds':>9}"
+        f"{'workload':<26}{'nodes':>9}  {'seconds':>9}"
         f"{'decompose':>10}{'map':>9}{'spill':>9}{'lower':>9}",
-        "-" * 99,
+        "-" * 81,
     ]
 
     def cell(value, width=9):
-        return f"{value:>{width}.3f}" if value is not None else " " * width
+        return f"{value:>{width}.3f}"
 
     for rec in records:
-        passes = rec.get("passes", {})
-        row = (
+        passes = rec["passes"]
+        lines.append(
             f"{rec['workload']:<26}{rec['nodes']:>9}  "
-            f"{rec['mode']:<16}{rec['seconds']:>9.3f}"
-            + cell(passes.get("decompose"), 10)
-            + cell(passes.get("map"))
-            + cell(passes.get("spill"))
-            + cell(rec.get("lower"))
+            f"{rec['seconds']:>9.3f}"
+            + cell(passes.get("decompose", 0.0), 10)
+            + cell(passes.get("map", 0.0))
+            + cell(passes.get("spill", 0.0))
+            + cell(rec["lower"])
         )
-        lines.append(row.rstrip())
-    cur = production_seconds(records)
-    total = sum(cur.values())
-    # Pass and lowering totals are over monolithic records only: a
-    # partitioned record's passes sum over its pieces.
-    mono = [rec for rec in records if rec["mode"] == "monolithic"]
+    cur = workload_seconds(records)
     decompose_total, map_total, spill_total = (
-        sum(rec.get("passes", {}).get(name, 0.0) for rec in mono)
+        sum(rec["passes"].get(name, 0.0) for rec in records)
         for name in ("decompose", "map", "spill")
     )
-    lower_total = sum(rec.get("lower", 0.0) for rec in mono)
+    lower_total = sum(rec["lower"] for rec in records)
     lines += [
-        "-" * 99,
-        f"{'production total':<51}{total:>9.3f}"
+        "-" * 81,
+        f"{'total':<37}{sum(cur.values()):>9.3f}"
         + cell(decompose_total, 10)
         + "".join(cell(t) for t in (map_total, spill_total, lower_total)),
     ]
     if baseline:
-        base = production_seconds(baseline)
+        base = workload_seconds(baseline)
         shared = sorted(set(cur) & set(base))
         if shared:
             lines += ["", "speedup vs baseline (baseline_s / current_s):"]
@@ -269,11 +218,8 @@ def check_envelope(
 ) -> int:
     """CI gate: fail when the cold-compile total regresses too far.
 
-    Gates on the sum over every shared ``workload|mode`` record —
-    NOT the per-workload minimum — so a regression confined to the
-    partitioned path cannot hide behind a fast monolithic compile.
-    Modes absent from the reference (e.g. a different ``--jobs``) are
-    ignored, so pin ``--jobs`` in CI to match the envelope.
+    Gates on the sum over every ``workload|mode`` record shared with
+    the reference, so single-workload jitter does not flake it.
     """
     with open(envelope_path, encoding="utf-8") as fh:
         envelope = json.load(fh)
@@ -309,10 +255,6 @@ def main(argv: list[str] | None = None) -> int:
         choices=("smoke", "suite", "xl", "full"),
     )
     parser.add_argument("--repeat", type=int, default=1)
-    parser.add_argument("--partition-threshold", type=int, default=20_000)
-    parser.add_argument(
-        "--jobs", type=int, default=max(1, (os.cpu_count() or 1))
-    )
     parser.add_argument(
         "--out", default=os.path.join(_ROOT, "results", "bench_compile_scaling.txt")
     )
@@ -333,10 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-regression", type=float, default=2.0)
     args = parser.parse_args(argv)
 
-    print(
-        f"profile={args.profile} partition={_HAS_PARTITION} "
-        f"jobs={args.jobs} threshold={args.partition_threshold}"
-    )
+    print(f"profile={args.profile} repeat={args.repeat}")
     records = run_bench(args)
 
     baseline = None
@@ -349,11 +288,7 @@ def main(argv: list[str] | None = None) -> int:
         os.makedirs(os.path.dirname(args.out), exist_ok=True)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report)
-    extra = {
-        "profile": args.profile,
-        "jobs": args.jobs,
-        "partition_threshold": args.partition_threshold,
-    }
+    extra = {"profile": args.profile}
     if args.json:
         append_run(
             args.json, BENCH_NAME, records, label=args.label, extra=extra

@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
-"""Bring your own DAG: NetworkX import, partitioning, encoding.
+"""Bring your own DAG: NetworkX import, compilation, encoding.
 
 Shows the interop surface a downstream user needs: build a graph in
 NetworkX (the format the paper's compiler accepts), import it, compile
-it, inspect the binary encoding, and use the GRAPHOPT-style partitioner
-for graphs too large to decompose in one piece.
+it, and inspect the binary encoding.
 
 Run:  python examples/custom_dag.py
 """
@@ -13,12 +12,7 @@ import networkx as nx
 
 from repro import ArchConfig, compile_dag, run_program
 from repro.arch import encode_program
-from repro.graphs import (
-    from_networkx,
-    partition_topological,
-    to_networkx,
-)
-from repro.workloads import build_workload
+from repro.graphs import from_networkx, to_networkx
 
 
 def build_networkx_dag() -> nx.DiGraph:
@@ -78,15 +72,6 @@ def main() -> None:
 
     # Round-trip back to NetworkX for export.
     assert nx.is_directed_acyclic_graph(to_networkx(dag))
-
-    # Large graphs: coarse partitioning first (§V-B compile times).
-    big = build_workload("msnbc", scale=0.1)
-    parts = partition_topological(big, max_nodes=1000)
-    print(
-        f"partitioned {big.name} ({big.num_nodes} nodes) into "
-        f"{parts.num_parts} dependency-ordered pieces "
-        f"({parts.cut_edges} cut edges)"
-    )
 
 
 if __name__ == "__main__":

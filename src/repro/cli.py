@@ -218,21 +218,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def cmd_compile(args: argparse.Namespace) -> int:
     dag = _resolve_workload(args.workload, args.scale)
     config = _parse_config(args.config)
-    result = compile_dag(
-        dag,
-        config,
-        seed=args.seed,
-        partition_threshold=args.partition_threshold,
-        jobs=args.jobs or 1,
-    )
+    result = compile_dag(dag, config, seed=args.seed)
     s = result.stats
     print(f"workload : {dag.name} ({s.num_nodes} nodes, "
           f"{s.num_operations} binary ops)")
     print(f"config   : {config} ({config.num_pes} PEs)")
-    if s.pieces:
-        print(f"pieces   : {s.pieces} partitions "
-              f"(<= {args.partition_threshold} nodes each, "
-              f"jobs={args.jobs or 1})")
     print(f"blocks   : {s.num_blocks} (PE utilization "
           f"{100 * s.pe_utilization:.0f}%)")
     print(f"program  : {result.total_instructions} instructions "
@@ -453,7 +443,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     image-roundtrip            image_corrupt       i % 4 = 0
     served-vs-direct           serve_output        i % 4 = 1
     routed-vs-direct           router_output       i % 4 = 1
-    partitioned-vs-reference   partition_boundary  i % 4 = 3
     warm-vs-cold               warm_output         all
     =========================  ==================  =========
 
@@ -586,7 +575,6 @@ def _serve_specs(args: argparse.Namespace) -> list:
             config_label=args.config,
             seed=args.seed,
             scale=args.scale,
-            partition_threshold=args.partition_threshold,
         )
         for name in names
     ]
@@ -808,8 +796,6 @@ def _shard_argv(
     ]
     if args.no_cache:
         cmd.append("--no-cache")
-    if args.partition_threshold is not None:
-        cmd += ["--partition-threshold", str(args.partition_threshold)]
     if trace_dir is not None:
         cmd += ["--trace", str(Path(trace_dir) / f"shard{index}.json")]
     return cmd
@@ -1250,12 +1236,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", help="compile and print statistics")
     _add_common(p)
-    p.add_argument(
-        "--partition-threshold", type=int, default=None, metavar="N",
-        help="split DAGs larger than N nodes GRAPHOPT-style and "
-        "compile the partitions independently (paper uses ~20000)",
-    )
-    _add_jobs_arg(p)
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("run", help="compile, simulate, verify")
@@ -1450,11 +1430,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers", type=int, default=0, metavar="N",
             help="execute micro-batches on N worker processes "
             "(0: inline on the event loop)",
-        )
-        p.add_argument(
-            "--partition-threshold", type=int, default=None, metavar="N",
-            help="compile DAGs larger than N nodes via the "
-            "partition-parallel path",
         )
 
     p = sub.add_parser(

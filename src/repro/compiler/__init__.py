@@ -36,12 +36,6 @@ from .liveness import (
 )
 from .arrays import DagArrays
 from .mapping import Mapping, map_banks
-from .partitioned import (
-    DEFAULT_PARTITION_NODES,
-    CompiledPiece,
-    PartitionedCompileResult,
-    compile_partitioned,
-)
 from .pipeline import CompileResult, CompileStats, compile_dag
 from .placement import BlockPlacement, place_block, writer_pe
 from .regalloc import Allocation, allocate_addresses
@@ -56,13 +50,9 @@ from .spill import SpillResult, insert_spills
 
 __all__ = [
     "compile_dag",
-    "compile_partitioned",
     "CompileResult",
     "CompileStats",
-    "CompiledPiece",
     "DagArrays",
-    "DEFAULT_PARTITION_NODES",
-    "PartitionedCompileResult",
     "Cone",
     "LeafInst",
     "OpInst",

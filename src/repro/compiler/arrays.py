@@ -10,8 +10,8 @@ levels, DFS positions — as numpy arrays the kernels index directly.
 
 Instances are memoized per DAG (weak keys), so ``DagArrays.of(dag)``
 is free after the first call: the decompose -> map -> schedule ->
-liveness -> spill pipeline, repeated compiles in a DSE sweep, and the
-partition-parallel driver all share one build.
+liveness -> spill pipeline and repeated compiles in a DSE sweep all
+share one build.
 
 The arrays are *views of immutable data*: treat every attribute as
 read-only.  Kernels that need scratch state (e.g. the incremental

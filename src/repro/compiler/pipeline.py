@@ -7,13 +7,11 @@ Pass order::
              -> liveness flags     -> spill (step 4)
              -> address allocation -> Program
 
-For very large DAGs the paper first splits the graph with a
-GRAPHOPT-style partitioner (~20k nodes per piece) and compiles pieces
-independently; that partitioner is available as
-:func:`repro.graphs.partition_topological` and composes with this
-driver (compile each partition's induced subgraph, boundary values
-flowing through data memory).  The monolithic path below comfortably
-handles the benchmark suite's sizes.
+For DAGs beyond ~20k nodes the paper (§V-B) first splits the graph
+with the GRAPHOPT partitioner and compiles the pieces independently.
+This driver always compiles the whole DAG at once: it handles the
+267k-node ``synth_xl_reuse_200k`` in ~10 s, and splitting it cost
+more time, memory and instructions (README, *Large-DAG compilation*).
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import time
 from dataclasses import dataclass, field
 
 from ..arch import ArchConfig, Interconnect, Program, Topology
-from ..errors import CompileError
 from ..graphs import DAG, OpType, binarize, validate
 from ..obs import trace
 from ..obs.metrics import get_registry
@@ -57,8 +54,6 @@ class CompileStats:
     mapping_repairs: int = 0
     compile_seconds: float = 0.0
     step_seconds: dict[str, float] = field(default_factory=dict)
-    #: Number of independently compiled partitions (0 = monolithic).
-    pieces: int = 0
 
 
 @dataclass
@@ -125,9 +120,7 @@ def compile_dag(
     trace_occupancy: bool = False,
     validate_input: bool = True,
     keep: frozenset[int] | set[int] | tuple[int, ...] = (),
-    partition_threshold: int | None = None,
-    jobs: int = 1,
-):
+) -> CompileResult:
     """Compile a DAG for a DPU-v2 configuration.
 
     Args:
@@ -140,8 +133,6 @@ def compile_dag(
             ``"random"`` (fig. 10(b) baseline).
         trace_occupancy: Record the per-instruction bank-occupancy
             trace (fig. 10(c)/(d)); costs memory on long programs.
-            Mutually exclusive with the partitioned path — combining
-            it with an active ``partition_threshold`` raises.
         validate_input: Run structural validation first (disable for
             trusted, repeatedly compiled DAGs).
         keep: Original-DAG node ids whose values must be observable
@@ -149,45 +140,11 @@ def compile_dag(
             sinks).  Values fully consumed inside the PE trees never
             reach the register file otherwise — use this e.g. for
             every ``x_i`` of a triangular solve.
-        partition_threshold: When set and the DAG is larger than this
-            many nodes, split it GRAPHOPT-style and compile partitions
-            independently (returns a
-            :class:`~repro.compiler.partitioned.PartitionedCompileResult`
-            instead of a :class:`CompileResult`; boundary values flow
-            through data memory and execution is bitwise-identical to
-            the monolithic program).  ``None`` (default) always
-            compiles monolithically.
-        jobs: Worker processes for the partitioned path (ignored when
-            compiling monolithically).
-
-    Returns:
-        A :class:`CompileResult`, or a ``PartitionedCompileResult``
-        when the partitioned path is taken.
 
     Raises:
         CompileError and subclasses on any internal inconsistency —
         the pipeline cross-checks every pass.
     """
-    if partition_threshold is not None and dag.num_nodes > partition_threshold:
-        if trace_occupancy:
-            raise CompileError(
-                "trace_occupancy is not supported on the partitioned "
-                "path; compile monolithically (partition_threshold=None) "
-                "to record occupancy traces"
-            )
-        from .partitioned import compile_partitioned
-
-        return compile_partitioned(
-            dag,
-            config,
-            topology=topology,
-            seed=seed,
-            mapping_strategy=mapping_strategy,
-            validate_input=validate_input,
-            keep=keep,
-            partition_threshold=partition_threshold,
-            jobs=jobs,
-        )
     t_start = time.perf_counter()
     steps: dict[str, float] = {}
     compile_span = trace.span(

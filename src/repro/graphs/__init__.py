@@ -14,12 +14,6 @@ from .io import (
     to_networkx,
 )
 from .node import NodeRecord, OpType
-from .partition import (
-    Partitioning,
-    boundary_values,
-    check_partitioning,
-    partition_topological,
-)
 from .stats import DagStats, dag_stats, fan_in_histogram, fan_out_histogram
 from .traversal import (
     ancestors_within,
@@ -47,10 +41,6 @@ __all__ = [
     "dag_stats",
     "fan_in_histogram",
     "fan_out_histogram",
-    "Partitioning",
-    "partition_topological",
-    "check_partitioning",
-    "boundary_values",
     "topological_order",
     "node_levels",
     "level_sets",

@@ -12,8 +12,7 @@ requests:
 * :mod:`repro.serve.planpool` — the warm pool of compiled + lowered
   programs, keyed by content fingerprint and fed through the
   content-addressed artifact cache (a warm disk cache makes process
-  start instant; misses compile via the PR-4 partition-parallel path
-  for large DAGs);
+  start instant; a miss compiles the whole DAG once);
 * :mod:`repro.serve.service` — the asyncio
   :class:`~repro.serve.service.InferenceService`: submit -> coalesce
   -> execute (inline or across worker processes) -> scatter, with

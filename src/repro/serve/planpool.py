@@ -16,10 +16,6 @@ cached_compile` / :func:`cached_plan`), which means
   nothing and loads each plan at most once (its own in-memory pool
   holds it after that).
 
-DAGs above ``partition_threshold`` nodes compile through the
-partition-parallel path (``compile_dag(partition_threshold=..,
-jobs=..)``, PR 4) and are served by the stitched batch executor.
-
 Access is guarded by an RLock: the asyncio service calls from the
 event-loop thread while worker initializers and tests may touch pools
 from other threads.
@@ -35,23 +31,12 @@ from typing import Callable
 
 import numpy as np
 
-import hashlib
-
-from ..errors import ReproError, ServeError
+from ..errors import ServeError
 from ..graphs import DAG, OpType, from_json
 from ..obs import trace
 from ..obs.metrics import get_registry
-from ..runner.cache import (
-    cached_compile,
-    cached_fused_plan,
-    cached_plan,
-    get_cache,
-)
-from ..runner.fingerprint import (
-    COMPILER_CACHE_VERSION,
-    config_fingerprint,
-    dag_fingerprint,
-)
+from ..runner.cache import cached_compile, cached_fused_plan, cached_plan
+from ..runner.fingerprint import config_fingerprint, dag_fingerprint
 from ..sim import BatchSimulator
 from ..workloads import DEFAULT_SCALE, SynthParams, build_workload
 from ..workloads.suite import _BY_NAME as _SUITE_NAMES
@@ -104,8 +89,6 @@ class ProgramSpec:
     scale: float = DEFAULT_SCALE
     synth: SynthParams | None = None
     dag_json: str | None = None
-    partition_threshold: int | None = None
-    partition_jobs: int = 1
 
     @property
     def key(self) -> str:
@@ -164,7 +147,7 @@ class ServedProgram:
 
 
 def _plan_executor(plan, sink_vars, fused_plan=None):
-    """Serve through one monolithic ExecutionPlan (the common path)."""
+    """Serve through one ExecutionPlan on the fused batch engine."""
     # One simulator per served program: its slot-sort/dense-check
     # precompute and per-batch-width bound sweeps run once here, not
     # per dispatched micro-batch.
@@ -186,87 +169,12 @@ def _plan_executor(plan, sink_vars, fused_plan=None):
     return execute
 
 
-def _partitioned_executor(part, sinks):
-    """Serve through the stitched partition-parallel executor."""
-
-    def execute(rows: Sequence[np.ndarray]) -> dict[int, np.ndarray]:
-        width = part.dag.num_inputs
-        clipped = []
-        for j, row in enumerate(rows):
-            r = np.asarray(row, dtype=np.float64)
-            if r.ndim != 1 or r.shape[0] < width:
-                raise ServeError(
-                    f"row {j}: need a 1-D vector of >= {width} entries"
-                )
-            clipped.append(r[:width])
-        values = part.run_batch(np.stack(clipped))
-        return {node: values[node] for node in sinks}
-
-    return execute
-
-
-def _ordered_dag_digest(dag: DAG) -> str:
-    """Digest of the DAG *as numbered* (not permutation-invariant).
-
-    Partitioned results are keyed by original node ids, so a cache
-    hit is only valid for an identically-numbered DAG — unlike
-    ``cached_compile``, which re-derives its node map structurally.
-    """
-    h = hashlib.blake2b(digest_size=16)
-    for node in range(dag.num_nodes):
-        op = dag.op(node)
-        h.update(op.name.encode())
-        if op is OpType.INPUT:
-            h.update(dag.input_slot(node).to_bytes(4, "little"))
-        for pred in dag.predecessors(node):
-            h.update(pred.to_bytes(4, "little"))
-    return h.hexdigest()
-
-
-def _partitioned_compile(dag: DAG, config, spec: ProgramSpec, threshold: int):
-    """Partition-parallel compile, memoized through the artifact cache.
-
-    ``compile_dag(partition_threshold=...)`` itself never touches the
-    cache, so without this every worker process would redo the whole
-    multi-second compile on its first batch.  The key covers the
-    exact (numbered) DAG, the full config, seed, threshold and
-    compiler version; ``partition_jobs`` only parallelizes the build,
-    so it stays out of the key.
-    """
-    from ..compiler import compile_dag
-
-    cache = get_cache()
-    key = hashlib.blake2b(
-        "|".join((
-            "served-partitioned",
-            COMPILER_CACHE_VERSION,
-            _ordered_dag_digest(dag),
-            config_fingerprint(config),
-            str(spec.seed),
-            str(threshold),
-        )).encode(),
-        digest_size=16,
-    ).hexdigest()
-    part = cache.get(key)
-    if part is None:
-        part = compile_dag(
-            dag,
-            config,
-            seed=spec.seed,
-            partition_threshold=threshold,
-            jobs=spec.partition_jobs,
-        )
-        cache.put(key, part)
-    return part
-
-
 def build_served_program(spec: ProgramSpec) -> ServedProgram:
     """Compile/lower one spec into a ready-to-serve program.
 
     Goes through the content-addressed artifact cache, so repeated
     builds of the same content (across processes, restarts, workers)
-    skip compilation.  DAGs above ``spec.partition_threshold`` nodes
-    take the partition-parallel compile path instead.
+    skip compilation.
     """
     dag = spec.build_dag()
     config = spec.config()
@@ -275,22 +183,6 @@ def build_served_program(spec: ProgramSpec) -> ServedProgram:
     if not sinks:
         raise ServeError(
             f"program {spec.key!r} has no computable outputs"
-        )
-    threshold = spec.partition_threshold
-    if threshold is not None and dag.num_nodes > threshold:
-        part = _partitioned_compile(dag, config, spec, threshold)
-        cycles = sum(
-            p.result.plan().cycles_per_row for p in part.pieces
-        )
-        return ServedProgram(
-            key=spec.key,
-            spec=spec,
-            fingerprint=fingerprint,
-            num_inputs=dag.num_inputs,
-            num_nodes=dag.num_nodes,
-            cycles_per_row=cycles,
-            sink_vars=tuple((s, -1) for s in sinks),
-            _executor=_partitioned_executor(part, sinks),
         )
     result = cached_compile(dag, config, seed=spec.seed)
     plan = cached_plan(result)
@@ -332,12 +224,7 @@ class PlanPool:
         self.misses = 0
 
     def _content_key(self, spec: ProgramSpec, fingerprint: str) -> tuple:
-        return (
-            fingerprint,
-            config_fingerprint(spec.config()),
-            spec.seed,
-            spec.partition_threshold,
-        )
+        return (fingerprint, config_fingerprint(spec.config()), spec.seed)
 
     def register(self, spec: ProgramSpec) -> ServedProgram:
         """Get-or-build the served program for ``spec``.

@@ -3,10 +3,9 @@
 The stack has three independent ways to execute a DAG — the golden
 reference interpreter, the scalar verifying simulator and the fused
 batch engine — plus the oracle's direct interpreter of a plan's step
-tape, the serving and routing tiers, binary artifact images, the
-partition-parallel compile path, analytic activity counters and a
-content-addressed artifact cache.  This subsystem turns that redundancy into a verification
-harness:
+tape, the serving and routing tiers, binary artifact images,
+analytic activity counters and a content-addressed artifact cache.
+This subsystem turns that redundancy into a verification harness:
 
 * :mod:`repro.verify.differential` — the differential oracle
   (:func:`diff_check_dag` / :func:`check_scenario`) and its stage
@@ -33,7 +32,6 @@ fused-vs-batch             fused_output        i % 4 = 2
 image-roundtrip            image_corrupt       i % 4 = 0
 served-vs-direct           serve_output        i % 4 = 1
 routed-vs-direct           router_output       i % 4 = 1
-partitioned-vs-reference   partition_boundary  i % 4 = 3
 warm-vs-cold               warm_output         all
 =========================  ==================  =========
 

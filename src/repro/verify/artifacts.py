@@ -40,6 +40,13 @@ DEFAULT_CASE_DIR = Path("results") / "repro_cases"
 #: cases (one boolean per stage) still load, see :func:`_from_v1`.
 _SCHEMA = 2
 
+#: The oracle stage, and its fault, that cross-checked the
+#: partition-parallel compile path, which no longer exists.  Cases
+#: written before it went carry inert ``partition_threshold`` /
+#: ``partition_jobs`` keys; a case that armed the stage cannot replay.
+_REMOVED_STAGE = "partitioned-vs-reference"
+_REMOVED_FAULT = "partition_boundary"
+
 
 @dataclass(frozen=True)
 class ReproCase:
@@ -96,8 +103,7 @@ def write_case(case: ReproCase, out_dir: str | Path | None = None) -> Path:
 def _from_v1(raw: dict) -> dict:
     """A schema-1 scenario in schema-2 terms: ``config`` is
     ``config_label``, and its one flag per optional stage becomes
-    ``stages`` (``serve`` armed both serving stages, a partition
-    threshold the partitioned one)."""
+    ``stages`` (``serve`` armed both serving stages)."""
     serve, fused, image = (
         raw.pop(flag, False) for flag in ("serve", "fused", "image")
     )
@@ -106,18 +112,41 @@ def _from_v1(raw: dict) -> dict:
         "routed-vs-direct": serve,
         "fused-vs-batch": fused,
         "image-roundtrip": image,
-        "partitioned-vs-reference": raw.get("partition_threshold") is not None,
     }
     raw["stages"] = [s.name for s in STAGES if armed.get(s.name)]
     raw["config_label"] = raw.pop("config")
     return raw
 
 
+def _drop_partition_keys(raw: dict, path: str | Path) -> None:
+    """Drop the partition-parallel keys of a case written before that
+    compile path was removed.
+
+    Raises:
+        VerificationError: The case armed the removed stage (a
+            threshold, the stage name or its fault).
+    """
+    threshold = raw.pop("partition_threshold", None)
+    raw.pop("partition_jobs", None)
+    if (
+        threshold is not None
+        or _REMOVED_STAGE in raw.get("stages", ())
+        or raw.get("fault") == _REMOVED_FAULT
+    ):
+        raise VerificationError(
+            f"{path}: the case arms the removed oracle stage "
+            f"{_REMOVED_STAGE!r} (partition-parallel compilation is "
+            "gone), so it cannot be replayed"
+        )
+
+
 def load_case(path: str | Path) -> ReproCase:
     """Load a case file back into memory.
 
     Raises:
-        VerificationError: On a malformed or wrong-schema file.
+        VerificationError: On a malformed or wrong-schema file, or a
+            case that arms the removed ``partitioned-vs-reference``
+            stage.
     """
     try:
         payload = json.loads(Path(path).read_text())
@@ -129,6 +158,7 @@ def load_case(path: str | Path) -> ReproCase:
         raw = dict(payload["scenario"])
         if payload["schema"] == 1:
             raw = _from_v1(raw)
+        _drop_partition_keys(raw, path)
         raw["params"] = SynthParams.from_dict(raw["params"])
         raw["stages"] = tuple(raw.get("stages", ()))
         scenario = Scenario(**raw)

@@ -19,8 +19,7 @@ reports, the injected fault it must catch and the ``i % 4`` slot of
 the fuzz scenarios that run it.  The stages run in registry order and
 the first disagreement wins.  A stage's ``check`` docstring says what
 it compares; ``warm-vs-cold`` only runs with an artifact cache
-configured, and the partitioned stage only on DAGs large enough to
-split.
+configured.
 
 :func:`diff_check_dag` runs the oracle on a bare DAG and returns the
 first mismatch (or ``None``); :func:`check_scenario` wraps it with
@@ -94,11 +93,6 @@ class Scenario:
     #: Optional oracle stages (names from :data:`STAGES`) this
     #: scenario runs on top of the always-on ones.
     stages: tuple[str, ...] = ()
-    #: Parameters of the ``partitioned-vs-reference`` stage: pieces of
-    #: at most this many nodes (default: half the DAG), compiled by
-    #: ``partition_jobs`` workers.
-    partition_threshold: int | None = None
-    partition_jobs: int = 1
 
     def config(self) -> ArchConfig:
         return config_from_label(self.config_label)
@@ -113,8 +107,6 @@ class Scenario:
             batch=self.batch,
             fault=self.fault,
             stages=self.stages,
-            partition_threshold=self.partition_threshold,
-            partition_jobs=self.partition_jobs,
         )
 
 
@@ -172,8 +164,6 @@ class StageContext:
     matrix: np.ndarray  # (B, inputs) input rows
     reference: np.ndarray  # (B, vars) golden value of every variable
     batch: BatchResult  # direct batch execution of ``matrix``
-    partition_threshold: int | None
-    partition_jobs: int
 
     @property
     def rows(self) -> int:
@@ -484,54 +474,6 @@ def _check_routed(ctx: StageContext, inject: bool) -> Mismatch | None:
     )
 
 
-def _check_partitioned(ctx: StageContext, inject: bool) -> Mismatch | None:
-    """Compile through the partition-parallel path (pieces of at most
-    ``partition_threshold`` nodes, default half the DAG, so at least
-    two pieces at any size): the stitched scalar and batch executions
-    must match the golden interpreter bitwise on every extracted node
-    (boundary values, keeps and sinks)."""
-    dag = ctx.dag
-    threshold = ctx.partition_threshold
-    if threshold is None:
-        threshold = max(1, dag.num_nodes // 2)
-    if dag.num_nodes <= threshold:
-        return None  # a single piece: nothing is stitched
-    try:
-        part = compile_dag(
-            dag,
-            ctx.config,
-            topology=DEFAULT_TOPOLOGY,
-            seed=ctx.compile_seed,
-            validate_input=False,
-            partition_threshold=threshold,
-            jobs=ctx.partition_jobs,
-        )
-    except SpillError:
-        raise
-    except ReproError as exc:
-        return _failed("partition-compile", exc)
-    inputs = ctx.matrix[:, : dag.num_inputs]
-    try:
-        stitched = _scalars(part.run(list(inputs[0])))
-    except ReproError as exc:
-        return _failed("partition-execute", exc)
-    mismatch = _same_outputs(
-        "partitioned-vs-reference", stitched,
-        ctx.reference_of(stitched, ctx.result.node_map), 1, inject,
-    )
-    if mismatch is not None:
-        return mismatch
-    try:
-        stitched_batch = part.run_batch(inputs)
-    except ReproError as exc:
-        return _failed("partition-batch-execute", exc)
-    return _same_outputs(
-        "partitioned-batch-vs-reference", stitched_batch,
-        ctx.reference_of(stitched_batch, ctx.result.node_map), ctx.rows,
-        False,
-    )
-
-
 def _check_warm(ctx: StageContext, inject: bool) -> Mismatch | None:
     """Recompiling through :func:`repro.runner.cache.cached_compile` /
     :func:`~repro.runner.cache.cached_plan` (a pickle round-trip
@@ -590,8 +532,6 @@ STAGES: tuple[Stage, ...] = (
     Stage("image-roundtrip", "image_corrupt", 0, _check_image),
     Stage("served-vs-direct", "serve_output", 1, _check_served),
     Stage("routed-vs-direct", "router_output", 1, _check_routed),
-    Stage("partitioned-vs-reference", "partition_boundary", 3,
-          _check_partitioned),
     Stage("warm-vs-cold", "warm_output", None, _check_warm),
 )
 
@@ -627,8 +567,6 @@ def diff_check_dag(
     fault: str | None = None,
     compile_seed: int = 0,
     stages: Sequence[str] = (),
-    partition_threshold: int | None = None,
-    partition_jobs: int = 1,
 ) -> DiffReport:
     """Run the differential oracle on one DAG.
 
@@ -636,8 +574,6 @@ def diff_check_dag(
     ``stages`` and the stage of an armed ``fault``.  Returns a
     :class:`DiffReport` whose ``mismatch`` is ``None`` when every
     cross-check agrees, else the first disagreement.
-    ``partition_threshold``/``partition_jobs`` parameterize the
-    ``partitioned-vs-reference`` stage.
 
     Raises:
         SpillError: When the config genuinely cannot hold the DAG's
@@ -647,10 +583,7 @@ def diff_check_dag(
     """
     _validate(fault, stages)
     validate(dag)
-    ctx = _run_pipeline(
-        dag, config, value_seed, batch, compile_seed, partition_threshold,
-        partition_jobs,
-    )
+    ctx = _run_pipeline(dag, config, value_seed, batch, compile_seed)
     if isinstance(ctx, DiffReport):  # an executor broke outright
         return ctx
     cycles = ctx.plan.cycles_per_row
@@ -669,8 +602,6 @@ def _run_pipeline(
     value_seed: int,
     batch: int,
     compile_seed: int,
-    partition_threshold: int | None,
-    partition_jobs: int,
 ) -> StageContext | DiffReport:
     """Compile ``dag`` and execute it once on every executor; a
     :class:`DiffReport` carries the first executor that raised."""
@@ -725,8 +656,6 @@ def _run_pipeline(
         matrix=matrix,
         reference=reference,
         batch=batch_result,
-        partition_threshold=partition_threshold,
-        partition_jobs=partition_jobs,
     )
 
 

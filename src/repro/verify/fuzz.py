@@ -194,21 +194,15 @@ def make_scenarios(
             n = rng.randint(121, 260)
         kwargs = _family_kwargs(rng, family, n)
         # Each optional stage runs on the scenarios whose index falls
-        # in its registry slot (i % 4), disjoint slices; --image-all
-        # adds the image stage everywhere.  None of this consumes the
-        # master rng, so the (family, n, seed, config, value_seed,
-        # batch) stream — and with it the pinned verify_synth golden —
-        # is unchanged from earlier revisions.
-        stages = [
+        # in its registry slot (i % 4), disjoint slices (slot 3 has
+        # none); --image-all adds the image stage everywhere.  None of
+        # this consumes the master rng, so the (family, n, seed,
+        # config, value_seed, batch) stream — and with it the pinned
+        # verify_synth golden — is unchanged from earlier revisions.
+        stages = tuple(
             s.name for s in STAGES
             if s.slot == i % 4 or (image_all and s.name == "image-roundtrip")
-        ]
-        partition_threshold = None
-        if "partitioned-vs-reference" in stages:
-            if n > 2 * MIN_NODES:
-                partition_threshold = max(1, n // (2 + i % 3))
-            else:  # too small to split into two pieces
-                stages.remove("partitioned-vs-reference")
+        )
         scenarios.append(
             Scenario(
                 params=SynthParams(
@@ -221,8 +215,7 @@ def make_scenarios(
                 value_seed=rng.randrange(2**31),
                 batch=rng.choice((1, 2, 4)),
                 fault=fault,
-                stages=tuple(stages),
-                partition_threshold=partition_threshold,
+                stages=stages,
             )
         )
     return scenarios
@@ -347,15 +340,6 @@ class FuzzReport:
         return "\n".join(lines)
 
 
-def _shrunk_threshold(scenario, candidate) -> int | None:
-    """Keep the partitioned path active while shrinking a partitioned
-    scenario: scale the threshold down so the candidate still splits
-    into at least two pieces."""
-    if scenario.partition_threshold is None:
-        return None
-    return max(1, min(scenario.partition_threshold, candidate.num_nodes // 2))
-
-
 def _storable_scenario(scenario: Scenario) -> Scenario:
     """Strip the fuzz-only stall fault before persisting a case: the
     oracle (and replay) does not know it, and a disarmed stall replays
@@ -377,12 +361,6 @@ def _shrink_failure(
     storable = _storable_scenario(scenario)
     dag = scenario.params.build()
 
-    def oracle(candidate):
-        return dataclasses.replace(
-            storable,
-            partition_threshold=_shrunk_threshold(scenario, candidate),
-        ).diff_check(candidate)
-
     if timed_out:
         # Keep candidates that still blow the wall-clock budget.  The
         # injected stall wedges independently of the DAG, so every
@@ -393,14 +371,14 @@ def _shrink_failure(
                 return True
             try:
                 with _alarm(task_timeout_s):
-                    oracle(candidate)
+                    storable.diff_check(candidate)
             except TaskTimeout:
                 return True
             return False
 
     else:
         def still_fails(candidate) -> bool:
-            return oracle(candidate).mismatch is not None
+            return storable.diff_check(candidate).mismatch is not None
 
     shrunk: ShrinkResult = shrink_dag(dag, still_fails)
     case_path: Path | None = None
@@ -412,7 +390,7 @@ def _shrink_failure(
         final_mismatch = outcome.mismatch
         try:
             with _alarm(task_timeout_s):
-                final = oracle(shrunk.dag)
+                final = storable.diff_check(shrunk.dag)
             if final.mismatch is not None:
                 final_mismatch = final.mismatch
         except TaskTimeout:

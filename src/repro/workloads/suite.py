@@ -21,9 +21,8 @@ of :mod:`repro.workloads.synth` under stable workload names:
   exactly like Table-I entries.  Their "paper" stats are the nominal
   full-scale generator targets, not published numbers.
 * ``synth_xl`` — 50k-200k node ``layered``/``reuse`` instances (at
-  ``scale=1.0``) sized to exercise the partition-parallel compile
-  path (``compile_dag(partition_threshold=..., jobs=...)``) in
-  sweeps, fuzzing and the cold-compile scaling benchmark.
+  ``scale=1.0``): the large-DAG regime for sweeps, the batch-sweep
+  benchmark and the cold-compile scaling benchmark.
 """
 
 from __future__ import annotations
@@ -93,11 +92,10 @@ SYNTH_SUITE: tuple[WorkloadSpec, ...] = (
     WorkloadSpec("synth_reuse", "synth", 8_000, 10, "reuse", 408),
 )
 
-# Large-scale synthetic workloads exercising the partition-parallel
-# compile path (``compile_dag(partition_threshold=..., jobs=...)``).
-# At ``scale=1.0`` they span 50k-200k nodes — the regime where the
-# paper splits the DAG with the GRAPHOPT-style partitioner before
-# compiling.  Longest-path stats are the generators' nominal targets
+# Large-scale synthetic workloads.  At ``scale=1.0`` they span
+# 50k-200k nodes — the regime where the paper (§V-B) splits the DAG
+# with the GRAPHOPT partitioner before compiling; here the compiler
+# takes each one whole.  Longest-path stats are the generators' nominal targets
 # (layered depth ~ sqrt(n); reuse is flat plus the closing reduction).
 SYNTH_XL_SUITE: tuple[WorkloadSpec, ...] = (
     WorkloadSpec("synth_xl_layered_50k", "synth_xl", 50_000, 225, "layered", 501),

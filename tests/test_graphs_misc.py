@@ -1,4 +1,4 @@
-"""Unit tests for validation, partitioning, and statistics."""
+"""Unit tests for validation and statistics."""
 
 import pytest
 
@@ -6,16 +6,12 @@ from repro.errors import GraphError
 from repro.graphs import (
     DAG,
     DAGBuilder,
-    OpType,
-    boundary_values,
-    check_partitioning,
     dag_stats,
     fan_in_histogram,
     fan_out_histogram,
-    partition_topological,
     validate,
 )
-from repro.testing import make_chain_dag, make_random_dag
+from repro.testing import make_random_dag
 
 
 class TestValidate:
@@ -40,44 +36,6 @@ class TestValidate:
         dag = make_random_dag(22, max_fan_in=5)
         with pytest.raises(GraphError):
             validate(dag, binary_only=True)
-
-
-class TestPartition:
-    def test_partitions_respect_size(self):
-        dag = make_random_dag(23, num_ops=300)
-        parts = partition_topological(dag, max_nodes=50)
-        assert all(len(p) <= 50 for p in parts.parts)
-        check_partitioning(dag, parts)
-
-    def test_partitions_cover_all_nodes(self):
-        dag = make_random_dag(24, num_ops=200)
-        parts = partition_topological(dag, max_nodes=64)
-        assert sum(len(p) for p in parts.parts) == dag.num_nodes
-
-    def test_single_partition_when_large_budget(self):
-        dag = make_random_dag(25)
-        parts = partition_topological(dag, max_nodes=10_000)
-        assert parts.num_parts == 1
-        assert parts.cut_edges == 0
-
-    def test_invalid_budget(self):
-        with pytest.raises(GraphError):
-            partition_topological(make_random_dag(26), max_nodes=0)
-
-    def test_boundary_values_are_cross_partition_producers(self):
-        dag = make_random_dag(27, num_ops=200)
-        parts = partition_topological(dag, max_nodes=40)
-        imports = boundary_values(dag, parts)
-        for part_idx, needed in enumerate(imports):
-            for producer in needed:
-                assert parts.part_of[producer] < part_idx
-                assert dag.op(producer) is not OpType.INPUT
-
-    def test_chain_partitions_in_order(self):
-        dag = make_chain_dag(length=30)
-        parts = partition_topological(dag, max_nodes=10)
-        check_partitioning(dag, parts)
-        assert parts.num_parts >= 3
 
 
 class TestStats:

@@ -20,8 +20,6 @@ from repro.graphs import (
     binarize,
     longest_path_length,
     node_levels,
-    partition_topological,
-    check_partitioning,
     topological_order,
 )
 from repro.sim import evaluate_dag, run_program
@@ -165,13 +163,6 @@ def test_topological_order_is_consistent(dag):
 def test_levels_bound_longest_path(dag):
     levels = node_levels(dag)
     assert longest_path_length(dag) == max(levels) + 1
-
-
-@settings(max_examples=30, deadline=None)
-@given(dag=dag_strategy(), budget=st.integers(min_value=5, max_value=50))
-def test_partitioning_invariants(dag, budget):
-    parts = partition_topological(dag, max_nodes=budget)
-    check_partitioning(dag, parts)
 
 
 # ---------------------------------------------------------------------------

@@ -331,21 +331,6 @@ class TestPlanPool:
         assert new is not old
         assert pool.get(SPEC.name) is new
 
-    def test_partitioned_compile_memoized_through_cache(self):
-        from repro.runner.cache import get_cache
-
-        spec = ProgramSpec(
-            name="synth_layered",
-            config_label="D2-B8-R16",
-            scale=0.01,
-            partition_threshold=30,
-        )
-        build_served_program(spec)
-        cache = get_cache()
-        before = cache.hits
-        build_served_program(spec)  # fresh pool, warm artifact cache
-        assert cache.hits > before
-
     def test_unknown_key_raises(self):
         with pytest.raises(ServeError, match="unknown program"):
             PlanPool().get("nope")
@@ -353,22 +338,6 @@ class TestPlanPool:
     def test_unknown_workload_name_raises(self):
         with pytest.raises(ServeError, match="unknown workload"):
             build_served_program(ProgramSpec(name="not-a-workload"))
-
-    def test_partitioned_program_serves_bitwise(self):
-        spec = ProgramSpec(
-            name="synth_layered",
-            config_label="D2-B8-R16",
-            scale=0.01,
-            partition_threshold=30,
-        )
-        part = build_served_program(spec)
-        mono = build_served_program(SPEC)
-        rows = [request_inputs(mono.num_inputs, seed) for seed in range(4)]
-        a = part.execute_rows(rows)
-        b = mono.execute_rows(rows)
-        assert sorted(a) == sorted(b)
-        for node in a:
-            assert np.array_equal(a[node], b[node], equal_nan=True)
 
 
 class TestTrafficGenerators:

@@ -5,8 +5,8 @@ The fused engine's whole contract is "same IEEE operations, only
 independent lanes regrouped" — so nearly every test here is a bitwise
 comparison against the differential oracle's plan interpreter
 (:func:`~repro.verify.differential.interpret_plan`) or the scalar
-simulator, across generated DAGs (hypothesis), every synthetic family,
-the partitioned compile path and the serving assembly path.  Because
+simulator, across generated DAGs (hypothesis), every synthetic family
+and the serving assembly path.  Because
 the fused state reuses cells by liveness, a symbolic replay of the op
 table (:func:`_assert_layout_safe`) also checks that every op reads
 the value it was scheduled to read.
@@ -338,20 +338,6 @@ class TestEngineParity:
         _assert_bitwise(fused.outputs, tape.outputs)
         assert fused.counters == tape.counters
 
-    def test_partitioned_run_batch_parity(self):
-        dag = generate_synth("layered", 120, seed=6)
-        part = compile_dag(
-            dag, CFG, validate_input=False, partition_threshold=40
-        )
-        assert part.num_pieces >= 2
-        matrix = _inputs(dag, 9, seed=1)
-        batch = part.run_batch(matrix)
-        for row in range(3):
-            scalar = part.run(list(matrix[row]))
-            _assert_bitwise(
-                {node: col[row] for node, col in batch.items()}, scalar
-            )
-
     @settings(
         max_examples=25,
         deadline=None,
@@ -390,28 +376,16 @@ class TestEngineParity:
         family=st.sampled_from(sorted(SYNTH_FAMILIES)),
         n=st.integers(min_value=3, max_value=120),
         seed=st.integers(min_value=0, max_value=2**16),
-        partitioned=st.booleans(),
     )
-    def test_property_layout_safe(self, family, n, seed, partitioned):
-        """Every plan of a monolithic or partitioned compile fuses into
-        a layout where each kernel read sees its scheduled value."""
+    def test_property_layout_safe(self, family, n, seed):
+        """Every compiled plan fuses into a layout where each kernel
+        read sees its scheduled value."""
         dag = generate_synth(family, n, seed=seed)
         try:
-            result = compile_dag(
-                dag,
-                CFG,
-                validate_input=not partitioned,
-                partition_threshold=max(n // 3, 2) if partitioned else None,
-            )
+            plan = compile_dag(dag, CFG).plan()
         except SpillError:
             return  # config legitimately too small — not under test
-        # DAGs at or under the threshold compile monolithically.
-        pieces = getattr(result, "pieces", None)
-        plans = (
-            [p.result.plan() for p in pieces] if pieces else [result.plan()]
-        )
-        for plan in plans:
-            _assert_layout_safe(fuse_plan(plan), plan)
+        _assert_layout_safe(fuse_plan(plan), plan)
 
 
 #: Per synth family (150 nodes, seed 13, ``CFG``): the numpy sweep's

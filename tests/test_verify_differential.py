@@ -239,7 +239,6 @@ class TestStageRegistry:
             "scalar_value": "reference-vs-scalar",
             "counter_drift": "plan-vs-scalar-counters",
             "warm_output": "warm-vs-cold",
-            "partition_boundary": "partitioned-vs-reference",
             "serve_output": "served-vs-direct",
             "router_output": "routed-vs-direct",
             "fused_output": "fused-vs-batch",
@@ -252,43 +251,36 @@ class TestStageRegistry:
         [
             (
                 False,
-                "8f1fa95b692c89203ef3ee4e13f8b754"
-                "e392e3b719c182799d064f7bb28d5aea",
-                (110, 125, 125, 125),
+                "aa22c71cf8f096e5ca289eb7acd3b1f0"
+                "31c76a0d5b975fc8371c787c82244f94",
+                (125, 125, 125),
             ),
             (
                 True,
-                "5d0d5d869b28ffce468e4f0a54971801"
-                "d6698f2e424636101ac73c954e1124fd",
-                (110, 125, 125, 500),
+                "19166d0ba106f482c3f448092aafc65a"
+                "225b688a756c424836216b5bafeec5c6",
+                (125, 125, 500),
             ),
         ],
     )
     def test_stage_selection_law_is_pinned(self, image_all, digest, counts):
         """Seeded campaigns pick the same stages as when each stage was
         a hand-wired ``Scenario`` flag: the digest over (index,
-        partition threshold, optional-stage set) of 500 scenarios was
-        recorded from that implementation."""
+        optional-stage set) of 500 scenarios was recorded from the
+        registry that still held the partition-parallel stage, with
+        that stage and its threshold left out of every row."""
         scenarios = make_scenarios(500, seed=0, image_all=image_all)
-        rows = [
-            (i, s.partition_threshold, sorted(s.stages))
-            for i, s in enumerate(scenarios)
-        ]
+        rows = [(i, sorted(s.stages)) for i, s in enumerate(scenarios)]
         got = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert got == digest
         assert tuple(
             sum(name in s.stages for s in scenarios)
             for name in (
-                "partitioned-vs-reference",
                 "served-vs-direct",
                 "fused-vs-batch",
                 "image-roundtrip",
             )
         ) == counts
-        for s in scenarios:
-            assert ("partitioned-vs-reference" in s.stages) == (
-                s.partition_threshold is not None
-            )
 
     def test_docs_tables_match_the_registry(self):
         """The README, the package and ``repro fuzz`` docstrings and the
@@ -354,7 +346,6 @@ class TestImageRoundTripStage:
                 ("image-roundtrip",),
                 ("fused-vs-batch",),
                 ("served-vs-direct", "routed-vs-direct"),
-                ("partitioned-vs-reference",),
             )
 
     def test_image_all_overrides_the_slice(self):
@@ -462,6 +453,94 @@ class TestArtifacts:
         # Re-written in the current schema, it loads back identically.
         again = load_case(write_case(case, tmp_path / "v2"))
         assert again.scenario == case.scenario
+
+    #: A case written before the partition-parallel compiler was
+    #: removed: schema 2, with its inert ``partition_threshold`` and
+    #: ``partition_jobs`` keys.
+    PRE_REMOVAL_CASE = {
+        "dag": {
+            "name": "diamond-n58-s2095328386-shrunk",
+            "nodes": [
+                {"input_slot": 0, "op": "input", "preds": []},
+                {"input_slot": 1, "op": "input", "preds": []},
+                {"op": "add", "preds": [0, 1]},
+            ],
+        },
+        "fingerprint": "5c2c23e3ebd64b8a566a921d3a0a6892",
+        "mismatch": {
+            "detail": "var 2 row 0: 2.15313063094416 != 2.1531306309441596",
+            "stage": "served-vs-direct",
+        },
+        "original_nodes": 55,
+        "scenario": {
+            "batch": 2,
+            "config_label": "D1-B8-R16",
+            "fault": "serve_output",
+            "params": {
+                "family": "diamond",
+                "kwargs": {"paths": 2},
+                "n": 58,
+                "seed": 2095328386,
+            },
+            "partition_jobs": 1,
+            "partition_threshold": None,
+            "stages": ["served-vs-direct", "routed-vs-direct"],
+            "value_seed": 1674216077,
+        },
+        "schema": 2,
+        "shrink_checks": 1,
+        "shrunk_nodes": 3,
+    }
+
+    def test_pre_removal_case_loads_and_replays(self, tmp_path):
+        path = tmp_path / "v2.json"
+        path.write_text(json.dumps(self.PRE_REMOVAL_CASE))
+        case = load_case(path)
+        assert case.scenario.stages == (
+            "served-vs-direct", "routed-vs-direct",
+        )
+        replay = replay_case(path)
+        assert replay.mismatch is not None
+        assert replay.mismatch.stage == "served-vs-direct"
+        again = load_case(write_case(case, tmp_path / "now"))
+        assert again.scenario == case.scenario
+
+    def _with_scenario(self, case, tmp_path, **changes):
+        payload = json.loads(json.dumps(case))
+        payload["scenario"].update(changes)
+        path = tmp_path / "armed.json"
+        path.write_text(json.dumps(payload))
+        return path
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"partition_threshold": 35},
+            {"stages": ["partitioned-vs-reference"]},
+            {"fault": "partition_boundary"},
+        ],
+    )
+    def test_case_arming_the_removed_stage_is_rejected(
+        self, tmp_path, changes
+    ):
+        path = self._with_scenario(
+            self.PRE_REMOVAL_CASE, tmp_path, **changes
+        )
+        with pytest.raises(
+            VerificationError, match="removed oracle stage"
+        ) as info:
+            load_case(path)
+        assert "partitioned-vs-reference" in str(info.value)
+        assert "malformed" not in str(info.value)
+
+    def test_schema1_case_with_a_threshold_is_rejected(self, tmp_path):
+        path = self._with_scenario(
+            self.LEGACY_CASE, tmp_path, partition_threshold=35
+        )
+        with pytest.raises(
+            VerificationError, match="'partitioned-vs-reference'"
+        ):
+            load_case(path)
 
     def test_malformed_artifact_rejected(self, tmp_path):
         bad = tmp_path / "case.json"
