@@ -10,11 +10,13 @@ workloads at batch 256:
   original PR-1 batch loop, the historical baseline the fused
   engine's acceptance bar is measured against;
 * **fused** — the batch engine: the fused plan's level-major op
-  table, swept by a bound kernel over a liveness-compacted state.
+  table, its input loads included, swept by a bound kernel over a
+  liveness-compacted state.
 
 Each record also carries the per-row state of each layout in bytes
 at the bench's batch width: the interpreter's machine image, the
-uncompacted fused layout (used base cells plus one cell per op) and
+uncompacted fused layout (pinned zero cells plus one cell per load
+and per op) and
 the compacted fused layout the engine runs.
 
 The fused outputs and counters are checked bitwise against the
@@ -128,11 +130,11 @@ def bench_workload(label, build, args) -> dict:
         "tape_steps": len(plan.steps),
         "fused_levels": fused.num_levels,
         # Per-batch state buffers, f64 cells x batch rows; the
-        # uncompacted layout is the fused prefix (inputs and pinned
-        # zeros) plus one cell per op.
+        # uncompacted layout is the pinned zero cells plus one cell per
+        # row of the op table (its loads and its ops).
         "pr1_state_bytes": plan.state_size * args.batch * 8,
         "uncompacted_fused_state_bytes": (
-            np.union1d(fused.input_pos, fused.zero_pos).size + fused.num_ops
+            fused.zero_pos.size + len(fused.ops)
         ) * args.batch * 8,
         "fused_state_bytes": fused.state_size * args.batch * 8,
     }

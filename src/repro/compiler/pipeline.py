@@ -17,7 +17,6 @@ more time, memory and instructions (README, *Large-DAG compilation*).
 from __future__ import annotations
 
 import dataclasses
-import gc
 import time
 from dataclasses import dataclass, field
 
@@ -25,6 +24,7 @@ from ..arch import ArchConfig, Interconnect, Program, Topology
 from ..graphs import DAG, OpType, binarize, validate
 from ..obs import trace
 from ..obs.metrics import get_registry
+from ..sim.plan import gc_paused
 from .blocks import Decomposition, decompose
 from .liveness import analyze_residences, annotate_liveness
 from .mapping import Mapping, map_banks
@@ -153,27 +153,23 @@ def compile_dag(
     compile_span.__enter__()
     # A compile makes no reference cycles (tests/test_compiler_gc.py
     # guards this), so a cyclic-GC sweep during it would free nothing.
-    enabled = gc.isenabled()
-    gc.disable()
     try:
-        result = _compile_monolithic(
-            dag,
-            config,
-            topology,
-            seed,
-            mapping_strategy,
-            trace_occupancy,
-            validate_input,
-            keep,
-            t_start,
-            steps,
-        )
+        with gc_paused():
+            result = _compile_monolithic(
+                dag,
+                config,
+                topology,
+                seed,
+                mapping_strategy,
+                trace_occupancy,
+                validate_input,
+                keep,
+                t_start,
+                steps,
+            )
     except BaseException as exc:
         compile_span.__exit__(type(exc), exc, exc.__traceback__)
         raise
-    finally:
-        if enabled:
-            gc.enable()
     compile_span.__exit__(None, None, None)
     reg = get_registry()
     reg.counter(

@@ -7,12 +7,14 @@ state (:mod:`repro.sim.fused`): the state of all B independent
 inferences is one ``(cells, B)`` float64 array, and a sweep runs every
 op over the batch dimension.  This is the library's only batch engine.
 
-The sweep and the input scatter run on the native C kernel
-(:mod:`repro.sim.native`): one fixed loop over the plan's flat op
-table, built once per process when the simulator is constructed.
-Without a working C compiler the process logs one warning and runs the
-numpy sweep instead — bound from the same op table: one gather per
-level and one ufunc per run of one opcode — with the same outputs.
+The sweep runs on the native C kernel (:mod:`repro.sim.native`): one
+fixed loop over the plan's flat op table, built once per process when
+the simulator is constructed.  The table's load rows read the caller's
+input matrix directly, each input one level before its first use, so
+there is no separate input pass.  Without a working C compiler the
+process logs one warning and runs the numpy sweep instead — bound from
+the same op table: one gather per level, one ufunc per run of one
+opcode and one take per level's loads — with the same outputs.
 Nothing configures the choice.
 
 No verification happens here: the plan was verified at lowering time
@@ -44,7 +46,7 @@ from ..obs import trace
 from . import native
 from .functional import ActivityCounters
 from .fused import FusedPlan, bind_sweep, fuse_plan
-from .plan import ExecutionPlan, contiguous_slice, lower_program
+from .plan import ExecutionPlan, lower_program
 
 #: Bound (state, sweep) pairs retained per simulator: one per distinct
 #: batch width, oldest evicted beyond this many (bounds the buffer
@@ -155,19 +157,14 @@ class BatchSimulator:
         self._fused = fused_plan
         # Build (or find) the native kernel now, in set-up, not in the
         # first timed run; None means this process sweeps on numpy.
-        kernel = native.load()
+        native.load()
         # Bound (state, sweep) pairs keyed by batch width, guarded by
         # a non-blocking lock: concurrent runs of one simulator bind a
         # throwaway pair instead of serializing.
-        self._bound: dict[int, tuple[np.ndarray, Callable[[], None]]] = {}
+        self._bound: dict[
+            int, tuple[np.ndarray, Callable[[np.ndarray], None]]
+        ] = {}
         self._bound_lock = threading.Lock()
-        # The input scatter, bound once: run() writes matrix columns
-        # input_slots into cells input_pos; run_rows() first copies
-        # its rows into a (B, num_inputs) matrix.
-        bind = _bind_numpy_scatter if kernel is None else kernel.bind_scatter
-        self._scatter = bind(
-            _i64(self.plan.input_slots), _i64(fused_plan.input_pos)
-        )
 
     def run(self, inputs: np.ndarray) -> BatchResult:
         """Execute a ``(B, num_inputs)`` input matrix in one sweep.
@@ -194,15 +191,7 @@ class BatchSimulator:
         batch = matrix.shape[0]
         if batch < 1:
             raise SimulationError("input matrix has no rows to execute")
-        t0 = time.perf_counter()
-        state, sweep, lock = self._acquire_state(batch)
-        try:
-            if plan.input_slots.size:
-                self._scatter(matrix, state)
-            return self._finish(state, batch, t0, sweep)
-        finally:
-            if lock is not None:
-                lock.release()
+        return self._sweep(matrix, time.perf_counter())
 
     def run_rows(self, rows: Sequence[np.ndarray]) -> BatchResult:
         """Execute a batch assembled from B independent row vectors.
@@ -213,10 +202,10 @@ class BatchSimulator:
         ``plan.num_inputs`` leading entries, so rows sliced out of
         wider tenant buffers are accepted as-is.  The leading entries
         are copied into one ``(B, num_inputs)`` matrix (a basic slice
-        per row, a plain memcpy), which :meth:`run`'s input scatter
-        then writes into the state.
+        per row, a plain memcpy), which the sweep then loads from, as
+        :meth:`run`'s does.
 
-        Bitwise identical to ``run(np.stack([...]))`` — same scatter
+        Bitwise identical to ``run(np.stack([...]))`` — same loaded
         values, same sweep (asserted in the test suite).
 
         Raises:
@@ -242,18 +231,47 @@ class BatchSimulator:
                     f"{r.shape[0]}"
                 )
             matrix[j] = r[:k]
+        return self._sweep(matrix, t0)
+
+    def _sweep(self, matrix: np.ndarray, t0: float) -> BatchResult:
+        """One run over a ``(B, num_inputs)`` float64 matrix: a bound
+        sweep loads and runs it, then the output cells are copied
+        out."""
+        plan = self.plan
+        batch = matrix.shape[0]
         state, sweep, lock = self._acquire_state(batch)
         try:
-            if plan.input_slots.size:
-                self._scatter(matrix, state)
-            return self._finish(state, batch, t0, sweep)
+            # The sampled span is per batch (not per row or op), so
+            # the disabled path pays one boolean check per sweep.
+            with trace.sampled_span(
+                "batch.sweep",
+                "engine",
+                batch=batch,
+                workload=plan.source_name,
+            ):
+                sweep(matrix)
+            outputs = {
+                var: state[cell].copy()
+                for var, cell in zip(
+                    plan.output_vars, self._fused.output_cells
+                )
+            }
         finally:
             if lock is not None:
                 lock.release()
+        return BatchResult(
+            outputs=outputs,
+            batch=batch,
+            counters=plan.scaled_counters(batch),
+            peak_occupancy=list(plan.peak_occupancy),
+            host_seconds=time.perf_counter() - t0,
+        )
 
     def _acquire_state(
         self, batch: int
-    ) -> tuple[np.ndarray, Callable[[], None], threading.Lock | None]:
+    ) -> tuple[
+        np.ndarray, Callable[[np.ndarray], None], threading.Lock | None
+    ]:
         """State image and bound sweep for one run.
 
         Reuses a per-batch-width bound ``(state, sweep)`` pair (see
@@ -276,68 +294,6 @@ class BatchSimulator:
             return entry[0], entry[1], self._bound_lock
         state, sweep = bind_sweep(self._fused, batch)
         return state, sweep, None
-
-    def _finish(
-        self,
-        state: np.ndarray,
-        batch: int,
-        t0: float,
-        sweep: Callable[[], None],
-    ) -> BatchResult:
-        """The shared sweep: kernel execution + output gather."""
-        plan = self.plan
-        # The sampled span is per batch (not per row or op), so the
-        # disabled path pays one boolean check per sweep.
-        with trace.sampled_span(
-            "batch.sweep",
-            "engine",
-            batch=batch,
-            workload=plan.source_name,
-        ):
-            sweep()
-        outputs = {
-            var: state[cell].copy()
-            for var, cell in zip(plan.output_vars, self._fused.output_cells)
-        }
-        host_seconds = time.perf_counter() - t0
-        return BatchResult(
-            outputs=outputs,
-            batch=batch,
-            counters=plan.scaled_counters(batch),
-            peak_occupancy=list(plan.peak_occupancy),
-            host_seconds=host_seconds,
-        )
-
-
-def _i64(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype=np.int64)
-
-
-def _bind_numpy_scatter(
-    slots: np.ndarray, cells: np.ndarray
-) -> Callable[[np.ndarray, np.ndarray], None]:
-    """The numpy twin of :meth:`repro.sim.native.Kernel.bind_scatter`:
-    ``scatter(matrix, state)`` writes ``state[cells[j]] =
-    matrix[:, slots[j]]``."""
-    seg = contiguous_slice(cells)
-    if seg is not None:
-        lo, hi = seg
-
-        def scatter(matrix: np.ndarray, state: np.ndarray) -> None:
-            # The compact fused layout keeps base cells ascending, so
-            # the input region is almost always one basic slice: gather
-            # the slot columns straight into it, no intermediate.
-            np.take(matrix.T, slots, 0, state[lo:hi], "clip")
-
-    else:
-
-        def scatter(matrix: np.ndarray, state: np.ndarray) -> None:
-            # Index the transposed *view* so the gather lands directly
-            # in (slots, B) order — one copy, never a (B, slots)
-            # intermediate plus a strided assignment.
-            state[cells] = matrix.T[slots]
-
-    return scatter
 
 
 def run_batch(

@@ -28,39 +28,45 @@ the sweep.  This module lowers the tape one step further into a
    to roughly ``2 x depth`` runs.
 
 3. **The machine state can be left behind.**  The only original
-   cells the fused engine ever *reads* are the externally scattered
-   inputs (anything else reads the zero initialization, which gets
-   one pinned zero cell).  Value ids are permuted level-major, so
-   every run *writes a basic slice* and operands frequently *read*
-   one.  Then, as the DPU-v2 compiler reuses registers by liveness,
-   cells are reused by last use: each level's results take one
+   cells the fused engine ever *reads* are the inputs (anything else
+   reads the zero initialization, which gets one pinned zero cell).
+   As DPU-v2 loads a value from data memory into a register bank only
+   when a PE tree needs it (§IV), every input that is read becomes a
+   *load* row of the schedule, placed one level before its first
+   reader, so a deep plan keeps a handful of inputs live instead of
+   all of them.  Value ids are permuted level-major, so every run
+   *writes a basic slice* and operands frequently *read* one.  Then,
+   as the DPU-v2 compiler reuses registers by liveness, cells are
+   reused by last use: each level's results and loads take one
    contiguous block of cells whose previous values are dead, so the
    fused state grows with the peak live width, not the op count — for
    real workloads a fraction of the register-file + data-memory +
    scratch image a direct tape interpreter carries per batch row.
    Within a run, every cell is written before it is read: inputs by
-   the caller's scatter, results by their op, and a cell is handed
-   on only after the last level that reads its value.
+   their load, results by their op, and a cell is handed on only
+   after the last level that reads its value.
 
 The schedule is one flat table, :attr:`FusedPlan.ops`: ``(opcode,
-a_cell, b_cell, out_cell)`` rows in level-major, opcode-minor order,
-with :attr:`FusedPlan.level_bounds` marking where each dependence
-level starts.  The native kernel (:mod:`repro.sim.native`) runs the
+a, b, out_cell)`` rows in level-major, opcode-minor order (adds, muls,
+then loads), with :attr:`FusedPlan.level_bounds` marking where each
+dependence level starts.  The native kernel (:mod:`repro.sim.native`) runs the
 table in one fixed C loop: no per-level or per-kernel dispatch at all.
 Without a working C compiler the numpy sweep runs instead, and it
 derives its program from the same table when it is bound: each level
 splits into runs of one opcode, each run is one ufunc call over *flat
 1-D contiguous views* (the state is C-contiguous, so cell range
-``[lo, hi)`` is flat range ``[lo*B, hi*B)``), and the level's operands
+``[lo, hi)`` is flat range ``[lo*B, hi*B)``), the level's operands
 whose cells are not consecutive are collected by **one** gather into
-a scratch block first.  Which of the two runs is fixed per process by
+a scratch block first, and the level's loads are one take from the
+input matrix.  Which of the two runs is fixed per process by
 whether the kernel builds; nothing configures it.
 
 Either way the sweep is **bound** once per batch width
-(:func:`bind_sweep`): the state buffer is allocated and the kernel's
-pointers (or the numpy views) are computed up front and reused across
-runs, so the per-run hot path is one C call or raw ufunc dispatches —
-no allocation, no slice construction, no index arithmetic.  Reusing
+(:func:`bind_sweep`): the state buffer is allocated, 64-byte aligned,
+and the kernel's pointers (or the numpy views) are computed up front
+and reused across runs, so the per-run hot path is one C call or raw
+ufunc dispatches that read the caller's input matrix directly — no
+allocation, no slice construction, no index arithmetic.  Reusing
 the state is safe because within a run every cell is written before
 it is read (observation 3), so stale values from the previous batch
 are never observed.
@@ -90,11 +96,20 @@ from ..errors import SimulationError
 from ..obs import trace
 from . import native
 from .functional import ActivityCounters
-from .plan import ComputeStep, ExecutionPlan, MoveStep, contiguous_slice
+from .plan import (
+    ComputeStep,
+    ExecutionPlan,
+    MoveStep,
+    contiguous_slice,
+    gc_paused,
+)
 
-#: Kernel opcodes, aligned with :data:`repro.compiler.arrays.OP_CODES`.
+#: Kernel opcodes: add and mul align with
+#: :data:`repro.compiler.arrays.OP_CODES`; a load row ``(3, slot, 0,
+#: out_cell)`` copies input column ``slot`` into ``out_cell``.
 FUSED_ADD = 1
 FUSED_MUL = 2
+FUSED_LOAD = 3
 
 _UFUNCS = {FUSED_ADD: np.add, FUSED_MUL: np.multiply}
 
@@ -103,7 +118,7 @@ _ID = np.int64
 #: Version tag of the fused-plan layout: seeds the content fingerprint
 #: and the artifact-cache key (``repro.runner.fingerprint.fused_key``),
 #: so a cache written by an older lowering is never served.
-FUSED_LAYOUT = "fused-v5"
+FUSED_LAYOUT = "fused-v6"
 
 
 @dataclass(frozen=True)
@@ -113,25 +128,27 @@ class FusedPlan:
     Attributes:
         config / source_name / num_instructions / num_inputs: Carried
             over from the source plan (same program identity).
-        state_size: Cells of the fused per-row state: the used
-            original cells followed by the result cells, which are
+        state_size: Cells of the fused per-row state: the pinned zero
+            cells followed by the load and result cells, which are
             reused by liveness (about the peak live width).
-        num_ops: Fused arithmetic ops.
-        input_pos / input_slots: Parallel arrays scattering column
-            ``input_slots[i]`` of the input matrix into fused cell
-            ``input_pos[i]`` (same slot order as the source plan).
+        num_ops: Fused arithmetic ops (``ops`` also holds the loads).
         zero_pos: Fused cells that must read as ``0.0`` (original
             zero-initialized cells that are read but never written and
-            never scattered; empty for verified programs).
-        ops: The schedule: a flat int64 ``(num_ops, 4)`` table of
-            ``(opcode, a_cell, b_cell, out_cell)`` rows, level-major
-            and opcode-minor.  The native kernel
-            (:mod:`repro.sim.native`) runs it one row per op; the numpy
-            sweep binds its program from it.
+            are not inputs; empty for verified programs).  They are
+            the prefix ``[0, zero_pos.size)`` of the state.
+        ops: The schedule: a flat int64 table of ``(opcode, a, b,
+            out_cell)`` rows, level-major and opcode-minor.  An add or
+            mul reads cells ``a`` and ``b``; a load (:data:`FUSED_LOAD`)
+            copies column ``a`` of the input matrix, once per input
+            that an op or an output reads, one level before its first
+            reader (level 0 if only an output reads it).  The native
+            kernel (:mod:`repro.sim.native`) runs it one row at a
+            time; the numpy sweep binds its program from it.
         level_bounds: int64 row offsets of the dependence levels:
             level ``i`` is rows ``[level_bounds[i], level_bounds[i +
             1])`` of ``ops``.  No level reads a cell it writes, and a
-            level's results are one contiguous block of cells.
+            level's results and loads are one contiguous block of
+            cells.
         output_vars / output_cells: Parallel output arrays; output
             cells are never reused, so they hold their values after
             the sweep.
@@ -148,8 +165,6 @@ class FusedPlan:
     num_inputs: int
     state_size: int
     num_ops: int
-    input_pos: np.ndarray
-    input_slots: np.ndarray
     zero_pos: np.ndarray
     ops: np.ndarray
     level_bounds: np.ndarray
@@ -175,13 +190,21 @@ class FusedPlan:
         return self.level_bounds.size - 1
 
     def make_state(self, batch: int) -> np.ndarray:
-        """Fresh ``(state_size, batch)`` state, zero cells pinned.
+        """Fresh C-contiguous ``(state_size, batch)`` state, zero cells
+        pinned, its first element 64-byte (cache-line) aligned.
 
+        The native sweep runs up to 2x slower on a state that starts
+        16 bytes past a 32-byte boundary, and the allocator hands such
+        addresses out at random, so the state is a view placed at the
+        first aligned element of a slightly larger buffer.
         Deliberately *not* zero-filled: within a run every other cell
-        is written before it is read (inputs by the caller's scatter,
-        result cells by their defining kernel).
+        is written before it is read (inputs by their load, result
+        cells by their op).
         """
-        state = np.empty((self.state_size, batch), dtype=np.float64)
+        size = self.state_size * batch
+        buf = np.empty(size + 8, dtype=np.float64)
+        lead = -buf.ctypes.data % 64 // 8
+        state = buf[lead : lead + size].reshape(self.state_size, batch)
         if self.zero_pos.size:
             state[self.zero_pos] = 0.0
         return state
@@ -192,14 +215,15 @@ def fuse_plan(plan: ExecutionPlan) -> FusedPlan:
 
     Pure lowering: no hazard or interconnect checks happen here (the
     source plan already carries them), and no data is touched — the
-    tape is replayed over value *ids* only.
+    tape is replayed over value *ids* only.  It makes no reference
+    cycles, so it runs with the cyclic GC paused (:func:`gc_paused`).
     """
     with trace.span(
         "plan.fuse",
         "engine",
         workload=plan.source_name,
         steps=len(plan.steps),
-    ):
+    ), gc_paused():
         return _fuse_plan(plan)
 
 
@@ -212,9 +236,9 @@ def _fuse_plan(plan: ExecutionPlan) -> FusedPlan:
 
     # Pass 1 — single-assignment renaming.  version[cell] is the value
     # id the cell currently holds; ids < base are the original cells'
-    # initial values (inputs scatter into some of them, the rest read
-    # the zero initialization), ids >= base are arithmetic results in
-    # emission order.  Moves and PASS bypasses only permute the table;
+    # initial values (inputs are loaded into some of them, the rest
+    # read the zero initialization), ids >= base are arithmetic results
+    # in emission order.  Moves and PASS bypasses only permute the table;
     # each add/mul mints a fresh id at level 1 + max(operand levels).
     version = np.arange(base, dtype=_ID)
     def_level = np.zeros(base + n_ops, dtype=np.int32)
@@ -257,70 +281,76 @@ def _fuse_plan(plan: ExecutionPlan) -> FusedPlan:
 
     out_ids = version[plan.output_cells]
 
-    # Pass 2 — compact the value space.  Original cells survive only
-    # if an op or an output actually reads their *initial* value
-    # (input cells are always kept so the input scatter stays total);
-    # they occupy the fused prefix in ascending original order.  Op
-    # ids follow, permuted level-major (opcode-minor, emission-order
-    # stable) so every kernel's results form one contiguous range.
-    used_mask = np.zeros(base, dtype=bool)
-    used_mask[plan.input_cells] = True
-    for ids in (a_ids, b_ids, out_ids):
-        below = ids[ids < base]
-        used_mask[below.astype(np.intp)] = True
-    base_cells = np.flatnonzero(used_mask).astype(_ID)
-    n_base = int(base_cells.size)
+    # Pass 2 — loads and the value space.  An original cell survives
+    # only if an op or an output reads its *initial* value.  An input
+    # cell becomes a load row one level before its first reader (level
+    # 0 if only an output reads it); any other such cell reads the zero
+    # initialization and keeps a pinned cell in the base prefix.  The
+    # rows — ops in emission order, then loads by slot — are permuted
+    # level-major, opcode-minor (loads last), stably, so every level's
+    # results and loads form one contiguous range of ids.
+    unread = np.iinfo(np.int32).max
+    read = np.zeros(base, dtype=bool)
+    first = np.full(base, unread, dtype=np.int32)
+    for ids in (a_ids, b_ids):
+        below = ids < base
+        read[ids[below]] = True
+        np.minimum.at(first, ids[below], lvl[below])
+    read[out_ids[out_ids < base]] = True
+    by_slot = np.argsort(plan.input_slots, kind="stable")
+    in_cells = plan.input_cells[by_slot].astype(np.intp)
+    keep = read[in_cells]
+    load_cells = in_cells[keep]
+    load_slots = plan.input_slots[by_slot][keep].astype(_ID)
+    read[load_cells] = False
+    zero_cells = np.flatnonzero(read)
+    n_base = int(zero_cells.size)
+    n_loads = int(load_cells.size)
+    n_rows = n_ops + n_loads
+
+    kind_all = np.concatenate((kind, np.full(n_loads, FUSED_LOAD, np.int8)))
+    reader = first[load_cells]
+    lvl_all = np.concatenate((lvl, np.where(reader == unread, 0, reader - 1)))
+    order = np.lexsort((kind_all, lvl_all))
+    rank = np.empty(n_rows, dtype=_ID)
+    rank[order] = np.arange(n_base, n_base + n_rows, dtype=_ID)
     base_pos = np.full(base, -1, dtype=_ID)
-    base_pos[base_cells] = np.arange(n_base, dtype=_ID)
-
-    order = np.lexsort((kind, lvl))
-    rank = np.empty(n_ops, dtype=_ID)
-    rank[order] = np.arange(n_ops, dtype=_ID)
-    id_map = np.concatenate([base_pos, n_base + rank])
-    a_new = id_map[a_ids[order]]
-    b_new = id_map[b_ids[order]]
-    kind_s = kind[order]
-    lvl_s = lvl[order]
-
-    input_pos = base_pos[plan.input_cells]
-    scattered = np.zeros(n_base, dtype=bool)
-    scattered[input_pos.astype(np.intp)] = True
-    zero_pos = np.flatnonzero(~scattered).astype(_ID)
+    base_pos[zero_cells] = np.arange(n_base, dtype=_ID)
+    base_pos[load_cells] = rank[n_ops:]
+    id_map = np.concatenate([base_pos, rank[:n_ops]])
+    a_new = np.concatenate((id_map[a_ids], load_slots))[order]
+    b_new = np.concatenate((id_map[b_ids], np.zeros(n_loads, _ID)))[order]
+    kind_s = kind_all[order]
+    lvl_s = lvl_all[order]
+    arith = kind_s != FUSED_LOAD
 
     # Pass 3 — liveness compaction.  Map every pass-2 id to a state
     # cell, reusing cells whose value is dead (see _compact_slots), so
     # the state grows with peak live width instead of op count.
-    # With no ops there is no level, so no leading bound 0.
+    # With no rows there is no level, so no leading bound 0.
     level_bounds = np.concatenate(
         (
-            np.zeros(min(n_ops, 1), dtype=_ID),
+            np.zeros(min(n_rows, 1), dtype=_ID),
             np.flatnonzero(np.diff(lvl_s)) + 1,
-            [n_ops],
+            [n_rows],
         )
     )
     out_new = id_map[out_ids]
+    zero_pos = np.arange(n_base, dtype=_ID)
+    reader_rows = np.flatnonzero(arith)
     slot, state_size = _compact_slots(
         n_base,
         level_bounds,
-        a_new,
-        b_new,
+        np.concatenate((a_new[arith], b_new[arith])),
+        np.concatenate((reader_rows, reader_rows)),
         np.concatenate((out_new, zero_pos)),
     )
-    a_new = slot[a_new]
-    b_new = slot[b_new]
-    ops = np.column_stack(
-        (kind_s, a_new, b_new, slot[n_base + np.arange(n_ops)])
-    )
+    ops = np.column_stack((kind_s, a_new, b_new, slot[n_base:]))
+    ops[arith, 1:3] = slot[ops[arith, 1:3]]
 
     output_cells = slot[out_new]
     fingerprint = _fused_fingerprint(
-        state_size,
-        input_pos,
-        plan.input_slots,
-        zero_pos,
-        output_cells,
-        ops,
-        level_bounds,
+        state_size, zero_pos, output_cells, ops, level_bounds
     )
     return FusedPlan(
         config=plan.config,
@@ -329,8 +359,6 @@ def _fuse_plan(plan: ExecutionPlan) -> FusedPlan:
         num_inputs=plan.num_inputs,
         state_size=state_size,
         num_ops=n_ops,
-        input_pos=input_pos,
-        input_slots=plan.input_slots,
         zero_pos=zero_pos,
         ops=ops,
         level_bounds=level_bounds,
@@ -345,25 +373,26 @@ def _fuse_plan(plan: ExecutionPlan) -> FusedPlan:
 def _compact_slots(
     n_base: int,
     level_bounds: np.ndarray,
-    a_ids: np.ndarray,
-    b_ids: np.ndarray,
+    read_ids: np.ndarray,
+    read_rows: np.ndarray,
     pinned: np.ndarray,
 ) -> tuple[np.ndarray, int]:
     """Pass 3 of the lowering: give every pass-2 id a state cell.
 
-    Pass-2 ids are the base prefix ``[0, n_base)`` followed by the ops
-    in level-major order, so level ``li``'s results are ids
-    ``n_base + [level_bounds[li], level_bounds[li + 1])``.  Base cells
-    keep their position (the input scatter stays one slice).  Each
-    level's results get one contiguous block of cells, first fit from
-    the free pool, growing the top of the state only when no free run
-    is wide enough.  A cell returns to the pool after the last level
-    that reads it — never during it, so a level's results cannot
-    overlap an operand the level still reads; a result nobody reads
-    returns after its own level.  ``pinned`` cells (outputs and zero
-    cells) never return.  Like ``compiler/liveness.py`` for the
-    machine's registers, this frees by last use; here the unit of
-    time is a level and the pool is kept as a free mask.
+    Pass-2 ids are the base prefix ``[0, n_base)`` followed by the
+    rows (ops and loads) in level-major order, so level ``li``'s
+    results are ids ``n_base + [level_bounds[li], level_bounds[li +
+    1])``; row ``read_rows[k]`` reads id ``read_ids[k]``.  Base cells,
+    the pinned zero cells, keep their position.  Each level's results
+    get one contiguous block of cells, first fit from the free pool,
+    growing the top of the state only when no free run is wide
+    enough.  A cell returns to the pool after the last level that
+    reads it — never during it, so a level's results cannot overlap an
+    operand the level still reads; a result nobody reads returns after
+    its own level.  ``pinned`` cells (outputs and zero cells) never
+    return.  Like ``compiler/liveness.py`` for the machine's
+    registers, this frees by last use; here the unit of time is a
+    level and the pool is kept as a free mask.
 
     Returns:
         ``(slot, state_size)``: ``slot[id]`` is pass-2 id ``id``'s
@@ -374,17 +403,16 @@ def _compact_slots(
     op_level = np.repeat(
         np.arange(n_levels, dtype=np.intp), np.diff(level_bounds)
     )
-    # last[id]: the level after which the id's cell is free (-1: before
-    # level 0, for base cells nothing reads; n_levels: never).
-    last = np.full(n_ids, -1, dtype=np.intp)
+    # last[id]: the level after which the id's cell is free (n_levels:
+    # never, as for the base cells).
+    last = np.full(n_ids, n_levels, dtype=np.intp)
     last[n_base:] = op_level
-    np.maximum.at(last, a_ids, op_level)
-    np.maximum.at(last, b_ids, op_level)
+    np.maximum.at(last, read_ids, op_level[read_rows])
     last[pinned] = n_levels
     by_death = np.argsort(last, kind="stable")
-    death_bounds = np.searchsorted(
-        last[by_death], np.arange(-1, n_levels + 1)
-    )
+    deaths = np.searchsorted(
+        last[by_death], np.arange(n_levels + 1)
+    ).tolist()
 
     slot = np.empty(n_ids, dtype=_ID)
     slot[:n_base] = np.arange(n_base, dtype=_ID)
@@ -392,9 +420,7 @@ def _compact_slots(
     # every free run has a rising edge and mask[top + 1] a falling one.
     mask = np.zeros(n_ids + 2, dtype=bool)
     free = mask[1:]
-    deaths = death_bounds.tolist()
-    free[by_death[: deaths[1]]] = True
-    n_free = deaths[1]
+    n_free = 0
     top = n_base
     for li, (lo, hi) in enumerate(itertools.pairwise(level_bounds.tolist())):
         width = hi - lo
@@ -414,9 +440,9 @@ def _compact_slots(
         slot[n_base + lo : n_base + hi] = np.arange(
             start, start + width, dtype=_ID
         )
-        dead = by_death[deaths[li + 1] : deaths[li + 2]]
+        dead = by_death[deaths[li] : deaths[li + 1]]
         free[slot[dead]] = True
-        n_free += deaths[li + 2] - deaths[li + 1]
+        n_free += deaths[li + 1] - deaths[li]
     return slot, top
 
 
@@ -432,16 +458,17 @@ def _fused_fingerprint(state_size: int, *arrays: np.ndarray) -> str:
 
 def bind_sweep(
     fused: FusedPlan, batch: int
-) -> tuple[np.ndarray, Callable[[], None]]:
+) -> tuple[np.ndarray, Callable[[np.ndarray], None]]:
     """Bind a reusable ``(state, sweep)`` pair for one batch width.
 
-    Allocates the state and returns a zero-argument sweep over it.
-    With the native kernel (:func:`repro.sim.native.load`) the sweep is
-    one pre-bound C call running :attr:`FusedPlan.ops`; without a
-    working C compiler it is the numpy sweep (:func:`_bind_numpy`).
-    The pair is safe to reuse across runs: within a run every cell is
-    written before it is read, and the pinned zero cells are never
-    written at all.
+    Allocates the state and returns ``sweep(matrix)``, which runs the
+    whole schedule over it, loading the inputs straight from the
+    ``(batch, inputs)`` float64 ``matrix``.  With the native kernel
+    (:func:`repro.sim.native.load`) the sweep is one pre-bound C call
+    running :attr:`FusedPlan.ops`; without a working C compiler it is
+    the numpy sweep (:func:`_bind_numpy`).  The pair is safe to reuse
+    across runs: within a run every cell is written before it is read,
+    and the pinned zero cells are never written at all.
     """
     state = fused.make_state(batch)
     kernel = native.load()
@@ -450,17 +477,37 @@ def bind_sweep(
     return state, _bind_numpy(fused, state)
 
 
-def _bind_numpy(fused: FusedPlan, state: np.ndarray) -> Callable[[], None]:
-    """The numpy sweep over ``state``: :func:`_numpy_program`'s calls,
-    run in order."""
-    prog = _numpy_program(fused, state)
+#: Stands for the caller's input matrix, transposed to ``(inputs,
+#: B)``, as the source of a numpy program's load calls.
+_MATRIX = "matrix"
 
-    def sweep(_prog: list = prog) -> None:
+#: The numpy sweep's gather and load: the method, not ``np.take``,
+#: whose Python-level dispatch costs more than a small take itself.
+_TAKE = np.ndarray.take
+
+
+def _bind_numpy(
+    fused: FusedPlan, state: np.ndarray
+) -> Callable[[np.ndarray], None]:
+    """The numpy sweep over ``state``: :func:`_numpy_program`'s calls,
+    run in order, its loads reading the matrix passed in."""
+    prog = _numpy_program(fused, state)
+    batch = state.shape[1]
+    cols = fused.num_inputs
+
+    def sweep(matrix: np.ndarray, _prog: list = prog) -> None:
+        # Rows of the transposed matrix are the loads' sources; take
+        # copies a source that is not C-contiguous on every call, so
+        # transpose it once per sweep instead.
+        inputs = native.check_matrix(matrix, batch, cols).T.copy()
         # Scalar Python floats overflow to inf silently; match that
         # instead of spraying RuntimeWarnings over deep product chains.
         with np.errstate(over="ignore", invalid="ignore"):
             for f, args in _prog:
-                f(*args)
+                if args[0] is _MATRIX:
+                    f(inputs, *args[1:])
+                else:
+                    f(*args)
 
     return sweep
 
@@ -469,21 +516,25 @@ def _numpy_program(
     fused: FusedPlan, state: np.ndarray
 ) -> list[tuple[Callable, tuple]]:
     """The numpy sweep's calls, derived from :attr:`FusedPlan.ops`: per
-    level, at most one gather, then one ufunc per run of one opcode.
+    level, at most one gather, then one ufunc per run of one opcode,
+    then one take for the run of loads.
 
     A run's operand whose cells are consecutive is read as a view of
     the state; the level's other operands are gathered by one
-    ``np.take`` into a scratch block (``mode="clip"`` skips the bounds
+    take into a scratch block (``mode="clip"`` skips the bounds
     check the lowering already proved).  Every level gathers into the
     *same* scratch prefix: the serial reuse keeps the block cache-hot
     across the sweep, where per-level blocks would all be cold by the
-    time their level comes around again.  All views are computed here,
-    so the hot path is nothing but pre-bound ufunc dispatches.
+    time their level comes around again.  A level's loads take their
+    slots from the transposed input matrix (:data:`_MATRIX` in the
+    call) straight into their block of cells; the sweep checks the
+    matrix's shape before any call.  All views are computed here, so
+    the hot path is nothing but pre-bound numpy dispatches.
     """
     ops = fused.ops
     # Pass 1: per level, the cells it gathers and its runs, each
     # operand a (gathered, lo, hi) row range of the scratch (gathered)
-    # or of the state.
+    # or of the state; a run of loads keeps its slots instead.
     levels = []
     for lo, hi in itertools.pairwise(fused.level_bounds.tolist()):
         cuts = (np.flatnonzero(np.diff(ops[lo:hi, 0])) + lo + 1).tolist()
@@ -491,6 +542,12 @@ def _numpy_program(
         n_gathered = 0
         runs = []
         for run_lo, run_hi in itertools.pairwise([lo, *cuts, hi]):
+            code = int(ops[run_lo, 0])
+            out = int(ops[run_lo, 3])
+            if code == FUSED_LOAD:
+                slots = ops[run_lo:run_hi, 1].copy()
+                runs.append((code, slots, out, out + run_hi - run_lo))
+                continue
             operands = []
             for cells in (ops[run_lo:run_hi, 1], ops[run_lo:run_hi, 2]):
                 seg = contiguous_slice(cells)
@@ -500,10 +557,7 @@ def _numpy_program(
                 gather.append(cells)
                 operands.append((True, n_gathered, n_gathered + cells.size))
                 n_gathered += cells.size
-            out = int(ops[run_lo, 3])
-            runs.append(
-                (int(ops[run_lo, 0]), operands, out, out + run_hi - run_lo)
-            )
+            runs.append((code, operands, out, out + run_hi - run_lo))
         levels.append((np.concatenate(gather) if gather else None, runs))
 
     # Pass 2: bind the views, now that the scratch's size is known.
@@ -518,9 +572,13 @@ def _numpy_program(
     for gather, runs in levels:
         if gather is not None:
             prog.append(
-                (np.take, (state, gather, 0, scratch[: gather.size], "clip"))
+                (_TAKE, (state, gather, 0, scratch[: gather.size], "clip"))
             )
         for code, operands, out_lo, out_hi in runs:
+            if code == FUSED_LOAD:
+                block = state[out_lo:out_hi]
+                prog.append((_TAKE, (_MATRIX, operands, 0, block, "clip")))
+                continue
             views = [
                 (sflat if gathered else flat)[lo * batch : hi * batch]
                 for gathered, lo, hi in operands

@@ -5,12 +5,13 @@ one ufunc dispatch per (level, opcode) and one gather per level, so a
 deep plan with one op per level is dispatch-bound and a wide one is
 gather-bound.  DPU-v2's datapath runs a DAG's nodes with no per-node
 launch cost; this module does the same on the host.  A
-:class:`~repro.sim.fused.FusedPlan` carries its ops as a flat
-``(n_ops, 4)`` table of ``(opcode, a_cell, b_cell, out_cell)`` in
-level-major order, and :data:`SOURCE` walks it in one fixed loop:
-``o[i] = a[i] op b[i]`` for every row ``i`` of the ``(cells, B)``
-state.  A second function, ``scatter``, writes the input matrix into
-the input cells, transposed, in row blocks.
+:class:`~repro.sim.fused.FusedPlan` carries its schedule as a flat
+``(n_rows, 4)`` table of ``(opcode, a, b, out_cell)`` in level-major
+order, and :data:`SOURCE` walks it in one fixed loop: ``o[i] = a[i] op
+b[i]`` for every row ``i`` of the ``(cells, B)`` state, or, for a load
+row, ``o[i] = matrix[i][a]``, a strided copy of one column of the
+caller's input matrix.  There is no separate input pass: the sweep
+reads the matrix itself, when the schedule first needs each input.
 
 Bitwise parity with the numpy sweep holds because both perform the
 same IEEE-double add or multiply on the same operands: the library is
@@ -51,8 +52,9 @@ import numpy as np
 
 from ..obs import trace
 
-#: The kernel.  Opcodes are :data:`repro.sim.fused.FUSED_ADD` (1) and
-#: :data:`repro.sim.fused.FUSED_MUL` (2).
+#: The kernel.  Opcodes are :data:`repro.sim.fused.FUSED_ADD` (1),
+#: :data:`repro.sim.fused.FUSED_MUL` (2) and
+#: :data:`repro.sim.fused.FUSED_LOAD` (3).
 SOURCE = r"""
 #include <stdint.h>
 
@@ -83,38 +85,28 @@ static void mul(const double *restrict a, const double *restrict b,
     LANES(*)
 }
 
-/* Run every (opcode, a_cell, b_cell, out_cell) row of ops, in order,
-   over the (cells, batch) row-major state; opcode 1 adds, 2 multiplies. */
+/* Run every (opcode, a, b, out_cell) row of ops, in order, over the
+   (cells, batch) row-major state; opcode 1 adds cells a and b, 2
+   multiplies them, 3 copies column a of the (batch, inputs) matrix.
+   Matrix strides are in doubles. */
 void repro_sweep(const int64_t *ops, int64_t n_ops, double *state,
-                 int64_t batch)
+                 int64_t batch, const double *matrix, int64_t row_stride,
+                 int64_t col_stride)
 {
     for (int64_t k = 0; k < n_ops; ++k, ops += 4) {
+        double *o = state + ops[3] * batch;
+        if (ops[0] == 3) {
+            const double *src = matrix + ops[1] * col_stride;
+            for (int64_t r = 0; r < batch; ++r)
+                o[r] = src[r * row_stride];
+            continue;
+        }
         const double *a = state + ops[1] * batch;
         const double *b = state + ops[2] * batch;
-        double *o = state + ops[3] * batch;
         if (ops[0] == 1)
             add(a, b, o, batch);
         else
             mul(a, b, o, batch);
-    }
-}
-
-/* state[cells[j]][r] = matrix[r][slots[j]] for r < batch, j < n.
-   Strides are in doubles.  Row blocks keep the matrix rows being read
-   and the cell rows being written in cache together. */
-void repro_scatter(const double *matrix, int64_t row_stride,
-                   int64_t col_stride, int64_t batch, const int64_t *slots,
-                   const int64_t *cells, int64_t n, double *state)
-{
-    enum { ROWS = 64 };
-    for (int64_t r0 = 0; r0 < batch; r0 += ROWS) {
-        int64_t r1 = r0 + ROWS < batch ? r0 + ROWS : batch;
-        for (int64_t j = 0; j < n; ++j) {
-            const double *src = matrix + slots[j] * col_stride;
-            double *dst = state + cells[j] * batch;
-            for (int64_t r = r0; r < r1; ++r)
-                dst[r] = src[r * row_stride];
-        }
     }
 }
 """
@@ -131,107 +123,82 @@ _I64 = ctypes.c_int64
 
 
 class Kernel:
-    """The loaded library: pre-bound sweeps and the input scatter."""
+    """The loaded library: pre-bound sweeps."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._sweep = lib.repro_sweep
-        self._sweep.argtypes = (_PTR, _I64, _PTR, _I64)
+        self._sweep.argtypes = (_PTR, _I64, _PTR, _I64, _PTR, _I64, _I64)
         self._sweep.restype = None
-        self._scatter = lib.repro_scatter
-        self._scatter.argtypes = (
-            _PTR, _I64, _I64, _I64, _PTR, _PTR, _I64, _PTR
-        )
-        self._scatter.restype = None
 
     def bind_sweep(
         self, ops: np.ndarray, state: np.ndarray
-    ) -> Callable[[], None]:
-        """A zero-argument call running ``ops`` over ``state``.
+    ) -> Callable[[np.ndarray], None]:
+        """A call ``sweep(matrix)`` running ``ops`` over ``state``, its
+        load rows copying columns of the ``(state.shape[1], inputs)``
+        float64 ``matrix``, strided or not.
 
-        The pointers are computed once here; the returned call holds
-        references to both arrays, so they outlive it.  ``ctypes``
-        releases the GIL for the call's duration.
+        The table's pointers are computed once here; the returned call
+        holds references to both arrays, so they outlive it, and
+        checks each matrix (:func:`check_matrix`) before its pointer
+        reaches C.  ``ctypes`` releases the GIL for the call's
+        duration.
 
         Raises:
-            ValueError: A malformed table, an opcode other than 1 or 2,
-                or a cell outside ``state``.
+            ValueError: At binding, a malformed table, an opcode other
+                than 1, 2 or 3, a negative slot or a cell outside
+                ``state``; at a call, a matrix whose rows are not the
+                batch or that lacks a loaded column.
         """
         _check(ops, np.int64, 2)
         _check(state, np.float64, 2)
         if ops.shape[1] != 4:
             raise ValueError(f"op table must be (n, 4), got {ops.shape}")
+        loads = ops[:, 0] == 3
+        cells = np.concatenate((ops[~loads, 1:].ravel(), ops[loads, 3]))
         if ops.size and (
-            not np.isin(ops[:, 0], (1, 2)).all()
+            not np.isin(ops[:, 0], (1, 2, 3)).all()
             or ops[:, 1:].min() < 0
-            or ops[:, 1:].max() >= state.shape[0]
+            or cells.max() >= state.shape[0]
         ):
-            raise ValueError("op table has a bad opcode or cell")
-        return functools.partial(
-            self._sweep,
-            ops.ctypes.data_as(_PTR),
-            _I64(ops.shape[0]),
-            state.ctypes.data_as(_PTR),
-            _I64(state.shape[1]),
-        )
+            raise ValueError("op table has a bad opcode, slot or cell")
+        cols = int(ops[loads, 1].max()) + 1 if loads.any() else 0
+        batch = state.shape[1]
+        fn = self._sweep
+        ops_p = ops.ctypes.data_as(_PTR)
+        n = _I64(ops.shape[0])
+        state_p = state.ctypes.data_as(_PTR)
 
-    def bind_scatter(
-        self, slots: np.ndarray, cells: np.ndarray
-    ) -> Callable[[np.ndarray, np.ndarray], None]:
-        """A call ``scatter(matrix, state)`` doing
-        ``state[cells[j], r] = matrix[r, slots[j]]`` for every row
-        ``r < state.shape[1]`` and every ``j``.
-
-        ``slots``/``cells`` are parallel int64 vectors, bound once;
-        ``matrix`` may be any float64 ``(rows, cols)`` array, strided
-        or not, and ``state`` a C-contiguous float64 state.
-
-        Raises:
-            ValueError: Negative or unequal-length ``slots``/``cells``
-                at binding; at a call, a matrix or state too small for
-                them, or a state that is not C-contiguous float64.
-        """
-        _check(slots, np.int64, 1)
-        _check(cells, np.int64, 1)
-        if slots.shape != cells.shape or (
-            slots.size and min(slots.min(), cells.min()) < 0
-        ):
-            raise ValueError("slots and cells must be equal, nonnegative")
-        cols = int(slots.max()) + 1 if slots.size else 0
-        rows = int(cells.max()) + 1 if cells.size else 0
-        fn = self._scatter
-        slots_p = slots.ctypes.data_as(_PTR)
-        cells_p = cells.ctypes.data_as(_PTR)
-        n = _I64(slots.shape[0])
-
-        def scatter(matrix: np.ndarray, state: np.ndarray) -> None:
-            if (
-                matrix.ndim != 2
-                or matrix.shape[1] < cols
-                or matrix.shape[0] < state.shape[1]
-                or state.shape[0] < rows
-                or state.dtype != np.float64
-                or not state.flags.c_contiguous
-            ):
-                raise ValueError(
-                    f"scatter of {matrix.shape} into {state.shape} "
-                    f"needs {cols} columns and {rows} cells"
-                )
+        def sweep(matrix: np.ndarray) -> None:
+            matrix = check_matrix(matrix, batch, cols)
             rs, cs = matrix.strides
-            if matrix.dtype != np.float64 or rs % 8 or cs % 8:
-                matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-                rs, cs = matrix.strides
-            fn(
-                matrix.ctypes.data,
-                rs // 8,
-                cs // 8,
-                state.shape[1],
-                slots_p,
-                cells_p,
-                n,
-                state.ctypes.data,
-            )
+            fn(ops_p, n, state_p, batch, matrix.ctypes.data, rs // 8, cs // 8)
 
-        return scatter
+        return sweep
+
+
+def check_matrix(matrix: np.ndarray, batch: int, cols: int) -> np.ndarray:
+    """``matrix`` as a sweep of ``batch`` rows loads it: a 2-D float64
+    array whose strides are whole elements (converted to a contiguous
+    copy if it is not), with ``batch`` rows and at least ``cols``
+    columns.
+
+    Raises:
+        ValueError: The matrix is not 2-D, its rows are not the batch,
+            or it has fewer than ``cols`` columns.
+    """
+    if (
+        matrix.ndim != 2
+        or matrix.shape[0] != batch
+        or matrix.shape[1] < cols
+    ):
+        raise ValueError(
+            f"a sweep of batch {batch} loads {cols} columns, got a "
+            f"{matrix.shape} matrix"
+        )
+    rs, cs = matrix.strides
+    if matrix.dtype != np.float64 or rs % 8 or cs % 8:
+        return np.ascontiguousarray(matrix, dtype=np.float64)
+    return matrix
 
 
 def _check(arr: np.ndarray, dtype, ndim: int) -> None:

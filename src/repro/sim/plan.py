@@ -49,6 +49,9 @@ the pipelined machine into a simple sequential tape.
 
 from __future__ import annotations
 
+import gc
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -451,7 +454,8 @@ def lower_program(
     """Lower a compiled program into an :class:`ExecutionPlan`.
 
     Runs the full hazard / interconnect / address-prediction
-    verification the scalar simulator would perform, exactly once.
+    verification the scalar simulator would perform, exactly once, with
+    the cyclic GC paused (:func:`gc_paused`).
 
     Args:
         program: The compiled program to lower.
@@ -465,4 +469,23 @@ def lower_program(
         HazardError: Read of in-flight data.
         SimulationError: Any architectural misuse.
     """
-    return _Lowerer(program, interconnect, check_addresses).lower()
+    with gc_paused():
+        return _Lowerer(program, interconnect, check_addresses).lower()
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Run the block with the cyclic garbage collector paused, then
+    restore the state it had.
+
+    For passes that allocate many objects and make no reference
+    cycles (``tests/test_compiler_gc.py`` guards this), like the
+    compiler's: a collection during them would free nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()

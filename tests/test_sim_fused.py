@@ -41,7 +41,13 @@ from repro.sim import (
     run_program,
 )
 from repro.sim.batch import BOUND_SWEEP_CAP
-from repro.sim.fused import FUSED_ADD, FUSED_MUL, _numpy_program
+from repro.sim.fused import (
+    FUSED_ADD,
+    FUSED_LOAD,
+    FUSED_MUL,
+    _MATRIX,
+    _numpy_program,
+)
 from repro.sim.plan import MoveStep, contiguous_slice
 from repro.verify.differential import interpret_plan
 from repro.workloads.synth import SYNTH_FAMILIES, generate_synth
@@ -78,8 +84,6 @@ class _Values:
             self.keys.append(key)
         return self.ids[key]
 
-    def is_op(self, value: int) -> bool:
-        return self.keys[value][0] in _OP.values()
 
 
 _OP = {FUSED_ADD: "add", FUSED_MUL: "mul"}
@@ -122,75 +126,111 @@ def _step_replay(plan, val):
 
 def _assert_layout_safe(fused, plan):
     """Replay ``fused.ops`` symbolically, level by level, and check its
-    cell reuse.
+    loads and cell reuse.
 
     Every cell holds the symbolic value last written to it; values are
     hash-consed expressions, so an op that read a clobbered cell
     computes an expression the step tape never computes.  Asserts:
     ``level_bounds`` tiles the table; no cell is read before it is
     written in the run; no level writes a cell twice or reads a cell it
-    writes (so running a level's rows in any order, as the native
-    kernel does one by one, is the same); a level is sorted by opcode
-    and its results are one block of consecutive cells (the numpy
-    sweep's one ufunc per run); the multiset of op values equals the
-    step tape's ops and every output ends with the step tape's value
-    (so every read saw the value it was scheduled to read); zero cells
-    are never written, nor output cells after their value is.
+    loads or writes (so running a level's rows in any order, as the
+    native kernel does one by one, is the same); a level is sorted by
+    opcode (adds, muls, then loads) and its results and loads are one
+    block of consecutive cells (the numpy sweep's one ufunc per run and
+    one ``np.take`` per level's loads); every input the step tape reads
+    is loaded exactly once, from a slot below ``num_inputs``, one level
+    before its first reader (level 0 if only an output reads it); the
+    multiset of op values equals the step tape's ops and every output
+    ends with the step tape's value (so every read saw the value it
+    was scheduled to read); zero cells are never written, nor output
+    cells after their value is.
     """
     val = _Values()
     want_ops, want_outputs = _step_replay(plan, val)
     holder: list = [None] * fused.state_size
-    for pos, slot in zip(fused.input_pos, fused.input_slots):
-        holder[pos] = val("in", int(slot))
     for pos in fused.zero_pos.tolist():
         holder[pos] = val("zero")
     history: dict[int, list[int]] = {}
     got_ops: Counter = Counter()
+    loads: Counter = Counter()
+    load_level: dict[int, int] = {}
+    first_read: dict[int, int] = {}
 
-    def read(cells):
+    def read(cells, level):
         values = [holder[c] for c in cells]
         assert None not in values, "cell read before it was written"
+        for v in values:
+            if val.keys[v][0] == "in":
+                first_read.setdefault(val.keys[v][1], level)
         return values
 
     bounds = fused.level_bounds.tolist()
-    assert bounds[0] == 0 and bounds[-1] == fused.num_ops
+    assert bounds[0] == 0 and bounds[-1] == len(fused.ops)
     assert all(lo < hi for lo, hi in itertools.pairwise(bounds))
     assert fused.num_levels == len(bounds) - 1
-    for lo, hi in itertools.pairwise(bounds):
-        codes, a_cells, b_cells, outs = fused.ops[lo:hi].T.tolist()
+    assert (fused.ops[:, 0] != FUSED_LOAD).sum() == fused.num_ops
+    for li, (lo, hi) in enumerate(itertools.pairwise(bounds)):
+        codes, a_col, b_col, outs = fused.ops[lo:hi].T.tolist()
         assert codes == sorted(codes), "a level is not sorted by opcode"
+        assert set(codes) <= {FUSED_ADD, FUSED_MUL, FUSED_LOAD}
         assert outs == list(range(outs[0], outs[0] + len(outs)))
+        n_arith = len(codes) - codes.count(FUSED_LOAD)
+        a_cells, b_cells = a_col[:n_arith], b_col[:n_arith]
         assert set(outs).isdisjoint(a_cells + b_cells), (
-            "a level reads a cell it writes"
+            "a level reads a cell it loads or writes"
         )
         new = [
             val(_OP[code], a, b)
-            for code, a, b in zip(codes, read(a_cells), read(b_cells))
+            for code, a, b in zip(
+                codes, read(a_cells, li), read(b_cells, li)
+            )
         ]
-        got_ops.update(new)
+        for slot in a_col[n_arith:]:
+            assert 0 <= slot < fused.num_inputs
+            loads[slot] += 1
+            load_level[slot] = li
+            new.append(val("in", slot))
+        got_ops.update(new[:n_arith])
         for c, v in zip(outs, new):
             holder[c] = v
             history.setdefault(c, []).append(v)
     assert got_ops == want_ops
+    read_slots = {
+        val.keys[v][1]
+        for key in want_ops
+        for v in val.keys[key][1:]
+        if val.keys[v][0] == "in"
+    } | {
+        val.keys[v][1] for v in want_outputs.values() if val.keys[v][0] == "in"
+    }
+    assert loads == Counter(read_slots), "an input not loaded exactly once"
+    for slot in read_slots:
+        assert load_level[slot] == first_read.get(slot, 1) - 1, slot
     for var, cell in zip(fused.output_vars, fused.output_cells.tolist()):
         assert holder[cell] == want_outputs[var], f"output var {var}"
         # Once written, an output cell is never reused; an output that
-        # is an input value is never written at all.
+        # reads the zero initialization is never written at all.
         written = history.get(cell, [])
-        if val.is_op(holder[cell]):
-            assert written.index(holder[cell]) == len(written) - 1
-        else:
+        if val.keys[holder[cell]] == ("zero",):
             assert not written
+        else:
+            assert written.index(holder[cell]) == len(written) - 1
     assert not any(c in history for c in fused.zero_pos.tolist())
 
 
 def _describe_program(fused, batch=3):
     """The numpy sweep's bound calls as plain data: ufunc or gather
-    name, then each argument — the state, a view (buffer, element
-    offset, shape) or a gather index array (shape, digest)."""
+    name, then each argument — the state, the input matrix, a view
+    (buffer, element offset, shape) or an index array (shape, digest).
+    A view belongs to the state when its data lies in the state's
+    buffer range (the aligned state is itself a view), else to the
+    scratch."""
     state = fused.make_state(batch)
+    lo, hi = state.ctypes.data, state.ctypes.data + state.nbytes
 
     def arg(x):
+        if x is _MATRIX:
+            return "matrix"
         if not isinstance(x, np.ndarray):
             return x
         if x is state:
@@ -198,9 +238,10 @@ def _describe_program(fused, batch=3):
         if x.dtype.kind == "i":
             digest = hashlib.sha256(np.ascontiguousarray(x).tobytes())
             return ["index", list(x.shape), digest.hexdigest()[:16]]
-        name = "state" if x.base is state else "scratch"
+        if lo <= x.ctypes.data < hi:
+            return ["state", (x.ctypes.data - lo) // 8, list(x.shape)]
         offset = (x.ctypes.data - x.base.ctypes.data) // 8
-        return [name, offset, list(x.shape)]
+        return ["scratch", offset, list(x.shape)]
 
     return [
         [f.__name__, [arg(x) for x in args]]
@@ -229,9 +270,10 @@ class TestContiguousSlice:
 # ---------------------------------------------------------------------------
 class TestFusePlan:
     def test_kernel_count_bounded_by_dag_groups(self):
-        """One run of one opcode per (level, opcode) at most — the
-        DAG's level/opcode grouping is the lower bound the fusion
-        targets."""
+        """One run of one arithmetic opcode per (level, opcode) at
+        most — the DAG's level/opcode grouping is the lower bound the
+        fusion targets.  Load runs are not arithmetic and not
+        counted."""
         from repro.graphs import binarize
 
         dag = generate_synth("layered", 80, seed=3)
@@ -240,7 +282,11 @@ class TestFusePlan:
         groups = DagArrays.of(binarize(dag).dag).level_opcode_groups()
         n_groups = sum(len(g) for g in groups)
         opcodes = [
-            [code for code, _ in itertools.groupby(fused.ops[lo:hi, 0])]
+            [
+                code
+                for code, _ in itertools.groupby(fused.ops[lo:hi, 0])
+                if code != FUSED_LOAD
+            ]
             for lo, hi in itertools.pairwise(fused.level_bounds.tolist())
         ]
         n_kernels = sum(len(level) for level in opcodes)
@@ -265,11 +311,11 @@ class TestFusePlan:
             assert codes == sorted(codes)
 
     def test_state_is_liveness_compacted(self):
-        """Cells are reused: the state is smaller than one cell per op
-        plus the base prefix, and never below the widest level."""
+        """Cells are reused: the state is smaller than one cell per
+        zero cell, load and op, and never below the widest level."""
         dag = generate_synth("layered", 90, seed=3)
         fused = fuse_plan(compile_dag(dag, CFG).plan())
-        assert fused.state_size < _base_cells(fused) + fused.num_ops
+        assert fused.state_size < _uncompacted_cells(fused)
         widest = int(np.diff(fused.level_bounds).max())
         assert fused.state_size >= widest
 
@@ -288,10 +334,10 @@ class TestFusePlan:
                 BatchSimulator(plan, engine=name)
 
 
-def _base_cells(fused):
-    """Cells of the fused prefix the source plan's cells back: the
-    scattered inputs and the pinned zero cells."""
-    return np.union1d(fused.input_pos, fused.zero_pos).size
+def _uncompacted_cells(fused):
+    """Cells of the fused state without liveness reuse: the pinned
+    zero cells plus one cell per load and per op."""
+    return fused.zero_pos.size + len(fused.ops)
 
 
 def _assert_matches_scalar(fused, program, matrix, rows):
@@ -390,19 +436,18 @@ class TestEngineParity:
 
 #: Per synth family (150 nodes, seed 13, ``CFG``): the numpy sweep's
 #: call count and the sha256 prefix of ``json.dumps`` of
-#: :func:`_describe_program`.  Recorded from the per-level kernel
-#: objects the sweep was bound from before it was derived from
-#: ``FusedPlan.ops``; a change to compiled programs moves them, as it
-#: moves the goldens.
+#: :func:`_describe_program`.  Each level that loads inputs has one
+#: take from the matrix.  A change to compiled programs moves them, as
+#: it moves the goldens.
 NUMPY_PROGRAMS = {
-    "deep": (74, "d868b9eb6fdc8194f32c2a38c3542c37"),
-    "diamond": (132, "305a9a8b1ce8feac38e2568f13e221c4"),
-    "disconnected": (18, "e5b6e3634b7c7504c53d67d8d12770b6"),
-    "layered": (76, "c2e0c0773e470ae652fa7b81ae35882c"),
-    "near_chain": (79, "bfd912a8229920a28c175435f50c5d70"),
-    "reuse": (22, "360fad9c904401e9df2855343db08493"),
-    "skewed_fanout": (36, "12243b702d966cfb4013ee87dc8f9108"),
-    "wide": (16, "17f7bb5145047603b2ddb36ed22b77cf"),
+    "deep": (148, "0f7c0debb15546b996d31bc94f44ba96"),
+    "diamond": (162, "20f4ab31c0564d34c347274a48ec753f"),
+    "disconnected": (26, "007c97ecec0b5f144a0c117eacd1e0ab"),
+    "layered": (80, "375d8f4bba614509bd9a6067fe524e5a"),
+    "near_chain": (149, "a6aa20c5481aedd7fd92003fbc964a7c"),
+    "reuse": (23, "67500d19ac24a8356a7fc376c324ecbd"),
+    "skewed_fanout": (38, "0bb93e3b34c30a8fd9888f89230f7f23"),
+    "wide": (18, "4a2496fdf8994738c02d07ed34e92994"),
 }
 
 
@@ -434,7 +479,7 @@ class TestBoundSweeps:
         points — must equal a fresh simulator's result bitwise."""
         dag, plan = self._plan()
         fused = fuse_plan(plan)
-        assert fused.state_size < _base_cells(fused) + fused.num_ops
+        assert fused.state_size < _uncompacted_cells(fused)
         sim = BatchSimulator(plan, fused_plan=fused)
         for widths in ((6,), range(1, BOUND_SWEEP_CAP + 1)):
             for seed in (1, 2, 1):
@@ -470,6 +515,28 @@ class TestBoundSweeps:
             fresh = BatchSimulator(plan).run(matrix)
             _assert_bitwise(sim.run(matrix).outputs, fresh.outputs)
 
+    @pytest.mark.parametrize("batch", [1, 3, 64, 256])
+    def test_states_are_cache_line_aligned(self, batch):
+        """Every state starts on a 64-byte boundary: fresh ones, the
+        bound pair a run keeps and the throwaway pair a contended run
+        binds."""
+        dag, plan = self._plan()
+        sim = BatchSimulator(plan)
+        states = [sim._fused.make_state(batch) for _ in range(8)]
+        sim.run(_inputs(dag, batch))
+        states.append(sim._bound[batch][0])
+        assert sim._bound_lock.acquire(blocking=False)
+        try:
+            state, _, lock = sim._acquire_state(batch)
+            assert lock is None  # the throwaway pair
+            states.append(state)
+        finally:
+            sim._bound_lock.release()
+        for state in states:
+            assert state.shape == (sim._fused.state_size, batch)
+            assert state.flags.c_contiguous
+            assert state.ctypes.data % 64 == 0
+
     def test_bound_pair_cache_evicts_oldest(self):
         dag, plan = self._plan()
         sim = BatchSimulator(plan)
@@ -489,14 +556,13 @@ class TestBoundSweeps:
         assert (len(calls), digest[:32]) == NUMPY_PROGRAMS[family]
 
     def test_bind_sweep_matches_reference_executor(self):
-        """A bare bound pair, scattered and swept by hand, equals the
+        """A bare bound pair, swept by hand over a matrix, equals the
         oracle's plan interpreter bitwise."""
         dag, plan = self._plan()
         fused = fuse_plan(plan)
         matrix = _inputs(dag, 6, seed=3)
         state, sweep = bind_sweep(fused, 6)
-        state[fused.input_pos] = matrix.T[plan.input_slots]
-        sweep()
+        sweep(matrix)
         _assert_bitwise(
             dict(zip(plan.output_vars, state[fused.output_cells])),
             interpret_plan(plan, matrix).outputs,
@@ -519,9 +585,9 @@ class TestFusedCache:
 
     def test_pre_bump_entry_is_not_reused(self, tmp_path):
         """A fused plan cached under the key of an older layout — the
-        uncompacted one (no layout version in its key) or ``fused-v4``
-        — is never served: the layout version in ``fused_key`` moves
-        every lookup to a fresh key."""
+        uncompacted one (no layout version in its key), ``fused-v4``
+        or ``fused-v5`` — is never served: the layout version in
+        ``fused_key`` moves every lookup to a fresh key."""
         from repro.arch import DEFAULT_TOPOLOGY
 
         configure_cache(tmp_path / "cache")
@@ -533,11 +599,16 @@ class TestFusedCache:
         # The key of the last layout with per-level kernel objects.
         v4_key = _h(b"fused", b"fused-v4", pkey.encode()).hex()
         assert fused_key(pkey) != v4_key
+        # The key of the last layout with a separate input scatter.
+        v5_key = _h(b"fused", b"fused-v5", pkey.encode()).hex()
+        assert fused_key(pkey) != v5_key
         get_cache().put(old_key, "stale uncompacted plan")
         get_cache().put(v4_key, "stale level-tree plan")
+        get_cache().put(v5_key, "stale scatter plan")
         fused = cached_fused_plan(result)
         assert isinstance(fused, FusedPlan)
         assert fused.fingerprint == fuse_plan(result.plan()).fingerprint
         assert get_cache().get(fused_key(pkey)) is not None
         assert get_cache().get(old_key) == "stale uncompacted plan"
         assert get_cache().get(v4_key) == "stale level-tree plan"
+        assert get_cache().get(v5_key) == "stale scatter plan"

@@ -41,14 +41,13 @@ def _bits(arr):
 
 def _sweep_both(fused, plan, matrix, monkeypatch):
     """Final states of the native and the numpy sweep, each bound by
-    :func:`bind_sweep` and fed the same scattered inputs."""
+    :func:`bind_sweep` and loading the same input matrix."""
     states = []
     for kernel in (native.load(), None):
         with monkeypatch.context() as m:
             m.setattr(native, "load", lambda k=kernel: k)
             state, sweep = bind_sweep(fused, len(matrix))
-        state[fused.input_pos] = matrix.T[plan.input_slots]
-        sweep()
+        sweep(matrix)
         states.append(state)
     return states
 
@@ -145,7 +144,7 @@ class TestParity:
             assert np.array_equal(_bits(out[var]), _bits(ref[var]))
 
     def test_strided_and_single_row_inputs(self):
-        """The native scatter reads any element-strided matrix."""
+        """The native loads read any element-strided matrix."""
         dag = generate_synth("wide", 60, seed=2)
         plan = compile_dag(dag, CFG).plan()
         sim = BatchSimulator(plan)
@@ -161,22 +160,33 @@ class TestParity:
         kernel = native.load()
         state = np.zeros((4, 8))
         good = np.array([[1, 0, 1, 2]], dtype=np.int64)
-        kernel.bind_sweep(good, state)()
-        for bad in ([[3, 0, 1, 2]], [[1, 0, 4, 2]], [[2, -1, 1, 2]]):
-            with pytest.raises(ValueError):
-                kernel.bind_sweep(np.array(bad, dtype=np.int64), state)
-        scatter = kernel.bind_scatter(
-            np.array([0, 5], dtype=np.int64), np.array([1, 3], dtype=np.int64)
-        )
-        scatter(np.ones((8, 6)), state)
-        assert (state[[1, 3]] == 1.0).all()
-        for matrix, st in (
-            (np.ones((8, 5)), state),  # column 5 missing
-            (np.ones((7, 6)), state),  # fewer rows than the batch
-            (np.ones((8, 6)), np.zeros((3, 8))),  # cell 3 missing
+        kernel.bind_sweep(good, state)(np.ones((8, 0)))
+        for bad in (
+            [[4, 0, 1, 2]],  # no opcode 4
+            [[1, 0, 4, 2]],  # cell 4 missing
+            [[2, -1, 1, 2]],  # negative cell
+            [[3, -1, 0, 2]],  # negative slot
+            [[3, 0, 0, 4]],  # loads into a missing cell
         ):
             with pytest.raises(ValueError):
-                scatter(matrix, st)
+                kernel.bind_sweep(np.array(bad, dtype=np.int64), state)
+        # Loads of columns 0 and 5 into cells 1 and 3, then 1 + 3 -> 0.
+        loads = np.array(
+            [[3, 0, 0, 1], [3, 5, 0, 3], [1, 1, 3, 0]], dtype=np.int64
+        )
+        sweep = kernel.bind_sweep(loads, state)
+        matrix = np.arange(48.0).reshape(8, 6)
+        sweep(matrix)
+        assert (state[1] == matrix[:, 0]).all()
+        assert (state[3] == matrix[:, 5]).all()
+        assert (state[0] == matrix[:, 0] + matrix[:, 5]).all()
+        for bad_matrix in (
+            np.ones((8, 5)),  # column 5 missing
+            np.ones((7, 6)),  # fewer rows than the batch
+            np.ones(6),  # not a matrix
+        ):
+            with pytest.raises(ValueError):
+                sweep(bad_matrix)
 
     def test_threads_share_one_simulator(self):
         """ctypes releases the GIL, so the threads' sweeps overlap: one
