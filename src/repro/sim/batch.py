@@ -60,7 +60,9 @@ class BatchResult:
 
     Attributes:
         outputs: ``var -> (B,) float64`` final value of every output
-            variable across the batch.
+            variable across the batch.  The values are the rows of one
+            ``(n_out, B)`` block copied out of the sweep's state, so
+            they keep their values when the simulator runs again.
         batch: Number of rows executed.
         counters: Activity totals for the whole batch (the single-run
             counters scaled by B — execution is static, so this is
@@ -235,8 +237,8 @@ class BatchSimulator:
 
     def _sweep(self, matrix: np.ndarray, t0: float) -> BatchResult:
         """One run over a ``(B, num_inputs)`` float64 matrix: a bound
-        sweep loads and runs it, then the output cells are copied
-        out."""
+        sweep loads and runs it, then one gather copies the output
+        cells out."""
         plan = self.plan
         batch = matrix.shape[0]
         state, sweep, lock = self._acquire_state(batch)
@@ -250,12 +252,9 @@ class BatchSimulator:
                 workload=plan.source_name,
             ):
                 sweep(matrix)
-            outputs = {
-                var: state[cell].copy()
-                for var, cell in zip(
-                    plan.output_vars, self._fused.output_cells
-                )
-            }
+            outputs = dict(
+                zip(plan.output_vars, state[self._fused.output_cells])
+            )
         finally:
             if lock is not None:
                 lock.release()

@@ -88,11 +88,13 @@ class ActivityCounters:
         if batch < 1:
             raise SimulationError(f"batch must be >= 1, got {batch}")
         return ActivityCounters(
-            **{
-                f.name: getattr(self, f.name) * batch
-                for f in dataclasses.fields(self)
-            }
+            *[getattr(self, name) * batch for name in _COUNTER_FIELDS]
         )
+
+
+#: :class:`ActivityCounters`' field names in declaration order, so that
+#: :meth:`ActivityCounters.scaled` builds its result positionally.
+_COUNTER_FIELDS = tuple(f.name for f in dataclasses.fields(ActivityCounters))
 
 
 @dataclass

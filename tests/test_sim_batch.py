@@ -1,6 +1,8 @@
 """Unit tests for the two-phase engine: plan lowering + batch executor,
 and the batch-aware activity/energy/performance helpers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,15 @@ class TestBatchCounters:
         s = c.scaled(4)
         assert (s.cycles, s.pe_ops, s.bank_reads) == (12, 20, 28)
         assert s.ops_per_cycle() == c.ops_per_cycle()
+
+    def test_scaled_equals_field_by_field_product(self):
+        """Every field gets its own value, so a result built from the
+        fields in the wrong order, or missing one, fails."""
+        fields = dataclasses.fields(ActivityCounters)
+        c = ActivityCounters(*[3 + 2 * i for i in range(len(fields))])
+        s = c.scaled(7)
+        for f in fields:
+            assert getattr(s, f.name) == 7 * getattr(c, f.name), f.name
 
     def test_scaled_rejects_nonpositive(self):
         with pytest.raises(SimulationError):

@@ -471,6 +471,23 @@ class TestBoundSweeps:
                     sim.run(matrix).outputs, fresh.run(matrix).outputs
                 )
 
+    def test_outputs_survive_a_second_run(self):
+        """The bound state is reused by the next run; a result's outputs
+        are a copy, so they keep their values."""
+        dag, plan = self._plan()
+        sim = BatchSimulator(plan)
+        first = sim.run(_inputs(dag, 5, seed=1))
+        kept = {var: col.copy() for var, col in first.outputs.items()}
+        second = sim.run(_inputs(dag, 5, seed=2))
+        state = sim._bound[5][0]
+        _assert_bitwise(first.outputs, kept)
+        assert any(
+            not np.array_equal(kept[var], second.outputs[var])
+            for var in kept
+        )
+        for col in first.outputs.values():
+            assert not np.shares_memory(col, state)
+
     def test_reused_cells_match_fresh_simulator(self):
         """Cells are reused within a run, so a bound state holds the
         previous batch's values when the next run starts.  Matrices A,

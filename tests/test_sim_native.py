@@ -11,6 +11,7 @@ asserts the kernel is available, so they cannot skip silently there.
 import dataclasses
 import logging
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -76,16 +77,26 @@ def fresh_load():
 class TestParity:
     @pytest.mark.parametrize("family", SYNTH_FAMILIES)
     def test_native_matches_numpy_sweep(self, family, monkeypatch):
+        """Widths 5 and 257 run the kernel's four-row bodies and its
+        scalar tails together; 1 and 3 run tails only, 256 bodies
+        only.  The outputs also equal the plan interpreter's."""
         dag = generate_synth(family, 60, seed=5)
         plan = compile_dag(dag, CFG).plan()
         fused = fuse_plan(plan)
         rng = np.random.default_rng(1)
-        for batch in (1, 3, 256):
+        for batch in (1, 3, 5, 256, 257):
             matrix = rng.uniform(0.9, 1.1, size=(batch, dag.num_inputs))
             got, want = _sweep_both(fused, plan, matrix, monkeypatch)
             # Whole states: every cell either sweep writes, not only
             # the outputs.
             assert np.array_equal(_bits(got), _bits(want)), (family, batch)
+            ref = interpret_plan(plan, matrix).outputs
+            for var, row in zip(plan.output_vars, got[fused.output_cells]):
+                assert np.array_equal(_bits(row), _bits(ref[var])), (
+                    family,
+                    batch,
+                    var,
+                )
 
     def test_special_values(self, monkeypatch):
         """Rows of ±inf and ±0.0 (where inf - inf and 0 * inf make the
@@ -230,6 +241,21 @@ class TestParity:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_kernel_builds_without_warnings(tmp_path):
+    """A compiler that ignores ``target_clones`` warns and leaves the
+    AVX2 clone out; ``-Werror`` turns that into a failure here."""
+    out = tmp_path / "sweep.so"
+    build = subprocess.run(
+        ["cc", *native.FLAGS, "-Werror", "-x", "c", "-", "-o", str(out)],
+        input=native.SOURCE.encode(),
+        capture_output=True,
+        timeout=120,
+    )
+    assert build.returncode == 0, build.stderr.decode()
+    assert out.stat().st_size > 0
 
 
 def _fake_cc(tmp_path, monkeypatch):
