@@ -129,6 +129,10 @@ def bench_workload(label, build, args) -> dict:
         "cycles_per_row": plan.cycles_per_row,
         "tape_steps": len(plan.steps),
         "fused_levels": fused.num_levels,
+        # Rows of the op table (loads, ops and folded op pairs) and
+        # cells of the state the engine runs.
+        "fused_rows": len(fused.ops),
+        "fused_cells": fused.state_size,
         # Per-batch state buffers, f64 cells x batch rows; the
         # uncompacted layout is the pinned zero cells plus one cell per
         # row of the op table (its loads and its ops).

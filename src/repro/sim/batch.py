@@ -9,13 +9,13 @@ op over the batch dimension.  This is the library's only batch engine.
 
 The sweep runs on the native C kernel (:mod:`repro.sim.native`): one
 fixed loop over the plan's flat op table, built once per process when
-the simulator is constructed.  The table's load rows read the caller's
-input matrix directly, each input one level before its first use, so
-there is no separate input pass.  Without a working C compiler the
-process logs one warning and runs the numpy sweep instead — bound from
-the same op table: one gather per level, one ufunc per run of one
-opcode and one take per level's loads — with the same outputs.
-Nothing configures the choice.
+the first simulator is constructed.  The table's load rows read the
+caller's input matrix directly, each input one level before its first
+use, so there is no separate input pass, and its folded rows keep a
+single-use intermediate in a register, the host's version of a PE
+tree.  A working C compiler (``cc`` on ``PATH``) is required:
+constructing a simulator without one raises a
+:class:`~repro.errors.SimulationError` that names ``cc``.
 
 No verification happens here: the plan was verified at lowering time
 (hazards, interconnect legality, address predictions, memory tags),
@@ -48,10 +48,12 @@ from .functional import ActivityCounters
 from .fused import FusedPlan, bind_sweep, fuse_plan
 from .plan import ExecutionPlan, lower_program
 
-#: Bound (state, sweep) pairs retained per simulator: one per distinct
-#: batch width, oldest evicted beyond this many (bounds the buffer
-#: memory a simulator serving many batch shapes can pin).
+#: Bound (state, inputs, sweep) triples retained per simulator: one per
+#: distinct batch width, oldest evicted beyond this many (bounds the
+#: buffer memory a simulator serving many batch shapes can pin).
 BOUND_SWEEP_CAP = 8
+
+_Bound = tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], None]]
 
 
 @dataclass(frozen=True)
@@ -158,14 +160,12 @@ class BatchSimulator:
             )
         self._fused = fused_plan
         # Build (or find) the native kernel now, in set-up, not in the
-        # first timed run; None means this process sweeps on numpy.
+        # first timed run; this raises when no working cc exists.
         native.load()
-        # Bound (state, sweep) pairs keyed by batch width, guarded by
-        # a non-blocking lock: concurrent runs of one simulator bind a
-        # throwaway pair instead of serializing.
-        self._bound: dict[
-            int, tuple[np.ndarray, Callable[[np.ndarray], None]]
-        ] = {}
+        # Bound (state, inputs, sweep) triples keyed by batch width,
+        # guarded by a non-blocking lock: concurrent runs of one
+        # simulator bind a throwaway triple instead of serializing.
+        self._bound: dict[int, _Bound] = {}
         self._bound_lock = threading.Lock()
 
     def run(self, inputs: np.ndarray) -> BatchResult:
@@ -193,7 +193,7 @@ class BatchSimulator:
         batch = matrix.shape[0]
         if batch < 1:
             raise SimulationError("input matrix has no rows to execute")
-        return self._sweep(matrix, time.perf_counter())
+        return self._sweep(batch, matrix, (), time.perf_counter())
 
     def run_rows(self, rows: Sequence[np.ndarray]) -> BatchResult:
         """Execute a batch assembled from B independent row vectors.
@@ -203,9 +203,9 @@ class BatchSimulator:
         *heterogeneous* widths — each row only needs at least
         ``plan.num_inputs`` leading entries, so rows sliced out of
         wider tenant buffers are accepted as-is.  The leading entries
-        are copied into one ``(B, num_inputs)`` matrix (a basic slice
-        per row, a plain memcpy), which the sweep then loads from, as
-        :meth:`run`'s does.
+        are copied into the bound ``(B, num_inputs)`` input matrix of
+        the batch width (a basic slice per row, a plain memcpy), which
+        the sweep then loads from through pointers computed once.
 
         Bitwise identical to ``run(np.stack([...]))`` — same loaded
         values, same sweep (asserted in the test suite).
@@ -214,35 +214,41 @@ class BatchSimulator:
             SimulationError: Empty batch, a non-1-D row, or a row
                 shorter than ``plan.num_inputs``.
         """
-        plan = self.plan
-        k = plan.num_inputs
         batch = len(rows)
         if batch < 1:
             raise SimulationError("input matrix has no rows to execute")
-        t0 = time.perf_counter()
-        matrix = np.empty((batch, k), dtype=np.float64)
-        for j, row in enumerate(rows):
-            r = np.asarray(row, dtype=np.float64)
-            if r.ndim != 1:
-                raise SimulationError(
-                    f"row {j}: expected a 1-D vector, got shape {r.shape}"
-                )
-            if r.shape[0] < k:
-                raise SimulationError(
-                    f"row {j} too narrow: need {k} entries, got "
-                    f"{r.shape[0]}"
-                )
-            matrix[j] = r[:k]
-        return self._sweep(matrix, t0)
+        return self._sweep(batch, None, rows, time.perf_counter())
 
-    def _sweep(self, matrix: np.ndarray, t0: float) -> BatchResult:
-        """One run over a ``(B, num_inputs)`` float64 matrix: a bound
-        sweep loads and runs it, then one gather copies the output
-        cells out."""
+    def _sweep(
+        self,
+        batch: int,
+        matrix: np.ndarray | None,
+        rows: Sequence[np.ndarray],
+        t0: float,
+    ) -> BatchResult:
+        """One run: a bound sweep loads ``matrix`` — a ``(B,
+        num_inputs)`` float64 matrix, or, when it is ``None``, the
+        bound input matrix after ``rows`` are copied into it — and runs
+        it, then one gather copies the output cells out."""
         plan = self.plan
-        batch = matrix.shape[0]
-        state, sweep, lock = self._acquire_state(batch)
+        state, inputs, sweep, lock = self._acquire_state(batch)
         try:
+            if matrix is None:
+                matrix = inputs
+                k = plan.num_inputs
+                for j, row in enumerate(rows):
+                    r = np.asarray(row, dtype=np.float64)
+                    if r.ndim != 1:
+                        raise SimulationError(
+                            f"row {j}: expected a 1-D vector, got shape "
+                            f"{r.shape}"
+                        )
+                    if r.shape[0] < k:
+                        raise SimulationError(
+                            f"row {j} too narrow: need {k} entries, got "
+                            f"{r.shape[0]}"
+                        )
+                    matrix[j] = r[:k]
             # The sampled span is per batch (not per row or op), so
             # the disabled path pays one boolean check per sweep.
             with trace.sampled_span(
@@ -269,14 +275,17 @@ class BatchSimulator:
     def _acquire_state(
         self, batch: int
     ) -> tuple[
-        np.ndarray, Callable[[np.ndarray], None], threading.Lock | None
+        np.ndarray,
+        np.ndarray,
+        Callable[[np.ndarray], None],
+        threading.Lock | None,
     ]:
-        """State image and bound sweep for one run.
+        """State image, input matrix and bound sweep for one run.
 
-        Reuses a per-batch-width bound ``(state, sweep)`` pair (see
-        :func:`~repro.sim.fused.bind_sweep`), holding the returned lock
-        for the duration of the run.  If another thread holds the
-        pair, the run binds a throwaway pair instead of waiting, so
+        Reuses a per-batch-width bound ``(state, inputs, sweep)`` triple
+        (see :func:`~repro.sim.fused.bind_sweep`), holding the returned
+        lock for the duration of the run.  If another thread holds the
+        triple, the run binds a throwaway triple instead of waiting, so
         concurrent runs of one simulator overlap.
         """
         if self._bound_lock.acquire(blocking=False):
@@ -290,9 +299,8 @@ class BatchSimulator:
             except BaseException:
                 self._bound_lock.release()
                 raise
-            return entry[0], entry[1], self._bound_lock
-        state, sweep = bind_sweep(self._fused, batch)
-        return state, sweep, None
+            return (*entry, self._bound_lock)
+        return (*bind_sweep(self._fused, batch), None)
 
 
 def run_batch(

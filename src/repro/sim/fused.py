@@ -9,7 +9,7 @@ memory/scratch state image per batch row.  At batch 256 that dispatch
 overhead, the fancy-index intermediates and the state traffic dominate
 the sweep.  This module lowers the tape one step further into a
 :class:`FusedPlan` — the form the batch engine
-(:mod:`repro.sim.batch`) runs — built on three observations:
+(:mod:`repro.sim.batch`) runs — built on four observations:
 
 1. **Moves are renames.**  The tape's data movement (copies, loads,
    stores, exec write-backs, PASS_A/PASS_B bypasses) never computes
@@ -18,75 +18,69 @@ the sweep.  This module lowers the tape one step further into a
    symbolically, tracking the *value id* currently held by every state
    cell; moves update the tracking table and vanish from execution.
 
-2. **Same-opcode ops of one dependence level fuse.**  With moves gone,
-   only true RAW dependences remain (every op defines a fresh id, so
-   WAW/WAR hazards cannot exist).  Each arithmetic op's level is
-   ``1 + max(level of operands)``.  Ops are ordered by level, then
-   opcode, so all adds of one level form one run of the schedule — a
-   *super-op* the numpy sweep runs as a single ``np.add``, all muls
-   one ``np.multiply``.  A plan with thousands of tape steps collapses
-   to roughly ``2 x depth`` runs.
+2. **Ops order by dependence level.**  With moves gone, only true RAW
+   dependences remain (every op defines a fresh id, so WAW/WAR hazards
+   cannot exist).  Each arithmetic op's level is ``1 + max(level of
+   operands)``, and the schedule runs level by level, opcode-minor.
 
-3. **The machine state can be left behind.**  The only original
+3. **Single-use results stay in registers.**  Most results are read
+   exactly once.  As a DPU-v2 PE tree passes a value from one layer to
+   the next without the register file (§III), an add or mul read once,
+   by an add or mul, and not an output *folds* into its reader: the
+   two become one row ``(a op1 b) op2 c`` whose intermediate never
+   reaches the state.  The folded value keeps the side it was read
+   from, so each IEEE operation sees the same operands in the same
+   order.  A folded row is the host's version of a two-layer PE tree.
+
+4. **The machine state can be left behind.**  The only original
    cells the fused engine ever *reads* are the inputs (anything else
    reads the zero initialization, which gets one pinned zero cell).
    As DPU-v2 loads a value from data memory into a register bank only
    when a PE tree needs it (§IV), every input that is read becomes a
    *load* row of the schedule, placed one level before its first
    reader, so a deep plan keeps a handful of inputs live instead of
-   all of them.  Value ids are permuted level-major, so every run
-   *writes a basic slice* and operands frequently *read* one.  Then,
-   as the DPU-v2 compiler reuses registers by liveness, cells are
-   reused by last use: each level's results and loads take one
-   contiguous block of cells whose previous values are dead, so the
-   fused state grows with the peak live width, not the op count — for
-   real workloads a fraction of the register-file + data-memory +
-   scratch image a direct tape interpreter carries per batch row.
-   Within a run, every cell is written before it is read: inputs by
-   their load, results by their op, and a cell is handed on only
-   after the last level that reads its value.
+   all of them.  Then, as the DPU-v2 compiler reuses a register as
+   soon as its value is dead, cells are reused by last use: in row
+   order each row takes a free cell, and a cell is freed after the
+   last row that reads it, so the fused state is the peak number of
+   live values — for real workloads a fraction of the register-file
+   + data-memory + scratch image a direct tape interpreter carries per
+   batch row.  Within a run, every cell is written before it is read:
+   inputs by their load, results by their row.
 
-The schedule is one flat table, :attr:`FusedPlan.ops`: ``(opcode,
-a, b, out_cell)`` rows in level-major, opcode-minor order (adds, muls,
-then loads), with :attr:`FusedPlan.level_bounds` marking where each
-dependence level starts.  The native kernel (:mod:`repro.sim.native`) runs the
-table in one fixed C loop: no per-level or per-kernel dispatch at all.
-Without a working C compiler the numpy sweep runs instead, and it
-derives its program from the same table when it is bound: each level
-splits into runs of one opcode, each run is one ufunc call over *flat
-1-D contiguous views* (the state is C-contiguous, so cell range
-``[lo, hi)`` is flat range ``[lo*B, hi*B)``), the level's operands
-whose cells are not consecutive are collected by **one** gather into
-a scratch block first, and the level's loads are one take from the
-input matrix.  Which of the two runs is fixed per process by
-whether the kernel builds; nothing configures it.
+The schedule is one flat table, :attr:`FusedPlan.ops`: ``(opcode, a,
+b, c, out_cell)`` rows in level-major order, with
+:attr:`FusedPlan.level_bounds` marking where each dependence level
+starts.  The native kernel (:mod:`repro.sim.native`) runs the table in
+one fixed C loop: no per-level or per-kernel dispatch at all.  A
+working C compiler (``cc`` on ``PATH``) is required; there is no
+second sweep.
 
-Either way the sweep is **bound** once per batch width
-(:func:`bind_sweep`): the state buffer is allocated, 64-byte aligned,
-and the kernel's pointers (or the numpy views) are computed up front
-and reused across runs, so the per-run hot path is one C call or raw
-ufunc dispatches that read the caller's input matrix directly — no
-allocation, no slice construction, no index arithmetic.  Reusing
-the state is safe because within a run every cell is written before
-it is read (observation 3), so stale values from the previous batch
-are never observed.
+The sweep is **bound** once per batch width (:func:`bind_sweep`): the
+state buffer is allocated, 64-byte aligned, and the kernel's pointers
+are computed up front and reused across runs, so the per-run hot path
+is one C call that reads the caller's input matrix directly — no
+allocation, no slice construction, no index arithmetic.  Reusing the
+state is safe because within a run every cell is written before it is
+read (observation 4), so stale values from the previous batch are
+never observed.
 
-Everything here is bitwise-exact: both sweeps perform the same
-IEEE-double adds and muls, only regrouping *independent* lanes, so
-fused outputs are asserted bit-identical to a direct interpretation
-of the step tape (:func:`repro.verify.differential.interpret_plan`) by
-the differential fuzzer, and to the scalar simulator by the
-property-based suite.  One case is outside that guarantee: an add or
-mul whose two operands are NaNs with *different* payloads.  IEEE 754
-leaves the result's payload open, and Python floats, numpy and C pick
-differently, so the sweeps and the scalar simulator agree bitwise only
-while at most one NaN payload is in play.
+Everything here is bitwise-exact: the kernel performs the same
+IEEE-double adds and muls on the same operands, only regrouping
+*independent* lanes and keeping folded intermediates in registers
+(built without FMA contraction), so fused outputs are asserted
+bit-identical to a direct interpretation of the step tape
+(:func:`repro.verify.differential.interpret_plan`) by the differential
+fuzzer, and to the scalar simulator by the property-based suite.  One
+case is outside that guarantee: an add or mul whose two operands are
+NaNs with *different* payloads.  IEEE 754 leaves the result's payload
+open, and Python floats, numpy and C pick differently, so the engines
+agree bitwise only while at most one NaN payload is in play.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -96,29 +90,26 @@ from ..errors import SimulationError
 from ..obs import trace
 from . import native
 from .functional import ActivityCounters
-from .plan import (
-    ComputeStep,
-    ExecutionPlan,
-    MoveStep,
-    contiguous_slice,
-    gc_paused,
-)
+from .plan import ComputeStep, ExecutionPlan, MoveStep, gc_paused
 
 #: Kernel opcodes: add and mul align with
 #: :data:`repro.compiler.arrays.OP_CODES`; a load row ``(3, slot, 0,
-#: out_cell)`` copies input column ``slot`` into ``out_cell``.
+#: 0, out_cell)`` copies input column ``slot`` into ``out_cell``.
 FUSED_ADD = 1
 FUSED_MUL = 2
 FUSED_LOAD = 3
-
-_UFUNCS = {FUSED_ADD: np.add, FUSED_MUL: np.multiply}
+#: Folded rows ``(a op1 b) op2 c`` take opcodes ``FUSED_FOLD * op1 +
+#: 2 * (op2 - 1) + side`` (4 to 11), with ``op1``/``op2`` add or mul
+#: and ``side`` 1 when the folded value is ``op2``'s right operand,
+#: ``c op2 (a op1 b)``.
+FUSED_FOLD = 4
 
 _ID = np.int64
 
 #: Version tag of the fused-plan layout: seeds the content fingerprint
 #: and the artifact-cache key (``repro.runner.fingerprint.fused_key``),
 #: so a cache written by an older lowering is never served.
-FUSED_LAYOUT = "fused-v6"
+FUSED_LAYOUT = "fused-v7"
 
 
 @dataclass(frozen=True)
@@ -130,25 +121,27 @@ class FusedPlan:
             over from the source plan (same program identity).
         state_size: Cells of the fused per-row state: the pinned zero
             cells followed by the load and result cells, which are
-            reused by liveness (about the peak live width).
-        num_ops: Fused arithmetic ops (``ops`` also holds the loads).
+            reused by last use (the peak number of live values).
+        num_ops: Arithmetic ops of the source plan; a folded row
+            holds two of them, and ``ops`` also holds the loads.
         zero_pos: Fused cells that must read as ``0.0`` (original
             zero-initialized cells that are read but never written and
             are not inputs; empty for verified programs).  They are
             the prefix ``[0, zero_pos.size)`` of the state.
-        ops: The schedule: a flat int64 table of ``(opcode, a, b,
+        ops: The schedule: a flat int64 table of ``(opcode, a, b, c,
             out_cell)`` rows, level-major and opcode-minor.  An add or
-            mul reads cells ``a`` and ``b``; a load (:data:`FUSED_LOAD`)
-            copies column ``a`` of the input matrix, once per input
-            that an op or an output reads, one level before its first
-            reader (level 0 if only an output reads it).  The native
-            kernel (:mod:`repro.sim.native`) runs it one row at a
-            time; the numpy sweep binds its program from it.
+            mul reads cells ``a`` and ``b`` (``c`` is 0); a folded row
+            (:data:`FUSED_FOLD`) computes ``(a op1 b) op2 c`` or ``c
+            op2 (a op1 b)``; a load (:data:`FUSED_LOAD`) copies column
+            ``a`` of the input matrix, once per input that a row or
+            an output reads, one level before its first reader (level
+            0 if only an output reads it).  No row's ``out_cell`` is
+            one of its own operand cells.  The native kernel
+            (:mod:`repro.sim.native`) runs it one row at a time.
         level_bounds: int64 row offsets of the dependence levels:
             level ``i`` is rows ``[level_bounds[i], level_bounds[i +
-            1])`` of ``ops``.  No level reads a cell it writes, and a
-            level's results and loads are one contiguous block of
-            cells.
+            1])`` of ``ops``; a level whose ops all folded into later
+            rows is empty.
         output_vars / output_cells: Parallel output arrays; output
             cells are never reused, so they hold their values after
             the sweep.
@@ -281,18 +274,35 @@ def _fuse_plan(plan: ExecutionPlan) -> FusedPlan:
 
     out_ids = version[plan.output_cells]
 
-    # Pass 2 — loads and the value space.  An original cell survives
-    # only if an op or an output reads its *initial* value.  An input
+    # Pass 2 — tree folding (see _fold_pairs).  A folded reader's row
+    # reads its child's operands in a and b and its own other operand
+    # in c; every other row's c repeats its a, so the passes below need
+    # no special case, and is zeroed in the final table.
+    par, side, child = _fold_pairs(a_ids, b_ids, out_ids, base)
+    code = kind.astype(_ID)
+    code[par] = FUSED_FOLD * code[child] + 2 * (code[par] - 1) + side
+    c_ids = a_ids.copy()
+    c_ids[par] = np.where(side, a_ids[par], b_ids[par])
+    a_ids[par], b_ids[par] = a_ids[child], b_ids[child]
+    kept = np.delete(np.arange(n_ops), child)
+    code, lvl, a_ids, b_ids, c_ids = (
+        arr[kept] for arr in (code, lvl, a_ids, b_ids, c_ids)
+    )
+    n_kept = int(kept.size)
+
+    # Pass 3 — loads and the value space.  An original cell survives
+    # only if a row or an output reads its *initial* value.  An input
     # cell becomes a load row one level before its first reader (level
     # 0 if only an output reads it); any other such cell reads the zero
     # initialization and keeps a pinned cell in the base prefix.  The
     # rows — ops in emission order, then loads by slot — are permuted
-    # level-major, opcode-minor (loads last), stably, so every level's
-    # results and loads form one contiguous range of ids.
+    # level-major, opcode-minor, stably.  Pass-3 ids are the zero cells,
+    # then one id per row in that order; the table holds them (the
+    # out column its own row's id) until pass 4 maps ids to cells.
     unread = np.iinfo(np.int32).max
     read = np.zeros(base, dtype=bool)
     first = np.full(base, unread, dtype=np.int32)
-    for ids in (a_ids, b_ids):
+    for ids in (a_ids, b_ids, c_ids):
         below = ids < base
         read[ids[below]] = True
         np.minimum.at(first, ids[below], lvl[below])
@@ -306,47 +316,52 @@ def _fuse_plan(plan: ExecutionPlan) -> FusedPlan:
     zero_cells = np.flatnonzero(read)
     n_base = int(zero_cells.size)
     n_loads = int(load_cells.size)
-    n_rows = n_ops + n_loads
+    n_rows = n_kept + n_loads
 
-    kind_all = np.concatenate((kind, np.full(n_loads, FUSED_LOAD, np.int8)))
+    kind_all = np.concatenate((code, np.full(n_loads, FUSED_LOAD, _ID)))
     reader = first[load_cells]
     lvl_all = np.concatenate((lvl, np.where(reader == unread, 0, reader - 1)))
     order = np.lexsort((kind_all, lvl_all))
     rank = np.empty(n_rows, dtype=_ID)
     rank[order] = np.arange(n_base, n_base + n_rows, dtype=_ID)
-    base_pos = np.full(base, -1, dtype=_ID)
-    base_pos[zero_cells] = np.arange(n_base, dtype=_ID)
-    base_pos[load_cells] = rank[n_ops:]
-    id_map = np.concatenate([base_pos, rank[:n_ops]])
-    a_new = np.concatenate((id_map[a_ids], load_slots))[order]
-    b_new = np.concatenate((id_map[b_ids], np.zeros(n_loads, _ID)))[order]
-    kind_s = kind_all[order]
-    lvl_s = lvl_all[order]
-    arith = kind_s != FUSED_LOAD
-
-    # Pass 3 — liveness compaction.  Map every pass-2 id to a state
-    # cell, reusing cells whose value is dead (see _compact_slots), so
-    # the state grows with peak live width instead of op count.
-    # With no rows there is no level, so no leading bound 0.
-    level_bounds = np.concatenate(
+    id_map = np.full(base + n_ops, -1, dtype=_ID)
+    id_map[zero_cells] = np.arange(n_base, dtype=_ID)
+    id_map[load_cells] = rank[n_kept:]
+    id_map[base + kept] = rank[:n_kept]
+    zeros = np.zeros(n_loads, _ID)
+    ops = np.column_stack(
         (
-            np.zeros(min(n_rows, 1), dtype=_ID),
-            np.flatnonzero(np.diff(lvl_s)) + 1,
-            [n_rows],
+            kind_all,
+            np.concatenate((id_map[a_ids], load_slots)),
+            np.concatenate((id_map[b_ids], zeros)),
+            np.concatenate((id_map[c_ids], zeros)),
+            rank,
         )
-    )
+    )[order]
+    lvl_s = lvl_all[order]
+    arith = ops[:, 0] != FUSED_LOAD
+
+    # Pass 4 — cells.  Give every pass-3 id a state cell (see
+    # _allocate_cells), so the state grows with the peak number of
+    # live values instead of the row count.  Level i is rows
+    # [level_bounds[i], level_bounds[i + 1]); folding can leave a level
+    # empty, and the plan keeps its dependence depth.
+    level_bounds = np.searchsorted(
+        lvl_s, np.arange(int(lvl_s.max(initial=-1)) + 2)
+    ).astype(_ID)
     out_new = id_map[out_ids]
     zero_pos = np.arange(n_base, dtype=_ID)
     reader_rows = np.flatnonzero(arith)
-    slot, state_size = _compact_slots(
+    slot, state_size = _allocate_cells(
         n_base,
-        level_bounds,
-        np.concatenate((a_new[arith], b_new[arith])),
-        np.concatenate((reader_rows, reader_rows)),
-        np.concatenate((out_new, zero_pos)),
+        n_rows,
+        ops[arith, 1:4].T.ravel(),
+        np.tile(reader_rows, 3),
+        out_new,
     )
-    ops = np.column_stack((kind_s, a_new, b_new, slot[n_base:]))
-    ops[arith, 1:3] = slot[ops[arith, 1:3]]
+    ops[:, 4] = slot[ops[:, 4]]
+    ops[arith, 1:4] = slot[ops[arith, 1:4]]
+    ops[ops[:, 0] < FUSED_FOLD, 3] = 0
 
     output_cells = slot[out_new]
     fingerprint = _fused_fingerprint(
@@ -370,80 +385,113 @@ def _fuse_plan(plan: ExecutionPlan) -> FusedPlan:
     )
 
 
-def _compact_slots(
+def _fold_pairs(
+    a_ids: np.ndarray,
+    b_ids: np.ndarray,
+    out_ids: np.ndarray,
+    base: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pass 2 of the lowering: the (reader, side, child) folds.
+
+    Op ``k`` defines id ``base + k`` and reads ids ``a_ids[k]`` and
+    ``b_ids[k]``.  An op whose result is read exactly once (by one
+    operand of one op) and is not an output is a *child*: its reader
+    can compute it in a register, as a PE tree passes a value from one
+    layer to the next without the register file (§III).  A row holds
+    at most one fold, so an op that folds a child is not folded
+    itself, and a reader folds at most one child: its first (``a``
+    side first) that folded nothing.  Emission order puts every child
+    before its reader, so one pass in that order settles which ops
+    fold, and a chain of single-use ops folds every other link.
+
+    Returns:
+        ``(reader, side, child)`` op indices, ascending by reader;
+        ``side`` is 1 when the child is the reader's ``b`` operand.
+    """
+    n_ops = a_ids.size
+    reads = np.bincount(
+        np.concatenate((a_ids, b_ids)), minlength=base + n_ops
+    )[base:]
+    once = reads == 1
+    once[out_ids[out_ids >= base] - base] = False
+    # Flat operand 2k + side of op k, as an op index (negative: an
+    # original cell, never a child).
+    operand = np.column_stack((a_ids, b_ids)).ravel() - base
+    cand = np.flatnonzero(operand >= 0)
+    cand = cand[once[operand[cand]]]
+    child = operand[cand]
+    # folded[k]: op k folds a child, i.e. one of its children did not.
+    folded = bytearray(n_ops)
+    for reader, kid in zip((cand >> 1).tolist(), child.tolist()):
+        if not folded[kid]:
+            folded[reader] = 1
+    # Each folding reader takes its first child that folded nothing.
+    picked = cand[~np.frombuffer(folded, dtype=bool)[child]]
+    first = np.ones(picked.size, dtype=bool)
+    first[1:] = picked[1:] >> 1 != picked[:-1] >> 1
+    picked = picked[first]
+    return picked >> 1, picked & 1, operand[picked]
+
+
+def _allocate_cells(
     n_base: int,
-    level_bounds: np.ndarray,
+    n_rows: int,
     read_ids: np.ndarray,
     read_rows: np.ndarray,
     pinned: np.ndarray,
 ) -> tuple[np.ndarray, int]:
-    """Pass 3 of the lowering: give every pass-2 id a state cell.
+    """Pass 4 of the lowering: give every pass-3 id a state cell.
 
-    Pass-2 ids are the base prefix ``[0, n_base)`` followed by the
-    rows (ops and loads) in level-major order, so level ``li``'s
-    results are ids ``n_base + [level_bounds[li], level_bounds[li +
-    1])``; row ``read_rows[k]`` reads id ``read_ids[k]``.  Base cells,
-    the pinned zero cells, keep their position.  Each level's results
-    get one contiguous block of cells, first fit from the free pool,
-    growing the top of the state only when no free run is wide
-    enough.  A cell returns to the pool after the last level that
-    reads it — never during it, so a level's results cannot overlap an
-    operand the level still reads; a result nobody reads returns after
-    its own level.  ``pinned`` cells (outputs and zero cells) never
-    return.  Like ``compiler/liveness.py`` for the machine's
-    registers, this frees by last use; here the unit of time is a
-    level and the pool is kept as a free mask.
+    Pass-3 ids are the pinned zero cells ``[0, n_base)``, which keep
+    their position, then one id per row: row ``r`` defines id ``n_base
+    + r``, and row ``read_rows[k]`` reads id ``read_ids[k]``.  In row
+    order, each row takes the free cell that was freed longest ago, or
+    a new one at the top when none is free, and a cell is freed after
+    the last row that reads its value (after its own row when nobody
+    does).  A row takes its cell before its operands' cells are freed,
+    so its result never overwrites one of its own operands; ``pinned``
+    ids (outputs and zero cells) are never freed.  Like
+    ``compiler/liveness.py`` for the machine's registers this frees by
+    last use, and since a new cell is opened only when every cell
+    holds a live value, ``state_size`` is the zero cells plus the peak
+    number of live values.  (Taking the most recently freed cell
+    instead measured 15-20% slower sweeps of ``bp_200`` and
+    ``near_chain2000``.)
+
+    The pass is vectorized: whether row ``r`` needs a new cell follows
+    from the live count, the ``j``-th row that reuses a cell takes the
+    ``j``-th freed one, and a reused cell is the one its freed value
+    took, found by pointer jumping.
 
     Returns:
-        ``(slot, state_size)``: ``slot[id]`` is pass-2 id ``id``'s
+        ``(slot, state_size)``: ``slot[id]`` is pass-3 id ``id``'s
         cell, and ``state_size`` the number of cells used.
     """
-    n_levels = level_bounds.size - 1
-    n_ids = n_base + int(level_bounds[-1])
-    op_level = np.repeat(
-        np.arange(n_levels, dtype=np.intp), np.diff(level_bounds)
+    if not n_rows:
+        return np.arange(n_base, dtype=_ID), n_base
+    rows = np.arange(n_rows, dtype=_ID)
+    # last[r]: the row after which row r's cell is free; n_rows: never.
+    last = np.arange(-n_base, n_rows, dtype=_ID)
+    np.maximum.at(last, read_ids, read_rows)
+    last[pinned] = n_rows
+    last = last[n_base:]
+    dies = np.bincount(last, minlength=n_rows + 1)[:n_rows]
+    live = rows + 1 - (np.cumsum(dies) - dies)
+    top = np.maximum.accumulate(live)
+    reuse = np.flatnonzero(live <= np.concatenate(([0], top[:-1])))
+    # ptr[r]: the earlier row whose freed cell row r takes (itself for
+    # a new cell); frees are ordered by the row after which they occur.
+    ptr = rows.copy()
+    ptr[reuse] = np.argsort(last, kind="stable")[: reuse.size]
+    while True:
+        nxt = ptr[ptr]
+        if np.array_equal(nxt, ptr):
+            break
+        ptr = nxt
+    slot = np.concatenate(
+        (np.arange(n_base, dtype=_ID), n_base + live[ptr] - 1)
     )
-    # last[id]: the level after which the id's cell is free (n_levels:
-    # never, as for the base cells).
-    last = np.full(n_ids, n_levels, dtype=np.intp)
-    last[n_base:] = op_level
-    np.maximum.at(last, read_ids, op_level[read_rows])
-    last[pinned] = n_levels
-    by_death = np.argsort(last, kind="stable")
-    deaths = np.searchsorted(
-        last[by_death], np.arange(n_levels + 1)
-    ).tolist()
-
-    slot = np.empty(n_ids, dtype=_ID)
-    slot[:n_base] = np.arange(n_base, dtype=_ID)
-    # mask[c + 1] is set while cell c is free; mask[0] stays clear, so
-    # every free run has a rising edge and mask[top + 1] a falling one.
-    mask = np.zeros(n_ids + 2, dtype=bool)
-    free = mask[1:]
-    n_free = 0
-    top = n_base
-    for li, (lo, hi) in enumerate(itertools.pairwise(level_bounds.tolist())):
-        width = hi - lo
-        start = top
-        if n_free:
-            window = mask[: top + 2]
-            edges = (window[1:] != window[:-1]).nonzero()[0]
-            starts, stops = edges[0::2], edges[1::2]
-            fit = (stops - starts >= width).nonzero()[0]
-            if fit.size:
-                start = int(starts[fit[0]])
-            elif stops[-1] == top:
-                start = int(starts[-1])  # extend the free tail
-            n_free -= min(start + width, top) - start
-        free[start : start + width] = False
-        top = max(top, start + width)
-        slot[n_base + lo : n_base + hi] = np.arange(
-            start, start + width, dtype=_ID
-        )
-        dead = by_death[deaths[li] : deaths[li + 1]]
-        free[slot[dead]] = True
-        n_free += deaths[li + 1] - deaths[li]
-    return slot, top
+    return slot, n_base + int(top[-1])
 
 
 def _fused_fingerprint(state_size: int, *arrays: np.ndarray) -> str:
@@ -458,135 +506,23 @@ def _fused_fingerprint(state_size: int, *arrays: np.ndarray) -> str:
 
 def bind_sweep(
     fused: FusedPlan, batch: int
-) -> tuple[np.ndarray, Callable[[np.ndarray], None]]:
-    """Bind a reusable ``(state, sweep)`` pair for one batch width.
+) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], None]]:
+    """Bind a reusable ``(state, inputs, sweep)`` triple for one batch
+    width.
 
-    Allocates the state and returns ``sweep(matrix)``, which runs the
-    whole schedule over it, loading the inputs straight from the
-    ``(batch, inputs)`` float64 ``matrix``.  With the native kernel
-    (:func:`repro.sim.native.load`) the sweep is one pre-bound C call
-    running :attr:`FusedPlan.ops`; without a working C compiler it is
-    the numpy sweep (:func:`_bind_numpy`).  The pair is safe to reuse
-    across runs: within a run every cell is written before it is read,
-    and the pinned zero cells are never written at all.
+    Allocates the state and a ``(batch, num_inputs)`` float64 input
+    matrix, and returns ``sweep(matrix)``: one native C call
+    (:meth:`repro.sim.native.Kernel.bind_sweep`) that runs
+    :attr:`FusedPlan.ops` over the state, loading the inputs straight
+    from ``matrix``.  ``sweep(inputs)`` uses pointers computed here, so
+    a caller that fills ``inputs`` (the serving path) skips the
+    per-call matrix checks.  The triple is safe to reuse across runs:
+    within a run every cell is written before it is read, and the
+    pinned zero cells are never written at all.
+
+    Raises:
+        SimulationError: No working C compiler builds the kernel.
     """
     state = fused.make_state(batch)
-    kernel = native.load()
-    if kernel is not None:
-        return state, kernel.bind_sweep(fused.ops, state)
-    return state, _bind_numpy(fused, state)
-
-
-#: Stands for the caller's input matrix, transposed to ``(inputs,
-#: B)``, as the source of a numpy program's load calls.
-_MATRIX = "matrix"
-
-#: The numpy sweep's gather and load: the method, not ``np.take``,
-#: whose Python-level dispatch costs more than a small take itself.
-_TAKE = np.ndarray.take
-
-
-def _bind_numpy(
-    fused: FusedPlan, state: np.ndarray
-) -> Callable[[np.ndarray], None]:
-    """The numpy sweep over ``state``: :func:`_numpy_program`'s calls,
-    run in order, its loads reading the matrix passed in."""
-    prog = _numpy_program(fused, state)
-    batch = state.shape[1]
-    cols = fused.num_inputs
-
-    def sweep(matrix: np.ndarray, _prog: list = prog) -> None:
-        # Rows of the transposed matrix are the loads' sources; take
-        # copies a source that is not C-contiguous on every call, so
-        # transpose it once per sweep instead.
-        inputs = native.check_matrix(matrix, batch, cols).T.copy()
-        # Scalar Python floats overflow to inf silently; match that
-        # instead of spraying RuntimeWarnings over deep product chains.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for f, args in _prog:
-                if args[0] is _MATRIX:
-                    f(inputs, *args[1:])
-                else:
-                    f(*args)
-
-    return sweep
-
-
-def _numpy_program(
-    fused: FusedPlan, state: np.ndarray
-) -> list[tuple[Callable, tuple]]:
-    """The numpy sweep's calls, derived from :attr:`FusedPlan.ops`: per
-    level, at most one gather, then one ufunc per run of one opcode,
-    then one take for the run of loads.
-
-    A run's operand whose cells are consecutive is read as a view of
-    the state; the level's other operands are gathered by one
-    take into a scratch block (``mode="clip"`` skips the bounds
-    check the lowering already proved).  Every level gathers into the
-    *same* scratch prefix: the serial reuse keeps the block cache-hot
-    across the sweep, where per-level blocks would all be cold by the
-    time their level comes around again.  A level's loads take their
-    slots from the transposed input matrix (:data:`_MATRIX` in the
-    call) straight into their block of cells; the sweep checks the
-    matrix's shape before any call.  All views are computed here, so
-    the hot path is nothing but pre-bound numpy dispatches.
-    """
-    ops = fused.ops
-    # Pass 1: per level, the cells it gathers and its runs, each
-    # operand a (gathered, lo, hi) row range of the scratch (gathered)
-    # or of the state; a run of loads keeps its slots instead.
-    levels = []
-    for lo, hi in itertools.pairwise(fused.level_bounds.tolist()):
-        cuts = (np.flatnonzero(np.diff(ops[lo:hi, 0])) + lo + 1).tolist()
-        gather: list[np.ndarray] = []
-        n_gathered = 0
-        runs = []
-        for run_lo, run_hi in itertools.pairwise([lo, *cuts, hi]):
-            code = int(ops[run_lo, 0])
-            out = int(ops[run_lo, 3])
-            if code == FUSED_LOAD:
-                slots = ops[run_lo:run_hi, 1].copy()
-                runs.append((code, slots, out, out + run_hi - run_lo))
-                continue
-            operands = []
-            for cells in (ops[run_lo:run_hi, 1], ops[run_lo:run_hi, 2]):
-                seg = contiguous_slice(cells)
-                if seg is not None:
-                    operands.append((False, *seg))
-                    continue
-                gather.append(cells)
-                operands.append((True, n_gathered, n_gathered + cells.size))
-                n_gathered += cells.size
-            runs.append((code, operands, out, out + run_hi - run_lo))
-        levels.append((np.concatenate(gather) if gather else None, runs))
-
-    # Pass 2: bind the views, now that the scratch's size is known.
-    batch = state.shape[1]
-    flat = state.reshape(-1)
-    scratch = np.empty(
-        (max((g.size for g, _ in levels if g is not None), default=0), batch),
-        dtype=np.float64,
-    )
-    sflat = scratch.reshape(-1)
-    prog: list[tuple[Callable, tuple]] = []
-    for gather, runs in levels:
-        if gather is not None:
-            prog.append(
-                (_TAKE, (state, gather, 0, scratch[: gather.size], "clip"))
-            )
-        for code, operands, out_lo, out_hi in runs:
-            if code == FUSED_LOAD:
-                block = state[out_lo:out_hi]
-                prog.append((_TAKE, (_MATRIX, operands, 0, block, "clip")))
-                continue
-            views = [
-                (sflat if gathered else flat)[lo * batch : hi * batch]
-                for gathered, lo, hi in operands
-            ]
-            prog.append(
-                (
-                    _UFUNCS[code],
-                    (*views, flat[out_lo * batch : out_hi * batch]),
-                )
-            )
-    return prog
+    inputs = np.empty((batch, fused.num_inputs), dtype=np.float64)
+    return state, inputs, native.load().bind_sweep(fused.ops, state, inputs)

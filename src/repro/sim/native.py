@@ -1,24 +1,26 @@
 """The native sweep kernel: a fused plan's op table run in one C loop.
 
-The numpy sweep (:func:`repro.sim.fused.bind_sweep`'s fallback) pays
-one ufunc dispatch per (level, opcode) and one gather per level, so a
-deep plan with one op per level is dispatch-bound and a wide one is
-gather-bound.  DPU-v2's datapath runs a DAG's nodes with no per-node
-launch cost; this module does the same on the host.  A
+DPU-v2's datapath runs a DAG's nodes with no per-node launch cost;
+this module does the same on the host.  A
 :class:`~repro.sim.fused.FusedPlan` carries its schedule as a flat
-``(n_rows, 4)`` table of ``(opcode, a, b, out_cell)`` in level-major
-order, and :data:`SOURCE` walks it in one fixed loop: ``o[i] = a[i] op
-b[i]`` for every row ``i`` of the ``(cells, B)`` state, or, for a load
-row, ``o[i] = matrix[i][a]``, a strided copy of one column of the
-caller's input matrix.  There is no separate input pass: the sweep
-reads the matrix itself, when the schedule first needs each input.
+``(n_rows, 5)`` table of ``(opcode, a, b, c, out_cell)`` in
+level-major order, and :data:`SOURCE` walks it in one fixed loop:
+``o[i] = a[i] op b[i]`` for every row ``i`` of the ``(cells, B)``
+state; for a folded row, ``o[i] = (a[i] op1 b[i]) op2 c[i]`` (or ``c[i]
+op2 (a[i] op1 b[i])``) with the intermediate in a register, the host's
+version of a two-layer PE tree; or, for a load row, ``o[i] =
+matrix[i][a]``, a strided copy of one column of the caller's input
+matrix.  There is no separate input pass: the sweep reads the matrix
+itself, when the schedule first needs each input.
 
-Bitwise parity with the numpy sweep holds because both perform the
-same IEEE-double add or multiply on the same operands: the library is
-built with ``-O2 -ffp-contract=off`` (no FMA contraction) and never
-with ``-ffast-math``.
+Bitwise parity with the step tape
+(:func:`repro.verify.differential.interpret_plan`) holds because the
+kernel performs the same IEEE-double add or multiply on the same
+operands in the same order: the library is built with ``-O2
+-ffp-contract=off`` (no FMA contraction, which would fuse a folded
+``(a * b) + c``) and never with ``-ffast-math``.
 
-**The dispatch rule.**  On x86-64 the sweep loop, its add, mul and
+**The dispatch rule.**  On x86-64 the sweep loop, its row kernels and
 load inlined, is built twice into the one library (GCC/Clang
 ``target_clones``): an AVX2 clone and a baseline one.  The dynamic
 loader picks one clone once, by CPUID, so the host's vector width is
@@ -27,11 +29,12 @@ x86-64 hosts, and no op pays for the choice.  Both clones perform the
 same IEEE-double operations, and ``-ffp-contract=off`` keeps FMA out
 of both; elsewhere there is one build.
 
-**The fallback rule.**  The library is built once per process, on
-first use, with the ``cc`` found on ``PATH``.  With no ``cc``, or a
-``cc`` that fails, one warning is logged and every sweep of the
-process runs on numpy, with the same outputs.  Nothing configures
-this: there is no option, environment variable or flag.
+**The compiler rule.**  The library is built once per process, on
+first use, with the ``cc`` found on ``PATH``, and the batch engine
+requires it: with no ``cc``, or a ``cc`` that fails, :func:`load`
+raises a :class:`~repro.errors.SimulationError` that names ``cc``.
+There is no second sweep and nothing to configure: no option,
+environment variable or flag.
 
 The built ``.so`` is named by a digest of the source, the flags,
 ``platform.machine()`` and ``cc --version``.  When an artifact cache
@@ -47,7 +50,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
-import logging
 import os
 import platform
 import shutil
@@ -59,18 +61,20 @@ from pathlib import Path
 
 import numpy as np
 
+from ..errors import SimulationError
 from ..obs import trace
 
 #: The kernel.  Opcodes are :data:`repro.sim.fused.FUSED_ADD` (1),
-#: :data:`repro.sim.fused.FUSED_MUL` (2) and
-#: :data:`repro.sim.fused.FUSED_LOAD` (3).
+#: :data:`repro.sim.fused.FUSED_MUL` (2),
+#: :data:`repro.sim.fused.FUSED_LOAD` (3) and the folded opcodes 4 to
+#: 11 (:data:`repro.sim.fused.FUSED_FOLD`).
 SOURCE = r"""
 #include <stdint.h>
 
 /* The dispatch rule (module docstring): repro_sweep is cloned for AVX2
    and the baseline ISA, and the loader picks a clone once by CPUID.
    The helpers are forced inline so each clone vectorizes them at its
-   own width; cloning add and mul instead costs an indirect call per op,
+   own width; cloning them instead costs an indirect call per row,
    which made batch-1 sweeps ~30% slower. */
 #if defined(__x86_64__) && defined(__GNUC__)
 #define CLONES __attribute__((target_clones("avx2", "default")))
@@ -80,33 +84,40 @@ SOURCE = r"""
 #define INLINE static inline
 #endif
 
-/* o[i] = a[i] OP b[i] for i < n, four rows per step.  The four
-   independent statements let the compiler pack them into vector
-   adds/muls; restrict is sound because a result cell never holds an
-   operand of its own level (a and b may alias each other: only o is
-   written). */
-#define LANES(OP)                                                   \
-    int64_t i = 0;                                                  \
-    for (; i + 4 <= n; i += 4) {                                    \
-        o[i] = a[i] OP b[i];                                        \
-        o[i + 1] = a[i + 1] OP b[i + 1];                            \
-        o[i + 2] = a[i + 2] OP b[i + 2];                            \
-        o[i + 3] = a[i + 3] OP b[i + 3];                            \
-    }                                                               \
-    for (; i < n; ++i)                                              \
-        o[i] = a[i] OP b[i];
+/* Row kernel NAME: o[j] = EXPR for j < n, four lanes per step.  The
+   four independent statements let the compiler pack them into vector
+   ops; restrict is sound because a row's result cell is never one of
+   its operand cells (a, b and c may alias each other: only o is
+   written).  A folded row's intermediate a[j] OP1 b[j] stays in a
+   register; the opcodes are 4 * op1 + 2 * (op2 - 1) + side, op 1 add
+   and 2 mul, side 1 when the folded value is op2's right operand. */
+#define ROW(NAME, EXPR)                                             \
+    INLINE void NAME(const double *restrict a,                      \
+                     const double *restrict b,                      \
+                     const double *restrict c, double *restrict o,  \
+                     int64_t n)                                     \
+    {                                                               \
+        int64_t i = 0, j;                                           \
+        for (; i + 4 <= n; i += 4) {                                \
+            j = i; o[j] = EXPR;                                     \
+            j = i + 1; o[j] = EXPR;                                 \
+            j = i + 2; o[j] = EXPR;                                 \
+            j = i + 3; o[j] = EXPR;                                 \
+        }                                                           \
+        for (j = i; j < n; ++j)                                     \
+            o[j] = EXPR;                                            \
+    }
 
-INLINE void add(const double *restrict a, const double *restrict b,
-                double *restrict o, int64_t n)
-{
-    LANES(+)
-}
-
-INLINE void mul(const double *restrict a, const double *restrict b,
-                double *restrict o, int64_t n)
-{
-    LANES(*)
-}
+ROW(add, a[j] + b[j])
+ROW(mul, a[j] * b[j])
+ROW(aa0, (a[j] + b[j]) + c[j])
+ROW(aa1, c[j] + (a[j] + b[j]))
+ROW(am0, (a[j] + b[j]) * c[j])
+ROW(am1, c[j] * (a[j] + b[j]))
+ROW(ma0, (a[j] * b[j]) + c[j])
+ROW(ma1, c[j] + (a[j] * b[j]))
+ROW(mm0, (a[j] * b[j]) * c[j])
+ROW(mm1, c[j] * (a[j] * b[j]))
 
 /* o[r] = src[r * stride] for r < n, four rows per step: four loads,
    then four stores. */
@@ -128,38 +139,49 @@ INLINE void load(const double *restrict src, int64_t stride,
         o[r] = src[r * stride];
 }
 
-/* Run every (opcode, a, b, out_cell) row of ops, in order, over the
-   (cells, batch) row-major state; opcode 1 adds cells a and b, 2
-   multiplies them, 3 copies column a of the (batch, inputs) matrix.
+/* Run every (opcode, a, b, c, out_cell) row of ops, in order, over the
+   (cells, batch) row-major state; opcode 3 copies column a of the
+   (batch, inputs) matrix, every other opcode reads cells a, b and c.
    Matrix strides are in doubles. */
 CLONES void repro_sweep(const int64_t *ops, int64_t n_ops, double *state,
                         int64_t batch, const double *matrix,
                         int64_t row_stride, int64_t col_stride)
 {
-    for (int64_t k = 0; k < n_ops; ++k, ops += 4) {
-        double *o = state + ops[3] * batch;
+    for (int64_t k = 0; k < n_ops; ++k, ops += 5) {
+        double *o = state + ops[4] * batch;
         if (ops[0] == 3) {
             load(matrix + ops[1] * col_stride, row_stride, o, batch);
             continue;
         }
         const double *a = state + ops[1] * batch;
         const double *b = state + ops[2] * batch;
-        if (ops[0] == 1)
-            add(a, b, o, batch);
-        else
-            mul(a, b, o, batch);
+        const double *c = state + ops[3] * batch;
+        switch (ops[0]) {
+        case 1: add(a, b, c, o, batch); break;
+        case 2: mul(a, b, c, o, batch); break;
+        case 4: aa0(a, b, c, o, batch); break;
+        case 5: aa1(a, b, c, o, batch); break;
+        case 6: am0(a, b, c, o, batch); break;
+        case 7: am1(a, b, c, o, batch); break;
+        case 8: ma0(a, b, c, o, batch); break;
+        case 9: ma1(a, b, c, o, batch); break;
+        case 10: mm0(a, b, c, o, batch); break;
+        default: mm1(a, b, c, o, batch); break;
+        }
     }
 }
 """
 
 #: Compiler flags.  ``-ffp-contract=off`` keeps a multiply and an add
-#: from fusing into one FMA, in the AVX2 clone too, which would change
-#: rounding; ``-ffast-math`` is never used.  There is no ``-march``:
-#: the AVX2 clone is picked at load time by CPUID (see the dispatch
-#: rule above), so one ``.so`` runs on every host of its machine type.
+#: from fusing into one FMA, in a folded row's ``(a * b) + c`` and in
+#: the AVX2 clone too, which would change rounding; ``-ffast-math`` is
+#: never used.  There is no ``-march``: the AVX2 clone is picked at
+#: load time by CPUID (see the dispatch rule above), so one ``.so``
+#: runs on every host of its machine type.
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
-_log = logging.getLogger(__name__)
+#: The opcodes a table may hold: add, mul, load and the folded ones.
+OPCODES = tuple(range(1, 12))
 
 _PTR = ctypes.c_void_p
 _I64 = ctypes.c_int64
@@ -174,47 +196,69 @@ class Kernel:
         self._sweep.restype = None
 
     def bind_sweep(
-        self, ops: np.ndarray, state: np.ndarray
+        self, ops: np.ndarray, state: np.ndarray, inputs: np.ndarray
     ) -> Callable[[np.ndarray], None]:
         """A call ``sweep(matrix)`` running ``ops`` over ``state``, its
         load rows copying columns of the ``(state.shape[1], inputs)``
         float64 ``matrix``, strided or not.
 
-        The table's pointers are computed once here; the returned call
-        holds references to both arrays, so they outlive it, and
-        checks each matrix (:func:`check_matrix`) before its pointer
-        reaches C.  ``ctypes`` releases the GIL for the call's
+        The table's pointers are computed once here, and so is the
+        whole call for the C-contiguous matrix ``inputs``:
+        ``sweep(inputs)`` goes straight to C.  Any other matrix is
+        checked (:func:`check_matrix`) before its pointer reaches C.
+        The returned call holds references to all three arrays, so
+        they outlive it.  ``ctypes`` releases the GIL for the call's
         duration.
 
         Raises:
-            ValueError: At binding, a malformed table, an opcode other
-                than 1, 2 or 3, a negative slot or a cell outside
-                ``state``; at a call, a matrix whose rows are not the
-                batch or that lacks a loaded column.
+            ValueError: At binding, a malformed table, an opcode
+                outside :data:`OPCODES`, a negative slot or cell, a
+                cell outside ``state`` or an ``inputs`` that does not
+                fit the table; at a call, a matrix whose rows are not
+                the batch or that lacks a loaded column.
         """
         _check(ops, np.int64, 2)
         _check(state, np.float64, 2)
-        if ops.shape[1] != 4:
-            raise ValueError(f"op table must be (n, 4), got {ops.shape}")
+        _check(inputs, np.float64, 2)
+        if ops.shape[1] != 5:
+            raise ValueError(f"op table must be (n, 5), got {ops.shape}")
         loads = ops[:, 0] == 3
-        cells = np.concatenate((ops[~loads, 1:].ravel(), ops[loads, 3]))
+        folded = ops[:, 0] > 3
+        cells = np.concatenate(
+            (ops[~loads, 1:3].ravel(), ops[folded, 3], ops[:, 4])
+        )
         if ops.size and (
-            not np.isin(ops[:, 0], (1, 2, 3)).all()
+            not np.isin(ops[:, 0], OPCODES).all()
             or ops[:, 1:].min() < 0
             or cells.max() >= state.shape[0]
         ):
             raise ValueError("op table has a bad opcode, slot or cell")
         cols = int(ops[loads, 1].max()) + 1 if loads.any() else 0
         batch = state.shape[1]
+        check_matrix(inputs, batch, cols)
         fn = self._sweep
         ops_p = ops.ctypes.data_as(_PTR)
         n = _I64(ops.shape[0])
         state_p = state.ctypes.data_as(_PTR)
+        width = _I64(batch)
+        bound = functools.partial(
+            fn,
+            ops_p,
+            n,
+            state_p,
+            width,
+            inputs.ctypes.data_as(_PTR),
+            _I64(inputs.shape[1]),
+            _I64(1),
+        )
 
         def sweep(matrix: np.ndarray) -> None:
+            if matrix is inputs:
+                bound()
+                return
             matrix = check_matrix(matrix, batch, cols)
             rs, cs = matrix.strides
-            fn(ops_p, n, state_p, batch, matrix.ctypes.data, rs // 8, cs // 8)
+            fn(ops_p, n, state_p, width, matrix.ctypes.data, rs // 8, cs // 8)
 
         return sweep
 
@@ -259,24 +303,27 @@ def _check(arr: np.ndarray, dtype, ndim: int) -> None:
 _LOAD_LOCK = threading.Lock()
 
 
-def load() -> Kernel | None:
-    """The process's kernel, built on first call; ``None`` when no
-    working C compiler is found (one warning is logged).
+def load() -> Kernel:
+    """The process's kernel, built on first call.
 
-    The lock makes concurrent first calls build once and warn once.
+    The lock makes concurrent first calls build once.  A failed build
+    is not remembered: the next call tries again.
+
+    Raises:
+        SimulationError: No ``cc`` on ``PATH``, or it cannot build the
+            kernel; the batch engine requires a working C compiler.
     """
     with _LOAD_LOCK:
         return _load()
 
 
 @functools.cache
-def _load() -> Kernel | None:
+def _load() -> Kernel:
     cc = shutil.which("cc")
     if cc is None:
-        _log.warning(
-            "no C compiler ('cc') on PATH: batch sweeps run on numpy"
+        raise SimulationError(
+            "the batch engine needs a C compiler: no 'cc' on PATH"
         )
-        return None
     try:
         with trace.span("native.load", "engine"):
             version = subprocess.run(
@@ -287,18 +334,20 @@ def _load() -> Kernel | None:
             ).stdout
             lib = _open(cc, _digest(version))
     except (OSError, subprocess.SubprocessError) as exc:
-        _log.warning(
-            "native sweep kernel unavailable (%s): batch sweeps run on "
-            "numpy",
-            exc,
-        )
-        return None
+        raise SimulationError(
+            f"the batch engine needs a C compiler: 'cc' ({cc}) did not "
+            f"build the sweep kernel ({exc})"
+        ) from exc
     return Kernel(lib)
 
 
 def available() -> bool:
-    """Whether batch sweeps in this process run on the native kernel."""
-    return load() is not None
+    """Whether this process's ``cc`` builds the sweep kernel."""
+    try:
+        load()
+    except SimulationError:
+        return False
+    return True
 
 
 def _digest(cc_version: bytes) -> str:

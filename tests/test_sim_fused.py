@@ -7,14 +7,13 @@ comparison against the differential oracle's plan interpreter
 (:func:`~repro.verify.differential.interpret_plan`) or the scalar
 simulator, across generated DAGs (hypothesis), every synthetic family
 and the serving assembly path.  Because
-the fused state reuses cells by liveness, a symbolic replay of the op
-table (:func:`_assert_layout_safe`) also checks that every op reads
-the value it was scheduled to read.
+the fused state reuses cells by liveness and folds single-use results
+into their readers, a symbolic replay of the op table
+(:func:`_assert_layout_safe`) also checks that every row reads the
+values it was scheduled to read.
 """
 
-import hashlib
 import itertools
-import json
 from collections import Counter
 
 import numpy as np
@@ -41,13 +40,8 @@ from repro.sim import (
     run_program,
 )
 from repro.sim.batch import BOUND_SWEEP_CAP
-from repro.sim.fused import (
-    FUSED_ADD,
-    FUSED_LOAD,
-    FUSED_MUL,
-    _MATRIX,
-    _numpy_program,
-)
+from repro.sim import native
+from repro.sim.fused import FUSED_ADD, FUSED_FOLD, FUSED_LOAD, FUSED_MUL
 from repro.sim.plan import MoveStep, contiguous_slice
 from repro.verify.differential import interpret_plan
 from repro.workloads.synth import SYNTH_FAMILIES, generate_synth
@@ -124,26 +118,36 @@ def _step_replay(plan, val):
     return ops, outputs
 
 
+def _decode(code):
+    """A folded opcode's ``(op1, op2, side)``."""
+    op1, rest = divmod(code, FUSED_FOLD)
+    return op1, rest // 2 + 1, rest % 2
+
+
+def _operands(code, a, b, c):
+    """The cells a row reads (none for a load)."""
+    if code == FUSED_LOAD:
+        return []
+    return [a, b] if code < FUSED_FOLD else [a, b, c]
+
+
 def _assert_layout_safe(fused, plan):
-    """Replay ``fused.ops`` symbolically, level by level, and check its
-    loads and cell reuse.
+    """Replay ``fused.ops`` symbolically, row by row, and check its
+    loads, folds and cell reuse.
 
     Every cell holds the symbolic value last written to it; values are
-    hash-consed expressions, so an op that read a clobbered cell
+    hash-consed expressions, so a row that read a clobbered cell
     computes an expression the step tape never computes.  Asserts:
-    ``level_bounds`` tiles the table; no cell is read before it is
-    written in the run; no level writes a cell twice or reads a cell it
-    loads or writes (so running a level's rows in any order, as the
-    native kernel does one by one, is the same); a level is sorted by
-    opcode (adds, muls, then loads) and its results and loads are one
-    block of consecutive cells (the numpy sweep's one ufunc per run and
-    one ``np.take`` per level's loads); every input the step tape reads
-    is loaded exactly once, from a slot below ``num_inputs``, one level
-    before its first reader (level 0 if only an output reads it); the
-    multiset of op values equals the step tape's ops and every output
-    ends with the step tape's value (so every read saw the value it
-    was scheduled to read); zero cells are never written, nor output
-    cells after their value is.
+    ``level_bounds`` tiles the table in order; every opcode is one the
+    kernel runs; no cell is read before it is written in the run; a
+    row's output cell is not one of its operand cells (the kernel's
+    ``restrict`` premise); the multiset of op values — a folded row
+    adds both its inner and its outer value — equals the step tape's
+    ops, and every output ends with the step tape's value (so every
+    read saw the value it was scheduled to read); every input the step
+    tape reads is loaded exactly once, from a slot below
+    ``num_inputs``, before its first reader; zero cells are never
+    written, nor output cells after their value is.
     """
     val = _Values()
     want_ops, want_outputs = _step_replay(plan, val)
@@ -153,47 +157,39 @@ def _assert_layout_safe(fused, plan):
     history: dict[int, list[int]] = {}
     got_ops: Counter = Counter()
     loads: Counter = Counter()
-    load_level: dict[int, int] = {}
+    load_row: dict[int, int] = {}
     first_read: dict[int, int] = {}
-
-    def read(cells, level):
-        values = [holder[c] for c in cells]
-        assert None not in values, "cell read before it was written"
-        for v in values:
-            if val.keys[v][0] == "in":
-                first_read.setdefault(val.keys[v][1], level)
-        return values
 
     bounds = fused.level_bounds.tolist()
     assert bounds[0] == 0 and bounds[-1] == len(fused.ops)
-    assert all(lo < hi for lo, hi in itertools.pairwise(bounds))
+    assert bounds == sorted(bounds)
     assert fused.num_levels == len(bounds) - 1
-    assert (fused.ops[:, 0] != FUSED_LOAD).sum() == fused.num_ops
-    for li, (lo, hi) in enumerate(itertools.pairwise(bounds)):
-        codes, a_col, b_col, outs = fused.ops[lo:hi].T.tolist()
-        assert codes == sorted(codes), "a level is not sorted by opcode"
-        assert set(codes) <= {FUSED_ADD, FUSED_MUL, FUSED_LOAD}
-        assert outs == list(range(outs[0], outs[0] + len(outs)))
-        n_arith = len(codes) - codes.count(FUSED_LOAD)
-        a_cells, b_cells = a_col[:n_arith], b_col[:n_arith]
-        assert set(outs).isdisjoint(a_cells + b_cells), (
-            "a level reads a cell it loads or writes"
-        )
-        new = [
-            val(_OP[code], a, b)
-            for code, a, b in zip(
-                codes, read(a_cells, li), read(b_cells, li)
-            )
-        ]
-        for slot in a_col[n_arith:]:
-            assert 0 <= slot < fused.num_inputs
-            loads[slot] += 1
-            load_level[slot] = li
-            new.append(val("in", slot))
-        got_ops.update(new[:n_arith])
-        for c, v in zip(outs, new):
-            holder[c] = v
-            history.setdefault(c, []).append(v)
+    for row, (code, a, b, c, out) in enumerate(fused.ops.tolist()):
+        assert code in native.OPCODES
+        if code == FUSED_LOAD:
+            assert 0 <= a < fused.num_inputs
+            loads[a] += 1
+            load_row[a] = row
+            new = val("in", a)
+        else:
+            cells = _operands(code, a, b, c)
+            assert out not in cells, "a row overwrites one of its operands"
+            values = [holder[x] for x in cells]
+            assert None not in values, "cell read before it was written"
+            for v in values:
+                if val.keys[v][0] == "in":
+                    first_read.setdefault(val.keys[v][1], row)
+            if code < FUSED_FOLD:
+                new = val(_OP[code], *values)
+                got_ops[new] += 1
+            else:
+                op1, op2, side = _decode(code)
+                inner = val(_OP[op1], values[0], values[1])
+                pair = (values[2], inner) if side else (inner, values[2])
+                new = val(_OP[op2], *pair)
+                got_ops.update((inner, new))
+        holder[out] = new
+        history.setdefault(out, []).append(new)
     assert got_ops == want_ops
     read_slots = {
         val.keys[v][1]
@@ -205,7 +201,7 @@ def _assert_layout_safe(fused, plan):
     }
     assert loads == Counter(read_slots), "an input not loaded exactly once"
     for slot in read_slots:
-        assert load_level[slot] == first_read.get(slot, 1) - 1, slot
+        assert load_row[slot] < first_read.get(slot, len(fused.ops)), slot
     for var, cell in zip(fused.output_vars, fused.output_cells.tolist()):
         assert holder[cell] == want_outputs[var], f"output var {var}"
         # Once written, an output cell is never reused; an output that
@@ -218,35 +214,29 @@ def _assert_layout_safe(fused, plan):
     assert not any(c in history for c in fused.zero_pos.tolist())
 
 
-def _describe_program(fused, batch=3):
-    """The numpy sweep's bound calls as plain data: ufunc or gather
-    name, then each argument — the state, the input matrix, a view
-    (buffer, element offset, shape) or an index array (shape, digest).
-    A view belongs to the state when its data lies in the state's
-    buffer range (the aligned state is itself a view), else to the
-    scratch."""
-    state = fused.make_state(batch)
-    lo, hi = state.ctypes.data, state.ctypes.data + state.nbytes
-
-    def arg(x):
-        if x is _MATRIX:
-            return "matrix"
-        if not isinstance(x, np.ndarray):
-            return x
-        if x is state:
-            return "state"
-        if x.dtype.kind == "i":
-            digest = hashlib.sha256(np.ascontiguousarray(x).tobytes())
-            return ["index", list(x.shape), digest.hexdigest()[:16]]
-        if lo <= x.ctypes.data < hi:
-            return ["state", (x.ctypes.data - lo) // 8, list(x.shape)]
-        offset = (x.ctypes.data - x.base.ctypes.data) // 8
-        return ["scratch", offset, list(x.shape)]
-
-    return [
-        [f.__name__, [arg(x) for x in args]]
-        for f, args in _numpy_program(fused, state)
-    ]
+def _peak_live(fused):
+    """Peak number of values live at once in the row-order schedule:
+    a row's value is live from its row through the last row that reads
+    it (through the end for an output, only its own row when unread)."""
+    ops = fused.ops.tolist()
+    writer: dict[int, int] = {}  # cell -> row whose value it holds
+    last = list(range(len(ops)))
+    for row, (code, a, b, c, out) in enumerate(ops):
+        for cell in _operands(code, a, b, c):
+            if cell in writer:
+                last[writer[cell]] = row
+        writer[out] = row
+    for cell in fused.output_cells.tolist():
+        if cell in writer:
+            last[writer[cell]] = len(ops)
+    starts = Counter(range(len(ops)))
+    ends = Counter(end + 1 for end in last)
+    live = 0
+    peak = 0
+    for row in range(len(ops) + 1):
+        live += starts[row] - ends[row]
+        peak = max(peak, live)
+    return peak
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +260,11 @@ class TestContiguousSlice:
 # ---------------------------------------------------------------------------
 class TestFusePlan:
     def test_kernel_count_bounded_by_dag_groups(self):
-        """One run of one arithmetic opcode per (level, opcode) at
-        most — the DAG's level/opcode grouping is the lower bound the
-        fusion targets.  Load runs are not arithmetic and not
-        counted."""
+        """One (level, opcode) group per DAG level/opcode group at
+        most — the DAG's grouping is the lower bound the fusion
+        targets.  A folded row counts under its outer op, the one its
+        level computes; loads are not arithmetic and not counted.
+        Each level's rows are sorted by opcode."""
         from repro.graphs import binarize
 
         dag = generate_synth("layered", 80, seed=3)
@@ -281,19 +272,18 @@ class TestFusePlan:
         fused = fuse_plan(result.plan())
         groups = DagArrays.of(binarize(dag).dag).level_opcode_groups()
         n_groups = sum(len(g) for g in groups)
-        opcodes = [
-            [
-                code
-                for code, _ in itertools.groupby(fused.ops[lo:hi, 0])
-                if code != FUSED_LOAD
-            ]
-            for lo, hi in itertools.pairwise(fused.level_bounds.tolist())
-        ]
-        n_kernels = sum(len(level) for level in opcodes)
+        n_kernels = 0
+        for lo, hi in itertools.pairwise(fused.level_bounds.tolist()):
+            codes = fused.ops[lo:hi, 0].tolist()
+            assert codes == sorted(codes)
+            n_kernels += len(
+                {
+                    code if code < FUSED_FOLD else _decode(code)[1]
+                    for code in codes
+                    if code != FUSED_LOAD
+                }
+            )
         assert 0 < n_kernels <= n_groups
-        for level in opcodes:
-            # At most one ADD run and one MUL run per level.
-            assert level == sorted(set(level))
 
     def test_level_opcode_groups_partition_arith_nodes(self):
         dag = generate_synth("diamond", 50, seed=1)
@@ -311,13 +301,49 @@ class TestFusePlan:
             assert codes == sorted(codes)
 
     def test_state_is_liveness_compacted(self):
-        """Cells are reused: the state is smaller than one cell per
-        zero cell, load and op, and never below the widest level."""
-        dag = generate_synth("layered", 90, seed=3)
+        """Cells are reused as soon as a value is dead: on every
+        family the state is exactly the zero cells plus the peak number
+        of live values, which a greedy pass in row order reaches, and
+        smaller than one cell per zero cell, load and row."""
+        for family in sorted(SYNTH_FAMILIES):
+            dag = generate_synth(family, 90, seed=3)
+            fused = fuse_plan(compile_dag(dag, CFG).plan())
+            peak = _peak_live(fused)
+            assert fused.state_size == fused.zero_pos.size + peak, family
+            assert fused.state_size < _uncompacted_cells(fused), family
+
+    def test_single_use_results_fold(self):
+        """Deep chains are nearly all single-use results: about every
+        other op folds into its reader, and the fused plan keeps the
+        DAG's dependence depth (the ``fused.levels`` metric), levels
+        left empty by folding included."""
+        from repro.graphs import binarize
+
+        dag = generate_synth("deep", 200, seed=1)
         fused = fuse_plan(compile_dag(dag, CFG).plan())
-        assert fused.state_size < _uncompacted_cells(fused)
-        widest = int(np.diff(fused.level_bounds).max())
-        assert fused.state_size >= widest
+        codes = fused.ops[:, 0]
+        n_folded = int((codes >= FUSED_FOLD).sum())
+        assert n_folded >= fused.num_ops // 3
+        assert int((codes != FUSED_LOAD).sum()) + n_folded == fused.num_ops
+        groups = DagArrays.of(binarize(dag).dag).level_opcode_groups()
+        assert fused.num_levels == len(groups)
+
+    def test_kept_values_are_not_folded(self):
+        """An output that another op reads (a kept inner value, as a
+        triangular solve keeps every x_i) keeps its own row and cell,
+        while the ops around it still fold."""
+        dag = generate_synth("deep", 60, seed=1)
+        sinks = set(dag.sinks())
+        keep = [n for n in range(dag.num_nodes) if n not in sinks][::3]
+        plan = compile_dag(dag, CFG, keep=keep).plan()
+        fused = fuse_plan(plan)
+        assert (fused.ops[:, 0] >= FUSED_FOLD).any()
+        _assert_layout_safe(fused, plan)
+        matrix = _inputs(dag, 5)
+        _assert_bitwise(
+            BatchSimulator(plan, fused_plan=fused).run(matrix).outputs,
+            interpret_plan(plan, matrix).outputs,
+        )
 
     def test_unknown_engine_rejected(self):
         """``engine`` survives only as a compatibility shim: ``fused``
@@ -336,7 +362,7 @@ class TestFusePlan:
 
 def _uncompacted_cells(fused):
     """Cells of the fused state without liveness reuse: the pinned
-    zero cells plus one cell per load and per op."""
+    zero cells plus one cell per load and per row."""
     return fused.zero_pos.size + len(fused.ops)
 
 
@@ -434,23 +460,6 @@ class TestEngineParity:
         _assert_layout_safe(fuse_plan(plan), plan)
 
 
-#: Per synth family (150 nodes, seed 13, ``CFG``): the numpy sweep's
-#: call count and the sha256 prefix of ``json.dumps`` of
-#: :func:`_describe_program`.  Each level that loads inputs has one
-#: take from the matrix.  A change to compiled programs moves them, as
-#: it moves the goldens.
-NUMPY_PROGRAMS = {
-    "deep": (148, "0f7c0debb15546b996d31bc94f44ba96"),
-    "diamond": (162, "20f4ab31c0564d34c347274a48ec753f"),
-    "disconnected": (26, "007c97ecec0b5f144a0c117eacd1e0ab"),
-    "layered": (80, "375d8f4bba614509bd9a6067fe524e5a"),
-    "near_chain": (149, "a6aa20c5481aedd7fd92003fbc964a7c"),
-    "reuse": (23, "67500d19ac24a8356a7fc376c324ecbd"),
-    "skewed_fanout": (38, "0bb93e3b34c30a8fd9888f89230f7f23"),
-    "wide": (18, "4a2496fdf8994738c02d07ed34e92994"),
-}
-
-
 # ---------------------------------------------------------------------------
 # Bound sweeps: state reuse across runs and batch widths
 # ---------------------------------------------------------------------------
@@ -544,7 +553,7 @@ class TestBoundSweeps:
         states.append(sim._bound[batch][0])
         assert sim._bound_lock.acquire(blocking=False)
         try:
-            state, _, lock = sim._acquire_state(batch)
+            state, _, _, lock = sim._acquire_state(batch)
             assert lock is None  # the throwaway pair
             states.append(state)
         finally:
@@ -562,24 +571,23 @@ class TestBoundSweeps:
         assert len(sim._bound) <= BOUND_SWEEP_CAP
         assert 1 not in sim._bound  # oldest width evicted
 
-    @pytest.mark.parametrize("family", sorted(NUMPY_PROGRAMS))
-    def test_numpy_program_is_pinned(self, family):
-        """The numpy sweep bound from the op table makes the same calls,
-        in the same order, over the same views and gather indices as
-        the recorded program."""
-        dag = generate_synth(family, 150, seed=13)
-        calls = _describe_program(fuse_plan(compile_dag(dag, CFG).plan()))
-        digest = hashlib.sha256(json.dumps(calls).encode()).hexdigest()
-        assert (len(calls), digest[:32]) == NUMPY_PROGRAMS[family]
-
     def test_bind_sweep_matches_reference_executor(self):
-        """A bare bound pair, swept by hand over a matrix, equals the
-        oracle's plan interpreter bitwise."""
+        """A bare bound triple, swept by hand over a matrix and over its
+        own filled input matrix, equals the oracle's plan interpreter
+        bitwise."""
         dag, plan = self._plan()
         fused = fuse_plan(plan)
         matrix = _inputs(dag, 6, seed=3)
-        state, sweep = bind_sweep(fused, 6)
+        state, inputs, sweep = bind_sweep(fused, 6)
         sweep(matrix)
+        _assert_bitwise(
+            dict(zip(plan.output_vars, state[fused.output_cells])),
+            interpret_plan(plan, matrix).outputs,
+        )
+        # The bound input matrix runs through the pointers bound with it.
+        inputs[:] = matrix[::-1]
+        sweep(inputs)
+        matrix = matrix[::-1]
         _assert_bitwise(
             dict(zip(plan.output_vars, state[fused.output_cells])),
             interpret_plan(plan, matrix).outputs,
@@ -602,9 +610,9 @@ class TestFusedCache:
 
     def test_pre_bump_entry_is_not_reused(self, tmp_path):
         """A fused plan cached under the key of an older layout — the
-        uncompacted one (no layout version in its key), ``fused-v4``
-        or ``fused-v5`` — is never served: the layout version in
-        ``fused_key`` moves every lookup to a fresh key."""
+        uncompacted one (no layout version in its key), ``fused-v4``,
+        ``fused-v5`` or ``fused-v6`` — is never served: the layout
+        version in ``fused_key`` moves every lookup to a fresh key."""
         from repro.arch import DEFAULT_TOPOLOGY
 
         configure_cache(tmp_path / "cache")
@@ -619,9 +627,13 @@ class TestFusedCache:
         # The key of the last layout with a separate input scatter.
         v5_key = _h(b"fused", b"fused-v5", pkey.encode()).hex()
         assert fused_key(pkey) != v5_key
+        # The key of the last layout without folded rows.
+        v6_key = _h(b"fused", b"fused-v6", pkey.encode()).hex()
+        assert fused_key(pkey) != v6_key
         get_cache().put(old_key, "stale uncompacted plan")
         get_cache().put(v4_key, "stale level-tree plan")
         get_cache().put(v5_key, "stale scatter plan")
+        get_cache().put(v6_key, "stale unfolded plan")
         fused = cached_fused_plan(result)
         assert isinstance(fused, FusedPlan)
         assert fused.fingerprint == fuse_plan(result.plan()).fingerprint
@@ -629,3 +641,4 @@ class TestFusedCache:
         assert get_cache().get(old_key) == "stale uncompacted plan"
         assert get_cache().get(v4_key) == "stale level-tree plan"
         assert get_cache().get(v5_key) == "stale scatter plan"
+        assert get_cache().get(v6_key) == "stale unfolded plan"

@@ -1,17 +1,16 @@
-"""The native sweep kernel: bitwise parity with the numpy sweep, the
-no-compiler fallback, concurrent runs and the shared build cache.
+"""The native sweep kernel: bitwise parity with the plan interpreter,
+the folded opcodes, the required compiler, concurrent runs and the
+shared build cache.
 
-The native kernel and the numpy sweep perform the same IEEE-double
-operation on the same operands, so every comparison here is on
-``uint64`` views.  Tests that need the kernel skip where no working C
-compiler exists (the fallback tests run everywhere); the tier-1 CI job
-asserts the kernel is available, so they cannot skip silently there.
+The kernel performs the same IEEE-double operations on the same
+operands as the oracle's plan interpreter
+(:func:`~repro.verify.differential.interpret_plan`), so every
+comparison here is on ``uint64`` views.  A working C compiler is
+required: without one, constructing a simulator raises.
 """
 
 import dataclasses
-import logging
 import os
-import shutil
 import subprocess
 import sys
 import threading
@@ -23,16 +22,25 @@ import pytest
 from repro import DAGBuilder
 from repro.arch import ArchConfig
 from repro.compiler import compile_dag
+from repro.errors import SimulationError
 from repro.graphs import OpType
 from repro.sim import BatchSimulator, bind_sweep, fuse_plan, native
+from repro.sim.fused import FUSED_FOLD
 from repro.verify.differential import interpret_plan
 from repro.workloads.synth import SYNTH_FAMILIES, generate_synth
 
 CFG = ArchConfig(depth=2, banks=8, regs_per_bank=16)
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-needs_native = pytest.mark.skipif(
-    not native.available(), reason="no working C compiler"
+#: Widths 5 and 257 run the kernel's four-row bodies and its scalar
+#: tails together; 1 and 3 run tails only, 256 bodies only.
+WIDTHS = (1, 3, 5, 256, 257)
+
+#: Special values with no NaN among them: ±inf (where inf - inf and
+#: 0 * inf make the one default NaN), ±0.0, subnormals and values whose
+#: products overflow.
+SPECIALS = np.array(
+    [np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1.5, -2.0, 1e300]
 )
 
 
@@ -40,17 +48,53 @@ def _bits(arr):
     return np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
 
 
-def _sweep_both(fused, plan, matrix, monkeypatch):
-    """Final states of the native and the numpy sweep, each bound by
-    :func:`bind_sweep` and loading the same input matrix."""
-    states = []
-    for kernel in (native.load(), None):
-        with monkeypatch.context() as m:
-            m.setattr(native, "load", lambda k=kernel: k)
-            state, sweep = bind_sweep(fused, len(matrix))
-        sweep(matrix)
-        states.append(state)
-    return states
+def _sweep(fused, matrix):
+    """Final state of a sweep bound by :func:`bind_sweep` over
+    ``matrix``."""
+    state, _, sweep = bind_sweep(fused, len(matrix))
+    sweep(matrix)
+    return state
+
+
+def _assert_matches_interpreter(fused, plan, matrix, *context):
+    state = _sweep(fused, matrix)
+    ref = interpret_plan(plan, matrix).outputs
+    for var, row in zip(plan.output_vars, state[fused.output_cells]):
+        assert np.array_equal(_bits(row), _bits(ref[var])), (*context, var)
+    return state
+
+
+def _run_row(code, matrix):
+    """One row of opcode ``code`` over columns 0, 1 and 2 of ``matrix``
+    as its ``a``, ``b`` and ``c``, swept by a hand-built table."""
+    table = np.array(
+        [[3, 0, 0, 0, 0], [3, 1, 0, 0, 1], [3, 2, 0, 0, 2],
+         [code, 0, 1, 2, 3]],
+        dtype=np.int64,
+    )
+    state = np.empty((4, len(matrix)))
+    native.load().bind_sweep(table, state, np.empty((len(matrix), 3)))(
+        matrix
+    )
+    return state[3]
+
+
+def _special_rows(rng, n, rows):
+    """``rows`` input rows: alternately drawn from :data:`SPECIALS`,
+    and finite values carrying the one NaN payload ``np.nan``.  No row
+    mixes two different NaNs: when two NaN operands meet, IEEE 754
+    leaves open whose payload the result carries."""
+    out = []
+    for i in range(rows):
+        if i % 2:
+            row = rng.uniform(0.5, 2.0, size=n)
+            row[rng.random(n) < 0.2] = np.nan
+            row[rng.random(n) < 0.2] = 5e-324
+            row[rng.random(n) < 0.2] = -0.0
+        else:
+            row = rng.choice(SPECIALS, size=n)
+        out.append(row)
+    return np.array(out).reshape(rows, n)
 
 
 def _overflow_dag():
@@ -73,32 +117,74 @@ def fresh_load():
     native._load.cache_clear()
 
 
-@needs_native
 class TestParity:
     @pytest.mark.parametrize("family", SYNTH_FAMILIES)
-    def test_native_matches_numpy_sweep(self, family, monkeypatch):
-        """Widths 5 and 257 run the kernel's four-row bodies and its
-        scalar tails together; 1 and 3 run tails only, 256 bodies
-        only.  The outputs also equal the plan interpreter's."""
+    def test_native_matches_plan_interpreter(self, family):
+        """Outputs equal the plan interpreter's at every width."""
         dag = generate_synth(family, 60, seed=5)
         plan = compile_dag(dag, CFG).plan()
         fused = fuse_plan(plan)
         rng = np.random.default_rng(1)
-        for batch in (1, 3, 5, 256, 257):
+        for batch in WIDTHS:
             matrix = rng.uniform(0.9, 1.1, size=(batch, dag.num_inputs))
-            got, want = _sweep_both(fused, plan, matrix, monkeypatch)
-            # Whole states: every cell either sweep writes, not only
-            # the outputs.
-            assert np.array_equal(_bits(got), _bits(want)), (family, batch)
-            ref = interpret_plan(plan, matrix).outputs
-            for var, row in zip(plan.output_vars, got[fused.output_cells]):
-                assert np.array_equal(_bits(row), _bits(ref[var])), (
-                    family,
-                    batch,
-                    var,
-                )
+            _assert_matches_interpreter(fused, plan, matrix, family, batch)
 
-    def test_special_values(self, monkeypatch):
+    @pytest.mark.parametrize("family", SYNTH_FAMILIES)
+    def test_folded_rows_on_special_values(self, family):
+        """Each family's folded rows, at every width, on inputs of inf,
+        NaN, -0.0 and subnormals, equal the plan interpreter bitwise."""
+        dag = generate_synth(family, 60, seed=5)
+        plan = compile_dag(dag, CFG).plan()
+        fused = fuse_plan(plan)
+        assert (fused.ops[:, 0] >= FUSED_FOLD).any()
+        rng = np.random.default_rng(8)
+        for batch in WIDTHS:
+            matrix = _special_rows(rng, dag.num_inputs, batch)
+            _assert_matches_interpreter(fused, plan, matrix, family, batch)
+
+    def test_families_fold_every_opcode(self):
+        """Across the synth families every folded opcode occurs: both
+        inner ops, both outer ops, the folded value on either side."""
+        seen = set()
+        for family in SYNTH_FAMILIES:
+            for seed in (5, 6):
+                dag = generate_synth(family, 60, seed=seed)
+                seen |= set(fuse_plan(compile_dag(dag, CFG).plan()).ops[:, 0])
+        assert set(range(FUSED_FOLD, 12)) <= seen
+
+    @pytest.mark.parametrize("code", range(FUSED_FOLD, 12))
+    def test_folded_opcode_on_special_values(self, code):
+        """One hand-built row per folded opcode, over every triple of
+        special values at every width, equals numpy's ``(a op1 b) op2
+        c`` (or ``c op2 (a op1 b)``) bitwise."""
+        ops_by_code = {1: np.add, 2: np.multiply}
+        op1, rest = divmod(code, FUSED_FOLD)
+        op2, side = ops_by_code[rest // 2 + 1], rest % 2
+        grid = np.array(np.meshgrid(SPECIALS, SPECIALS, SPECIALS))
+        triples = grid.reshape(3, -1).T
+        for batch in WIDTHS:
+            for lo in range(0, len(triples), batch):
+                matrix = triples[lo : lo + batch]
+                if len(matrix) < batch:
+                    matrix = triples[-batch:]
+                a, b, c = matrix.T
+                with np.errstate(all="ignore"):
+                    inner = ops_by_code[op1](a, b)
+                    want = op2(c, inner) if side else op2(inner, c)
+                got = _run_row(code, matrix)
+                assert np.array_equal(_bits(got), _bits(want)), code
+
+    @pytest.mark.parametrize("code", [8, 9])
+    def test_no_fma_contraction(self, code):
+        """``(a * b) + c`` rounds the product first: with a = 1 +
+        2**-30, b = 1 - 2**-30 and c = -1 the product 1 - 2**-60 rounds
+        to 1.0 and the sum is 0.0; an FMA would give -2**-60."""
+        for batch in WIDTHS:
+            matrix = np.tile([1 + 2.0**-30, 1 - 2.0**-30, -1.0], (batch, 1))
+            got = _run_row(code, matrix)
+            assert np.array_equal(_bits(got), _bits(np.zeros(batch)))
+
+    def test_special_values(self):
         """Rows of ±inf and ±0.0 (where inf - inf and 0 * inf make the
         one default NaN), and rows carrying one NaN payload each —
         quiet or signalling, either sign — among finite values.
@@ -123,32 +209,25 @@ class TestParity:
             row[rng.random(n) < 0.3] = nan
             rows.append(row)
         matrix = np.array(rows * 4)  # 44 rows: a vector body and a tail
-        got, want = _sweep_both(fused, plan, matrix, monkeypatch)
-        assert np.array_equal(_bits(got), _bits(want))
-        outputs = dict(zip(plan.output_vars, got[fused.output_cells]))
-        ref = interpret_plan(plan, matrix).outputs
-        for var in plan.output_vars:
-            assert np.array_equal(_bits(outputs[var]), _bits(ref[var]))
+        _assert_matches_interpreter(fused, plan, matrix)
 
-    def test_overflow_dag(self, monkeypatch):
+    def test_overflow_dag(self):
         dag = _overflow_dag()
         plan = compile_dag(dag, CFG).plan()
         fused = fuse_plan(plan)
         matrix = np.random.default_rng(3).uniform(0.9, 1.1, size=(5, 2))
-        got, want = _sweep_both(fused, plan, matrix, monkeypatch)
-        assert np.array_equal(_bits(got), _bits(want))
-        assert np.isinf(got[fused.output_cells]).all()
+        state = _assert_matches_interpreter(fused, plan, matrix)
+        assert np.isinf(state[fused.output_cells]).all()
 
-    def test_zero_op_plan(self, monkeypatch):
+    def test_zero_op_plan(self):
         """With no compute steps, outputs read initial values only."""
         dag = generate_synth("layered", 20, seed=0)
         plan = compile_dag(dag, CFG).plan()
         plan = dataclasses.replace(plan, steps=())
         fused = fuse_plan(plan)
-        assert fused.num_ops == 0 and fused.ops.shape == (0, 4)
+        assert fused.num_ops == 0 and fused.ops.shape == (0, 5)
         matrix = np.random.default_rng(4).uniform(size=(3, dag.num_inputs))
-        got, want = _sweep_both(fused, plan, matrix, monkeypatch)
-        assert np.array_equal(_bits(got), _bits(want))
+        _assert_matches_interpreter(fused, plan, matrix)
         out = BatchSimulator(plan, fused_plan=fused).run(matrix).outputs
         ref = interpret_plan(plan, matrix).outputs
         for var in plan.output_vars:
@@ -170,27 +249,40 @@ class TestParity:
         """Pointers reach C only after sizes and bounds are checked."""
         kernel = native.load()
         state = np.zeros((4, 8))
-        good = np.array([[1, 0, 1, 2]], dtype=np.int64)
-        kernel.bind_sweep(good, state)(np.ones((8, 0)))
+        inputs = np.empty((8, 6))
+        good = np.array([[1, 0, 1, 0, 2], [11, 0, 1, 3, 2]], dtype=np.int64)
+        kernel.bind_sweep(good, state, inputs)(np.ones((8, 0)))
         for bad in (
-            [[4, 0, 1, 2]],  # no opcode 4
-            [[1, 0, 4, 2]],  # cell 4 missing
-            [[2, -1, 1, 2]],  # negative cell
-            [[3, -1, 0, 2]],  # negative slot
-            [[3, 0, 0, 4]],  # loads into a missing cell
+            [[0, 0, 1, 0, 2]],  # no opcode 0
+            [[12, 0, 1, 0, 2]],  # no opcode 12
+            [[1, 0, 4, 0, 2]],  # cell 4 missing
+            [[2, -1, 1, 0, 2]],  # negative cell
+            [[4, 0, 1, 4, 2]],  # folded c: cell 4 missing
+            [[9, 0, 1, -1, 2]],  # folded c: negative cell
+            [[3, -1, 0, 0, 2]],  # negative slot
+            [[3, 0, 0, 0, 4]],  # loads into a missing cell
+            [[3, 6, 0, 0, 1]],  # loads a column inputs lacks
+            [[1, 0, 1, 2]],  # four columns
         ):
             with pytest.raises(ValueError):
-                kernel.bind_sweep(np.array(bad, dtype=np.int64), state)
-        # Loads of columns 0 and 5 into cells 1 and 3, then 1 + 3 -> 0.
+                kernel.bind_sweep(np.array(bad, dtype=np.int64), state, inputs)
+        # Loads of columns 0 and 5 into cells 1 and 3, then 1 + 3 -> 0,
+        # then (3 * 1) + 0 -> 2.
         loads = np.array(
-            [[3, 0, 0, 1], [3, 5, 0, 3], [1, 1, 3, 0]], dtype=np.int64
+            [[3, 0, 0, 0, 1], [3, 5, 0, 0, 3], [1, 1, 3, 0, 0],
+             [8, 3, 1, 0, 2]],
+            dtype=np.int64,
         )
-        sweep = kernel.bind_sweep(loads, state)
+        sweep = kernel.bind_sweep(loads, state, inputs)
         matrix = np.arange(48.0).reshape(8, 6)
-        sweep(matrix)
-        assert (state[1] == matrix[:, 0]).all()
-        assert (state[3] == matrix[:, 5]).all()
-        assert (state[0] == matrix[:, 0] + matrix[:, 5]).all()
+        for source in (matrix, inputs):
+            state[:] = 0.0
+            inputs[:] = matrix
+            sweep(source)
+            assert (state[1] == matrix[:, 0]).all()
+            assert (state[3] == matrix[:, 5]).all()
+            assert (state[0] == matrix[:, 0] + matrix[:, 5]).all()
+            assert (state[2] == matrix[:, 5] * matrix[:, 0] + state[0]).all()
         for bad_matrix in (
             np.ones((8, 5)),  # column 5 missing
             np.ones((7, 6)),  # fewer rows than the batch
@@ -201,9 +293,11 @@ class TestParity:
 
     def test_threads_share_one_simulator(self):
         """ctypes releases the GIL, so the threads' sweeps overlap: one
-        holds the bound pair, the others bind throwaway ones.  More
-        threads than cores and a short switch interval make the
-        interleavings frequent."""
+        holds the bound triple, the others bind throwaway ones.  Runs
+        alternate between ``run`` and ``run_rows``, which fills the
+        bound input matrix, so a row copied into another run's matrix
+        would show.  More threads than cores and a short switch
+        interval make the interleavings frequent."""
         dag = generate_synth("layered", 200, seed=9)
         plan = compile_dag(dag, CFG).plan()
         sim = BatchSimulator(plan)
@@ -219,8 +313,11 @@ class TestParity:
 
         def worker(i):
             start.wait()
-            for _ in range(30):
-                got = sim.run(matrices[i]).outputs
+            for k in range(30):
+                if k % 2:
+                    got = sim.run_rows(list(matrices[i])).outputs
+                else:
+                    got = sim.run(matrices[i]).outputs
                 for var, col in wants[i].items():
                     if not np.array_equal(_bits(got[var]), _bits(col)):
                         errors.append((i, var))
@@ -243,7 +340,6 @@ class TestParity:
         assert errors == []
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 def test_kernel_builds_without_warnings(tmp_path):
     """A compiler that ignores ``target_clones`` warns and leaves the
     AVX2 clone out; ``-Werror`` turns that into a failure here."""
@@ -268,38 +364,25 @@ def _fake_cc(tmp_path, monkeypatch):
     monkeypatch.setenv("PATH", f"{bindir}{os.pathsep}{os.environ['PATH']}")
 
 
-class TestFallback:
+class TestCompilerRequired:
     @pytest.mark.parametrize("broken", ["no-cc", "cc-exits-1"])
-    def test_fallback_runs_numpy_with_one_warning(
-        self, broken, fresh_load, tmp_path, monkeypatch, caplog
+    def test_shadowed_cc_makes_simulator_raise(
+        self, broken, fresh_load, tmp_path, monkeypatch
     ):
+        """Without a working ``cc`` there is no sweep: constructing a
+        simulator raises an error that names ``cc``, every time."""
         dag = generate_synth("diamond", 60, seed=3)
         plan = compile_dag(dag, CFG).plan()
-        matrix = np.random.default_rng(7).uniform(
-            0.9, 1.1, size=(16, dag.num_inputs)
-        )
-        want = interpret_plan(plan, matrix).outputs
         if broken == "no-cc":
             monkeypatch.setattr(native.shutil, "which", lambda name: None)
         else:
             _fake_cc(tmp_path, monkeypatch)
-        with caplog.at_level(logging.WARNING, logger=native.__name__):
-            assert not native.available()
-            for _ in range(3):
-                sim = BatchSimulator(plan)
-                got = sim.run(matrix).outputs
-                rows = sim.run_rows(list(matrix)).outputs
-                for var in plan.output_vars:
-                    assert np.array_equal(_bits(got[var]), _bits(want[var]))
-                    assert np.array_equal(_bits(rows[var]), _bits(want[var]))
-        warnings = [
-            r for r in caplog.records if r.name == native.__name__
-        ]
-        assert len(warnings) == 1
-        assert "numpy" in warnings[0].getMessage()
+        assert not native.available()
+        for _ in range(2):
+            with pytest.raises(SimulationError, match="'cc'"):
+                BatchSimulator(plan)
 
 
-@needs_native
 def test_two_processes_build_into_one_cache(tmp_path):
     """Two fresh processes sharing a cache directory both load the
     kernel; the directory ends with one library and no temporaries."""
