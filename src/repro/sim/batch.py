@@ -4,8 +4,21 @@ Executes an :class:`~repro.sim.plan.ExecutionPlan` on a whole
 ``(B, num_inputs)`` input matrix in one sweep.  The plan is lowered
 once more into a level-major schedule of ops over a liveness-compacted
 state (:mod:`repro.sim.fused`): the state of all B independent
-inferences is one ``(cells, B)`` float64 array, and a sweep runs every
-op over the batch dimension.  This is the library's only batch engine.
+inferences is one float64 array, and a sweep runs every op over the
+batch dimension.  This is the library's only batch engine.
+
+The state is tile-major, ``(tiles, cells, width)``.  When at least a
+quarter of a plan's rows are input loads and the batch is at least
+64 rows, the sweep runs the whole table over one tile of 32 rows
+before the next, so each load walks 32 rows of the caller's matrix
+instead of all B (``deep2000``, whose walks step 8,000 bytes, sweeps
+256 rows 1.7x as fast).  Every other sweep is one tile of B rows,
+the ``(cells, B)`` layout.
+:meth:`~repro.sim.fused.FusedPlan.tile_width` decides, and the tiling
+rule in :mod:`repro.sim.native` gives the numbers behind it.  Outputs
+leave the state through one helper that knows the layout
+(:meth:`~repro.sim.fused.FusedPlan.read_outputs`): the rows of one
+copied block either way.
 
 The sweep runs on the native C kernel (:mod:`repro.sim.native`): one
 fixed loop over the plan's flat op table, built once per process when
@@ -229,7 +242,8 @@ class BatchSimulator:
         """One run: a bound sweep loads ``matrix`` — a ``(B,
         num_inputs)`` float64 matrix, or, when it is ``None``, the
         bound input matrix after ``rows`` are copied into it — and runs
-        it, then one gather copies the output cells out."""
+        it, then one gather copies the output cells out of the tiled or
+        untiled state."""
         plan = self.plan
         state, inputs, sweep, lock = self._acquire_state(batch)
         try:
@@ -259,7 +273,7 @@ class BatchSimulator:
             ):
                 sweep(matrix)
             outputs = dict(
-                zip(plan.output_vars, state[self._fused.output_cells])
+                zip(plan.output_vars, self._fused.read_outputs(state, batch))
             )
         finally:
             if lock is not None:

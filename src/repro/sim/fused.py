@@ -57,7 +57,8 @@ working C compiler (``cc`` on ``PATH``) is required; there is no
 second sweep.
 
 The sweep is **bound** once per batch width (:func:`bind_sweep`): the
-state buffer is allocated, 64-byte aligned, and the kernel's pointers
+state buffer is allocated, tile-major (:meth:`FusedPlan.tile_width`
+sets the tile) and 64-byte aligned, and the kernel's pointers
 are computed up front and reused across runs, so the per-run hot path
 is one C call that reads the caller's input matrix directly — no
 allocation, no slice construction, no index arithmetic.  Reusing the
@@ -110,6 +111,14 @@ _ID = np.int64
 #: and the artifact-cache key (``repro.runner.fingerprint.fused_key``),
 #: so a cache written by an older lowering is never served.
 FUSED_LAYOUT = "fused-v7"
+
+#: The load-row share of the op table from which a sweep of at least
+#: two tiles is tiled.  Measured shares (D3-B64-R32): the Table-I
+#: ``sptrsv`` plans at scale 0.05 0.48-0.55, ``deep2000`` 0.67 and
+#: ``near_chain2000`` 0.61, against at most 0.025 for every Table-I
+#: ``pc`` plan and 0.006 for ``synth_xl_layered_50k``, so a quarter
+#: sits well clear of both.
+TILE_LOAD_SHARE = 0.25
 
 
 @dataclass(frozen=True)
@@ -182,25 +191,77 @@ class FusedPlan:
         """Dependence depth of the fused op graph."""
         return self.level_bounds.size - 1
 
-    def make_state(self, batch: int) -> np.ndarray:
-        """Fresh C-contiguous ``(state_size, batch)`` state, zero cells
-        pinned, its first element 64-byte (cache-line) aligned.
+    def tile_width(self, batch: int) -> int:
+        """Lanes per tile of this plan's sweep of ``batch`` rows: the
+        one place the tiling rule (:mod:`repro.sim.native`) is decided.
 
-        The native sweep runs up to 2x slower on a state that starts
-        16 bytes past a 32-byte boundary, and the allocator hands such
-        addresses out at random, so the state is a view placed at the
-        first aligned element of a slightly larger buffer.
-        Deliberately *not* zero-filled: within a run every other cell
-        is written before it is read (inputs by their load, result
-        cells by their op).
+        A load row walks one column of the caller's ``(batch, inputs)``
+        matrix, one matrix row per lane, so a 256-row walk of a wide
+        matrix touches a page per lane.  When at least
+        :data:`TILE_LOAD_SHARE` of the table's rows are loads and the
+        batch fills at least two tiles of
+        :data:`~repro.sim.native.TILE` rows, the sweep runs the whole
+        table over one tile before the next, and each walk stays within
+        a tile's rows.  Otherwise the sweep is one tile of ``batch``
+        rows: every row is dispatched once per tile, which costs more
+        than tiling saves when loads are few or the walks short (33-48
+        rows of ``deep2000`` or ``near_chain2000`` swept 10-18% slower
+        tiled; at 64 rows the two are even, at 128 tiling saves a
+        third).
         """
-        size = self.state_size * batch
+        rows = self.ops.shape[0]
+        loads = np.count_nonzero(self.ops[:, 0] == FUSED_LOAD)
+        if batch >= 2 * native.TILE and loads >= TILE_LOAD_SHARE * rows:
+            return native.TILE
+        return batch
+
+    def make_state(self, batch: int) -> np.ndarray:
+        """Fresh C-contiguous tile-major ``(tiles, state_size, width)``
+        state for a sweep of ``batch`` rows, zero cells pinned in every
+        tile, every tile's first cell 64-byte (cache-line) aligned.
+
+        ``width`` is :meth:`tile_width`; the last tile may cover fewer
+        than ``width`` rows.  An untiled sweep (fewer than 64 rows, or
+        a plan whose rows are less than a quarter loads) has one tile
+        of ``batch`` lanes, the ``(state_size, batch)`` layout.  A
+        tiled one has tiles of :data:`~repro.sim.native.TILE` rows, so
+        each load walks 32 rows of the input matrix, not ``batch``: at
+        batch 256 the bound sweep of ``bp_200`` 155 → 101 µs, of
+        ``sieber`` 2.12 → 1.12 ms, but of the load-light ``tretail`` it
+        would be 72 → 88 µs.  Each tile's cells are contiguous, 256
+        bytes per cell, so every tile starts aligned when the first one
+        does.  The native sweep runs up to 2x slower on a state that
+        starts 16 bytes past a 32-byte boundary, and the allocator hands
+        such addresses out at random, so the state is a view placed at
+        the first aligned element of a slightly larger buffer.
+        Deliberately *not* zero-filled: within a run every other cell
+        is written before it is read (inputs by their load, result cells
+        by their op).
+        """
+        width = self.tile_width(batch)
+        shape = (-(-batch // width), self.state_size, width)
+        size = shape[0] * self.state_size * width
         buf = np.empty(size + 8, dtype=np.float64)
         lead = -buf.ctypes.data % 64 // 8
-        state = buf[lead : lead + size].reshape(self.state_size, batch)
+        state = buf[lead : lead + size].reshape(shape)
         if self.zero_pos.size:
-            state[self.zero_pos] = 0.0
+            state[:, self.zero_pos] = 0.0
         return state
+
+    def read_outputs(self, state: np.ndarray, batch: int) -> np.ndarray:
+        """The output cells of a swept :meth:`make_state` state, in
+        :attr:`output_vars` order, as the ``batch``-long rows of one
+        copied block: ``(n_out, batch)`` untiled, ``(n_out, tiles *
+        width)`` cut to ``batch`` columns when tiled.  They keep their
+        values when the state is swept again."""
+        if state.shape[0] == 1:
+            # ``take`` on the 2-D view is the cheapest copy for the
+            # serving path's small untiled batches.
+            return state[0].take(self.output_cells, axis=0)
+        return (
+            state.transpose(1, 0, 2)[self.output_cells]
+            .reshape(self.output_cells.size, -1)[:, :batch]
+        )
 
 
 def fuse_plan(plan: ExecutionPlan) -> FusedPlan:
@@ -510,8 +571,9 @@ def bind_sweep(
     """Bind a reusable ``(state, inputs, sweep)`` triple for one batch
     width.
 
-    Allocates the state and a ``(batch, num_inputs)`` float64 input
-    matrix, and returns ``sweep(matrix)``: one native C call
+    Allocates the tile-major state (:meth:`FusedPlan.make_state`) and a
+    ``(batch, num_inputs)`` float64 input matrix, and returns
+    ``sweep(matrix)``: one native C call
     (:meth:`repro.sim.native.Kernel.bind_sweep`) that runs
     :attr:`FusedPlan.ops` over the state, loading the inputs straight
     from ``matrix``.  ``sweep(inputs)`` uses pointers computed here, so

@@ -5,8 +5,8 @@ this module does the same on the host.  A
 :class:`~repro.sim.fused.FusedPlan` carries its schedule as a flat
 ``(n_rows, 5)`` table of ``(opcode, a, b, c, out_cell)`` in
 level-major order, and :data:`SOURCE` walks it in one fixed loop:
-``o[i] = a[i] op b[i]`` for every row ``i`` of the ``(cells, B)``
-state; for a folded row, ``o[i] = (a[i] op1 b[i]) op2 c[i]`` (or ``c[i]
+``o[i] = a[i] op b[i]`` for every lane ``i`` of a tile of the state;
+for a folded row, ``o[i] = (a[i] op1 b[i]) op2 c[i]`` (or ``c[i]
 op2 (a[i] op1 b[i])``) with the intermediate in a register, the host's
 version of a two-layer PE tree; or, for a load row, ``o[i] =
 matrix[i][a]``, a strided copy of one column of the caller's input
@@ -36,6 +36,36 @@ raises a :class:`~repro.errors.SimulationError` that names ``cc``.
 There is no second sweep and nothing to configure: no option,
 environment variable or flag.
 
+**The tiling rule.**  The state is tile-major, ``(tiles, cells,
+width)``, and the sweep runs the whole table over one tile of
+``width`` batch rows before it starts the next; the last tile runs
+only the rows left.  A load row walks one column of the caller's
+``(B, inputs)`` matrix, one matrix row per lane: for ``deep2000``'s
+1,000 inputs the stride is 8,000 bytes, so a 256-row walk touches a
+page per lane.  Tiled by :data:`TILE` = 32 rows, a walk stays within
+32 matrix rows, whose pages and cache lines the tile's next loads
+reuse.  The price is one dispatch of every row per tile, so tiling
+pays only where loads are a large share of the table and the batch
+is long: :meth:`~repro.sim.fused.FusedPlan.tile_width` decides, in
+one place, from the plan's load-row share and the batch width, and
+nothing else sets it.  A sweep of at least 64 rows (two tiles) of a
+plan whose rows are at least a quarter loads (the Table-I ``sptrsv``
+plans 0.48-0.55, ``deep2000`` 0.67, ``near_chain2000`` 0.61) is tiled
+by 32; every other sweep (every Table-I ``pc`` plan at most 0.025,
+``synth_xl_layered_50k`` 0.006) is one tile of ``B`` rows, the
+``(cells, B)`` layout.  On a shared 2-CPU x86-64 VM (gcc 12), the
+bound sweep alone at batch 256, tiled vs untiled in one process
+(median of 300): ``bp_200`` 155 → 101 µs,
+``sieber`` 2.12 → 1.12 ms, but ``tretail`` 72 → 88 µs; at 33-48 rows
+``deep2000`` and ``near_chain2000`` ran 10-18% slower tiled, even at
+64.  Full tiles run a copy of the loop built for exactly :data:`TILE`
+lanes, whose row kernels unroll completely (a 256-row ``run``,
+median of three processes: ``bp_200`` 103 → 97 µs, ``near_chain2000``
+150 → 139 µs, ``deep2000`` flat at 161 µs); tiles of 16 or 64 rows ran
+``deep2000`` slower than 32 (181 and 190 vs 163 µs).  With the
+full-tile copy the kernel builds in 0.49 s instead of 0.37 s (median
+of 7 ``cc`` runs).
+
 The built ``.so`` is named by a digest of the source, the flags,
 ``platform.machine()`` and ``cc --version``.  When an artifact cache
 is configured (:func:`repro.runner.cache.get_cache`) it is kept under
@@ -64,11 +94,18 @@ import numpy as np
 from ..errors import SimulationError
 from ..obs import trace
 
+#: Lanes per tile of a tiled sweep: the kernel has a copy of its loop
+#: built for exactly this many, and
+#: :meth:`repro.sim.fused.FusedPlan.tile_width` tiles by it.  A load
+#: walk of a tile then touches at most 32 matrix rows, and a tile's
+#: cells are 256 bytes, whole cache lines.
+TILE = 32
+
 #: The kernel.  Opcodes are :data:`repro.sim.fused.FUSED_ADD` (1),
 #: :data:`repro.sim.fused.FUSED_MUL` (2),
 #: :data:`repro.sim.fused.FUSED_LOAD` (3) and the folded opcodes 4 to
 #: 11 (:data:`repro.sim.fused.FUSED_FOLD`).
-SOURCE = r"""
+SOURCE = f"#define TILE {TILE}\n" + r"""
 #include <stdint.h>
 
 /* The dispatch rule (module docstring): repro_sweep is cloned for AVX2
@@ -139,35 +176,63 @@ INLINE void load(const double *restrict src, int64_t stride,
         o[r] = src[r * stride];
 }
 
-/* Run every (opcode, a, b, c, out_cell) row of ops, in order, over the
-   (cells, batch) row-major state; opcode 3 copies column a of the
-   (batch, inputs) matrix, every other opcode reads cells a, b and c.
-   Matrix strides are in doubles. */
-CLONES void repro_sweep(const int64_t *ops, int64_t n_ops, double *state,
-                        int64_t batch, const double *matrix,
-                        int64_t row_stride, int64_t col_stride)
+/* Run every (opcode, a, b, c, out_cell) row of ops, in order, over n
+   lanes of one tile whose cells lie width doubles apart; opcode 3
+   copies column a of the tile's rows of the (batch, inputs) matrix,
+   every other opcode reads cells a, b and c.  Matrix strides are in
+   doubles. */
+INLINE void run_tile(const int64_t *ops, int64_t n_ops, double *state,
+                     int64_t width, int64_t n, const double *matrix,
+                     int64_t row_stride, int64_t col_stride)
 {
     for (int64_t k = 0; k < n_ops; ++k, ops += 5) {
-        double *o = state + ops[4] * batch;
+        double *o = state + ops[4] * width;
         if (ops[0] == 3) {
-            load(matrix + ops[1] * col_stride, row_stride, o, batch);
+            load(matrix + ops[1] * col_stride, row_stride, o, n);
             continue;
         }
-        const double *a = state + ops[1] * batch;
-        const double *b = state + ops[2] * batch;
-        const double *c = state + ops[3] * batch;
+        const double *a = state + ops[1] * width;
+        const double *b = state + ops[2] * width;
+        const double *c = state + ops[3] * width;
         switch (ops[0]) {
-        case 1: add(a, b, c, o, batch); break;
-        case 2: mul(a, b, c, o, batch); break;
-        case 4: aa0(a, b, c, o, batch); break;
-        case 5: aa1(a, b, c, o, batch); break;
-        case 6: am0(a, b, c, o, batch); break;
-        case 7: am1(a, b, c, o, batch); break;
-        case 8: ma0(a, b, c, o, batch); break;
-        case 9: ma1(a, b, c, o, batch); break;
-        case 10: mm0(a, b, c, o, batch); break;
-        default: mm1(a, b, c, o, batch); break;
+        case 1: add(a, b, c, o, n); break;
+        case 2: mul(a, b, c, o, n); break;
+        case 4: aa0(a, b, c, o, n); break;
+        case 5: aa1(a, b, c, o, n); break;
+        case 6: am0(a, b, c, o, n); break;
+        case 7: am1(a, b, c, o, n); break;
+        case 8: ma0(a, b, c, o, n); break;
+        case 9: ma1(a, b, c, o, n); break;
+        case 10: mm0(a, b, c, o, n); break;
+        default: mm1(a, b, c, o, n); break;
         }
+    }
+}
+
+/* Sweep the n_ops rows of ops over batch rows of the (tiles, cells,
+   width) tile-major state, sizes = {n_ops, cells, width, batch} (the
+   tiling rule, module docstring): the whole table runs over one tile
+   of width rows before the next tile starts, and the last tile runs
+   only the rows left.  An untiled state is one tile of width batch,
+   the (cells, batch) layout.  Full tiles of TILE rows run a copy of
+   the loop built for exactly TILE lanes, whose row kernels unroll
+   completely.  The sizes travel in one array because each argument
+   of a ctypes call costs the serving path's batch-1 sweeps time. */
+CLONES void repro_sweep(const int64_t *ops, const int64_t *sizes,
+                        double *state, const double *matrix,
+                        int64_t row_stride, int64_t col_stride)
+{
+    const int64_t n_ops = sizes[0], cells = sizes[1], width = sizes[2],
+                  batch = sizes[3];
+    int64_t lo = 0;
+    if (width == TILE)
+        for (; lo + TILE <= batch; lo += TILE, state += cells * TILE)
+            run_tile(ops, n_ops, state, TILE, TILE,
+                     matrix + lo * row_stride, row_stride, col_stride);
+    for (; lo < batch; lo += width, state += cells * width) {
+        int64_t n = batch - lo < width ? batch - lo : width;
+        run_tile(ops, n_ops, state, width, n, matrix + lo * row_stride,
+                 row_stride, col_stride);
     }
 }
 """
@@ -192,36 +257,47 @@ class Kernel:
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._sweep = lib.repro_sweep
-        self._sweep.argtypes = (_PTR, _I64, _PTR, _I64, _PTR, _I64, _I64)
+        self._sweep.argtypes = (_PTR, _PTR, _PTR, _PTR, _I64, _I64)
         self._sweep.restype = None
 
     def bind_sweep(
         self, ops: np.ndarray, state: np.ndarray, inputs: np.ndarray
     ) -> Callable[[np.ndarray], None]:
-        """A call ``sweep(matrix)`` running ``ops`` over ``state``, its
-        load rows copying columns of the ``(state.shape[1], inputs)``
-        float64 ``matrix``, strided or not.
+        """A call ``sweep(matrix)`` running ``ops`` over the ``(tiles,
+        cells, width)`` tile-major ``state`` for the batch of
+        ``inputs.shape[0]`` rows, its load rows copying columns of the
+        ``(batch, inputs)`` float64 ``matrix``, strided or not.
 
-        The table's pointers are computed once here, and so is the
-        whole call for the C-contiguous matrix ``inputs``:
-        ``sweep(inputs)`` goes straight to C.  Any other matrix is
-        checked (:func:`check_matrix`) before its pointer reaches C.
-        The returned call holds references to all three arrays, so
-        they outlive it.  ``ctypes`` releases the GIL for the call's
+        The state's tiles must cover the batch, the last one possibly
+        in part: ``(tiles - 1) * width < batch <= tiles * width``.  The
+        table's pointers are computed once here, and so is the whole
+        call for the C-contiguous matrix ``inputs``: ``sweep(inputs)``
+        goes straight to C.  Any other matrix is checked
+        (:func:`check_matrix`) before its pointer reaches C.  The
+        returned call holds references to all three arrays, so they
+        outlive it.  ``ctypes`` releases the GIL for the call's
         duration.
 
         Raises:
             ValueError: At binding, a malformed table, an opcode
                 outside :data:`OPCODES`, a negative slot or cell, a
-                cell outside ``state`` or an ``inputs`` that does not
-                fit the table; at a call, a matrix whose rows are not
-                the batch or that lacks a loaded column.
+                cell outside ``state``, tiles that do not cover the
+                batch or an ``inputs`` that does not fit the table; at
+                a call, a matrix whose rows are not the batch or that
+                lacks a loaded column.
         """
         _check(ops, np.int64, 2)
-        _check(state, np.float64, 2)
+        _check(state, np.float64, 3)
         _check(inputs, np.float64, 2)
         if ops.shape[1] != 5:
             raise ValueError(f"op table must be (n, 5), got {ops.shape}")
+        tiles, n_cells, width = state.shape
+        batch = inputs.shape[0]
+        if not (tiles - 1) * width < batch <= tiles * width:
+            raise ValueError(
+                f"a {state.shape} state's tiles do not cover a batch of "
+                f"{batch}"
+            )
         loads = ops[:, 0] == 3
         folded = ops[:, 0] > 3
         cells = np.concatenate(
@@ -230,23 +306,21 @@ class Kernel:
         if ops.size and (
             not np.isin(ops[:, 0], OPCODES).all()
             or ops[:, 1:].min() < 0
-            or cells.max() >= state.shape[0]
+            or cells.max() >= n_cells
         ):
             raise ValueError("op table has a bad opcode, slot or cell")
         cols = int(ops[loads, 1].max()) + 1 if loads.any() else 0
-        batch = state.shape[1]
         check_matrix(inputs, batch, cols)
         fn = self._sweep
-        ops_p = ops.ctypes.data_as(_PTR)
-        n = _I64(ops.shape[0])
-        state_p = state.ctypes.data_as(_PTR)
-        width = _I64(batch)
+        sizes = np.array((ops.shape[0], n_cells, width, batch), np.int64)
+        head = (
+            ops.ctypes.data_as(_PTR),
+            sizes.ctypes.data_as(_PTR),
+            state.ctypes.data_as(_PTR),
+        )
         bound = functools.partial(
             fn,
-            ops_p,
-            n,
-            state_p,
-            width,
+            *head,
             inputs.ctypes.data_as(_PTR),
             _I64(inputs.shape[1]),
             _I64(1),
@@ -258,7 +332,7 @@ class Kernel:
                 return
             matrix = check_matrix(matrix, batch, cols)
             rs, cs = matrix.strides
-            fn(ops_p, n, state_p, width, matrix.ctypes.data, rs // 8, cs // 8)
+            fn(*head, matrix.ctypes.data, rs // 8, cs // 8)
 
         return sweep
 

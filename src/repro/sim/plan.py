@@ -80,25 +80,6 @@ def _arr(values: list[int]) -> np.ndarray:
     return np.asarray(values, dtype=_IDX)
 
 
-def contiguous_slice(idx: np.ndarray) -> tuple[int, int] | None:
-    """``(start, stop)`` when ``idx`` is an ascending run of
-    consecutive cells, else ``None``.
-
-    A contiguous index vector lets the executor replace a fancy
-    gather/scatter with a basic slice — a view on the read side, a
-    straight memcpy on the write side.
-    """
-    n = int(idx.size)
-    if n == 0:
-        return None
-    start = int(idx[0])
-    if n == 1:
-        return (start, start + 1)
-    if int(idx[-1]) - start == n - 1 and bool(np.all(np.diff(idx) == 1)):
-        return (start, start + n)
-    return None
-
-
 @dataclass(frozen=True)
 class MoveStep:
     """Bulk data movement: ``state[dst] = state[src]`` (vectorized).

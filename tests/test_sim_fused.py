@@ -41,8 +41,9 @@ from repro.sim import (
 )
 from repro.sim.batch import BOUND_SWEEP_CAP
 from repro.sim import native
+from repro.sim.native import TILE
 from repro.sim.fused import FUSED_ADD, FUSED_FOLD, FUSED_LOAD, FUSED_MUL
-from repro.sim.plan import MoveStep, contiguous_slice
+from repro.sim.plan import MoveStep
 from repro.verify.differential import interpret_plan
 from repro.workloads.synth import SYNTH_FAMILIES, generate_synth
 
@@ -237,22 +238,6 @@ def _peak_live(fused):
         live += starts[row] - ends[row]
         peak = max(peak, live)
     return peak
-
-
-# ---------------------------------------------------------------------------
-# Step-tape helpers the fused lowering builds on
-# ---------------------------------------------------------------------------
-class TestContiguousSlice:
-    def test_run_detected(self):
-        assert contiguous_slice(np.array([4, 5, 6, 7])) == (4, 8)
-
-    def test_singleton(self):
-        assert contiguous_slice(np.array([9])) == (9, 10)
-
-    def test_empty_gap_and_descending(self):
-        assert contiguous_slice(np.array([], dtype=np.int64)) is None
-        assert contiguous_slice(np.array([1, 3])) is None
-        assert contiguous_slice(np.array([5, 4, 3])) is None
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +449,11 @@ class TestEngineParity:
 # Bound sweeps: state reuse across runs and batch widths
 # ---------------------------------------------------------------------------
 class TestBoundSweeps:
-    def _plan(self):
-        dag = generate_synth("reuse", 80, seed=7)
+    def _plan(self, family="reuse"):
+        """A plan of ``family``: ``reuse`` sweeps untiled, ``wide``
+        (most of its rows are loads) tiled from two tiles of
+        :data:`TILE` rows."""
+        dag = generate_synth(family, 80, seed=7)
         return dag, compile_dag(dag, CFG).plan()
 
     @pytest.mark.parametrize("engine", ["fused"])
@@ -482,20 +470,27 @@ class TestBoundSweeps:
 
     def test_outputs_survive_a_second_run(self):
         """The bound state is reused by the next run; a result's outputs
-        are a copy, so they keep their values."""
-        dag, plan = self._plan()
-        sim = BatchSimulator(plan)
-        first = sim.run(_inputs(dag, 5, seed=1))
-        kept = {var: col.copy() for var, col in first.outputs.items()}
-        second = sim.run(_inputs(dag, 5, seed=2))
-        state = sim._bound[5][0]
-        _assert_bitwise(first.outputs, kept)
-        assert any(
-            not np.array_equal(kept[var], second.outputs[var])
-            for var in kept
-        )
-        for col in first.outputs.values():
-            assert not np.shares_memory(col, state)
+        are the rows of one copied ``(n_out, B)`` block, untiled and
+        tiled, so they keep their values."""
+        for family, batch in (("reuse", 5), ("wide", 2 * TILE + 8)):
+            dag, plan = self._plan(family)
+            sim = BatchSimulator(plan)
+            first = sim.run(_inputs(dag, batch, seed=1))
+            kept = {var: col.copy() for var, col in first.outputs.items()}
+            second = sim.run(_inputs(dag, batch, seed=2))
+            state = sim._bound[batch][0]
+            assert state.shape[0] == (1 if family == "reuse" else 3)
+            _assert_bitwise(first.outputs, kept)
+            assert any(
+                not np.array_equal(kept[var], second.outputs[var])
+                for var in kept
+            )
+            cols = list(first.outputs.values())
+            (block,) = {id(col.base): col.base for col in cols}.values()
+            assert block.size >= len(cols) * batch
+            assert not np.shares_memory(block, state)
+            for col in cols:
+                assert col.shape == (batch,)
 
     def test_reused_cells_match_fresh_simulator(self):
         """Cells are reused within a run, so a bound state holds the
@@ -543,25 +538,35 @@ class TestBoundSweeps:
 
     @pytest.mark.parametrize("batch", [1, 3, 64, 256])
     def test_states_are_cache_line_aligned(self, batch):
-        """Every state starts on a 64-byte boundary: fresh ones, the
-        bound pair a run keeps and the throwaway pair a contended run
-        binds."""
-        dag, plan = self._plan()
-        sim = BatchSimulator(plan)
-        states = [sim._fused.make_state(batch) for _ in range(8)]
-        sim.run(_inputs(dag, batch))
-        states.append(sim._bound[batch][0])
-        assert sim._bound_lock.acquire(blocking=False)
-        try:
-            state, _, _, lock = sim._acquire_state(batch)
-            assert lock is None  # the throwaway pair
-            states.append(state)
-        finally:
-            sim._bound_lock.release()
-        for state in states:
-            assert state.shape == (sim._fused.state_size, batch)
-            assert state.flags.c_contiguous
-            assert state.ctypes.data % 64 == 0
+        """Every tile of every state starts on a 64-byte boundary, in
+        untiled and tiled states alike: fresh ones, the bound pair a
+        run keeps and the throwaway pair a contended run binds."""
+        for family in ("reuse", "wide"):
+            dag, plan = self._plan(family)
+            sim = BatchSimulator(plan)
+            fused = sim._fused
+            states = [fused.make_state(batch) for _ in range(8)]
+            sim.run(_inputs(dag, batch))
+            states.append(sim._bound[batch][0])
+            assert sim._bound_lock.acquire(blocking=False)
+            try:
+                state, _, _, lock = sim._acquire_state(batch)
+                assert lock is None  # the throwaway pair
+                states.append(state)
+            finally:
+                sim._bound_lock.release()
+            width = fused.tile_width(batch)
+            tiled = family == "wide" and batch >= 2 * TILE
+            assert width == (TILE if tiled else batch)
+            for state in states:
+                assert state.shape == (
+                    -(-batch // width),
+                    fused.state_size,
+                    width,
+                )
+                assert state.flags.c_contiguous
+                for tile in state:
+                    assert tile.ctypes.data % 64 == 0
 
     def test_bound_pair_cache_evicts_oldest(self):
         dag, plan = self._plan()
@@ -581,7 +586,7 @@ class TestBoundSweeps:
         state, inputs, sweep = bind_sweep(fused, 6)
         sweep(matrix)
         _assert_bitwise(
-            dict(zip(plan.output_vars, state[fused.output_cells])),
+            dict(zip(plan.output_vars, fused.read_outputs(state, 6))),
             interpret_plan(plan, matrix).outputs,
         )
         # The bound input matrix runs through the pointers bound with it.
@@ -589,7 +594,7 @@ class TestBoundSweeps:
         sweep(inputs)
         matrix = matrix[::-1]
         _assert_bitwise(
-            dict(zip(plan.output_vars, state[fused.output_cells])),
+            dict(zip(plan.output_vars, fused.read_outputs(state, 6))),
             interpret_plan(plan, matrix).outputs,
         )
 

@@ -1,6 +1,6 @@
 """The native sweep kernel: bitwise parity with the plan interpreter,
-the folded opcodes, the required compiler, concurrent runs and the
-shared build cache.
+the folded opcodes, tiled and untiled sweeps, the required compiler,
+concurrent runs and the shared build cache.
 
 The kernel performs the same IEEE-double operations on the same
 operands as the oracle's plan interpreter
@@ -10,6 +10,7 @@ required: without one, constructing a simulator raises.
 """
 
 import dataclasses
+import functools
 import os
 import subprocess
 import sys
@@ -26,15 +27,25 @@ from repro.errors import SimulationError
 from repro.graphs import OpType
 from repro.sim import BatchSimulator, bind_sweep, fuse_plan, native
 from repro.sim.fused import FUSED_FOLD
+from repro.sim.native import TILE
 from repro.verify.differential import interpret_plan
+from repro.workloads import build_workload
 from repro.workloads.synth import SYNTH_FAMILIES, generate_synth
 
 CFG = ArchConfig(depth=2, banks=8, regs_per_bank=16)
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Widths 5 and 257 run the kernel's four-row bodies and its scalar
-#: tails together; 1 and 3 run tails only, 256 bodies only.
-WIDTHS = (1, 3, 5, 256, 257)
+#: tails together; 1 and 3 run tails only, 256 bodies only.  Around
+#: each multiple of :data:`TILE` a tiled sweep ends on a tile of one
+#: row, on a full tile, or one row short of one; below two tiles the
+#: simulator's sweeps are untiled, but :func:`_run_row`'s are not.
+WIDTHS = (1, 3, 5, 31, 32, 33, 63, 64, 65, 255, 256, 257)
+
+#: The parity plans: every synth family and one Table-I ``sptrsv``
+#: plan, whose op table is about half loads.
+SPTRSV = "bp_200"
+PLANS = (*SYNTH_FAMILIES, SPTRSV)
 
 #: Special values with no NaN among them: ±inf (where inf - inf and
 #: 0 * inf make the one default NaN), ±0.0, subnormals and values whose
@@ -48,20 +59,42 @@ def _bits(arr):
     return np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
 
 
-def _sweep(fused, matrix):
-    """Final state of a sweep bound by :func:`bind_sweep` over
-    ``matrix``."""
-    state, _, sweep = bind_sweep(fused, len(matrix))
-    sweep(matrix)
-    return state
+@functools.cache
+def _plan(name):
+    """The compiled plan of a synth family (60 nodes) or of the Table-I
+    workload ``name`` at scale 0.05, and its fused form."""
+    if name in SYNTH_FAMILIES:
+        plan = compile_dag(generate_synth(name, 60, seed=5), CFG).plan()
+    else:
+        plan = compile_dag(build_workload(name, scale=0.05), CFG).plan()
+    return plan, fuse_plan(plan)
+
+
+def _assert_outputs(plan, got, ref, *context):
+    for var in plan.output_vars:
+        assert np.array_equal(_bits(got[var]), _bits(ref[var])), (
+            *context,
+            var,
+        )
 
 
 def _assert_matches_interpreter(fused, plan, matrix, *context):
-    state = _sweep(fused, matrix)
-    ref = interpret_plan(plan, matrix).outputs
-    for var, row in zip(plan.output_vars, state[fused.output_cells]):
-        assert np.array_equal(_bits(row), _bits(ref[var])), (*context, var)
-    return state
+    """A sweep bound by :func:`bind_sweep` over ``matrix`` equals the
+    plan interpreter bitwise; returns the outputs."""
+    state, _, sweep = bind_sweep(fused, len(matrix))
+    sweep(matrix)
+    got = dict(
+        zip(plan.output_vars, fused.read_outputs(state, len(matrix)))
+    )
+    _assert_outputs(plan, got, interpret_plan(plan, matrix).outputs, *context)
+    return got
+
+
+def _tiled_state(cells, batch):
+    """A ``(tiles, cells, width)`` state: one tile up to :data:`TILE`
+    rows, tiles of :data:`TILE` rows beyond, the last one partial."""
+    width = min(batch, TILE)
+    return np.empty((-(-batch // width), cells, width))
 
 
 def _run_row(code, matrix):
@@ -72,11 +105,10 @@ def _run_row(code, matrix):
          [code, 0, 1, 2, 3]],
         dtype=np.int64,
     )
-    state = np.empty((4, len(matrix)))
-    native.load().bind_sweep(table, state, np.empty((len(matrix), 3)))(
-        matrix
-    )
-    return state[3]
+    batch = len(matrix)
+    state = _tiled_state(4, batch)
+    native.load().bind_sweep(table, state, np.empty((batch, 3)))(matrix)
+    return state[:, 3].reshape(-1)[:batch]
 
 
 def _special_rows(rng, n, rows):
@@ -118,28 +150,59 @@ def fresh_load():
 
 
 class TestParity:
-    @pytest.mark.parametrize("family", SYNTH_FAMILIES)
+    @pytest.mark.parametrize("family", PLANS)
     def test_native_matches_plan_interpreter(self, family):
-        """Outputs equal the plan interpreter's at every width."""
-        dag = generate_synth(family, 60, seed=5)
-        plan = compile_dag(dag, CFG).plan()
-        fused = fuse_plan(plan)
+        """Outputs equal the plan interpreter's at every width: through
+        a bare bound sweep, ``run`` on a C-contiguous and on a
+        column-strided matrix, and ``run_rows``.  Each simulator state
+        has the shape :meth:`~repro.sim.fused.FusedPlan.tile_width`
+        decides."""
+        plan, fused = _plan(family)
+        sim = BatchSimulator(plan, fused_plan=fused)
         rng = np.random.default_rng(1)
+        n = plan.num_inputs
         for batch in WIDTHS:
-            matrix = rng.uniform(0.9, 1.1, size=(batch, dag.num_inputs))
-            _assert_matches_interpreter(fused, plan, matrix, family, batch)
+            wide = rng.uniform(0.9, 1.1, size=(batch, 2 * n))
+            matrix = np.ascontiguousarray(wide[:, ::2])
+            want = _assert_matches_interpreter(
+                fused, plan, matrix, family, batch
+            )
+            for got in (
+                sim.run(wide[:, ::2]).outputs,
+                sim.run(matrix).outputs,
+                sim.run_rows(list(matrix)).outputs,
+            ):
+                _assert_outputs(plan, got, want, family, batch)
+            width = fused.tile_width(batch)
+            shape = (-(-batch // width), fused.state_size, width)
+            assert sim._bound[batch][0].shape == shape
 
-    @pytest.mark.parametrize("family", SYNTH_FAMILIES)
+    def test_parity_plans_take_both_paths(self):
+        """Among the parity plans at batch 256, some sweep tiled and
+        some untiled; the ``sptrsv`` plan is tiled, and no width short
+        of two tiles is."""
+        tiled = {
+            name: _plan(name)[1].tile_width(256) == TILE for name in PLANS
+        }
+        assert tiled[SPTRSV]
+        assert set(tiled.values()) == {True, False}
+        for name in PLANS:
+            fused = _plan(name)[1]
+            for batch in WIDTHS:
+                if batch < 2 * TILE:
+                    assert fused.tile_width(batch) == batch
+                else:
+                    assert fused.tile_width(batch) in (TILE, batch)
+
+    @pytest.mark.parametrize("family", PLANS)
     def test_folded_rows_on_special_values(self, family):
-        """Each family's folded rows, at every width, on inputs of inf,
+        """Each plan's folded rows, at every width, on inputs of inf,
         NaN, -0.0 and subnormals, equal the plan interpreter bitwise."""
-        dag = generate_synth(family, 60, seed=5)
-        plan = compile_dag(dag, CFG).plan()
-        fused = fuse_plan(plan)
+        plan, fused = _plan(family)
         assert (fused.ops[:, 0] >= FUSED_FOLD).any()
         rng = np.random.default_rng(8)
         for batch in WIDTHS:
-            matrix = _special_rows(rng, dag.num_inputs, batch)
+            matrix = _special_rows(rng, plan.num_inputs, batch)
             _assert_matches_interpreter(fused, plan, matrix, family, batch)
 
     def test_families_fold_every_opcode(self):
@@ -216,8 +279,8 @@ class TestParity:
         plan = compile_dag(dag, CFG).plan()
         fused = fuse_plan(plan)
         matrix = np.random.default_rng(3).uniform(0.9, 1.1, size=(5, 2))
-        state = _assert_matches_interpreter(fused, plan, matrix)
-        assert np.isinf(state[fused.output_cells]).all()
+        got = _assert_matches_interpreter(fused, plan, matrix)
+        assert all(np.isinf(col).all() for col in got.values())
 
     def test_zero_op_plan(self):
         """With no compute steps, outputs read initial values only."""
@@ -248,10 +311,19 @@ class TestParity:
     def test_kernel_rejects_out_of_range_tables(self):
         """Pointers reach C only after sizes and bounds are checked."""
         kernel = native.load()
-        state = np.zeros((4, 8))
+        state = np.zeros((1, 4, 8))
         inputs = np.empty((8, 6))
         good = np.array([[1, 0, 1, 0, 2], [11, 0, 1, 3, 2]], dtype=np.int64)
         kernel.bind_sweep(good, state, inputs)(np.ones((8, 0)))
+        for bad_state in (
+            np.zeros((4, 8)),  # not tile-major
+            np.zeros((1, 4, 7)),  # one row short of the batch
+            np.zeros((2, 4, 3)),  # tiles short of the batch
+            np.zeros((3, 4, 4)),  # a tile past the batch
+            np.zeros((2, 4, 8))[:, :, ::2],  # not C-contiguous
+        ):
+            with pytest.raises(ValueError):
+                kernel.bind_sweep(good, bad_state, inputs)
         for bad in (
             [[0, 0, 1, 0, 2]],  # no opcode 0
             [[12, 0, 1, 0, 2]],  # no opcode 12
@@ -273,23 +345,27 @@ class TestParity:
              [8, 3, 1, 0, 2]],
             dtype=np.int64,
         )
-        sweep = kernel.bind_sweep(loads, state, inputs)
         matrix = np.arange(48.0).reshape(8, 6)
-        for source in (matrix, inputs):
-            state[:] = 0.0
-            inputs[:] = matrix
-            sweep(source)
-            assert (state[1] == matrix[:, 0]).all()
-            assert (state[3] == matrix[:, 5]).all()
-            assert (state[0] == matrix[:, 0] + matrix[:, 5]).all()
-            assert (state[2] == matrix[:, 5] * matrix[:, 0] + state[0]).all()
-        for bad_matrix in (
-            np.ones((8, 5)),  # column 5 missing
-            np.ones((7, 6)),  # fewer rows than the batch
-            np.ones(6),  # not a matrix
-        ):
-            with pytest.raises(ValueError):
-                sweep(bad_matrix)
+        # One tile of 8 rows, then tiles of 3, 3 and 2 rows.
+        for state in (np.zeros((1, 4, 8)), np.zeros((3, 4, 3))):
+            sweep = kernel.bind_sweep(loads, state, inputs)
+            for source in (matrix, inputs):
+                state[:] = 0.0
+                inputs[:] = matrix
+                sweep(source)
+                cell = state.transpose(1, 0, 2).reshape(4, -1)[:, :8]
+                assert (cell[1] == matrix[:, 0]).all()
+                assert (cell[3] == matrix[:, 5]).all()
+                assert (cell[0] == matrix[:, 0] + matrix[:, 5]).all()
+                assert (cell[2] == matrix[:, 5] * matrix[:, 0] + cell[0]).all()
+            for bad_matrix in (
+                np.ones((8, 5)),  # column 5 missing
+                np.ones((7, 6)),  # fewer rows than the batch
+                np.ones(6),  # not a matrix
+            ):
+                with pytest.raises(ValueError):
+                    sweep(bad_matrix)
+        assert (state[2, :, 2] == 0.0).all()  # past the batch
 
     def test_threads_share_one_simulator(self):
         """ctypes releases the GIL, so the threads' sweeps overlap: one
