@@ -17,7 +17,7 @@ package implements the whole system in Python:
 * :mod:`repro.baselines` — analytic CPU/GPU/DPU-v1/SPU models;
 * :mod:`repro.dse`       — the 48-point design-space exploration;
 * :mod:`repro.experiments` — one driver per table/figure;
-* :mod:`repro.runner`    — parallel experiment orchestrator with a
+* :mod:`repro.runner`    — fan-out on a durable work queue with a
   content-addressed artifact cache (``repro sweep/all --jobs N``);
 * :mod:`repro.verify`    — differential verification: synthetic
   scenario generators (:mod:`repro.workloads.synth`) fuzzed through a

@@ -9,7 +9,7 @@ Mirrors the paper artifact's ``run.sh`` workflow:
   throughput table;
 * ``dse``      — run the design-space exploration and print fig. 11's
   optimum corners;
-* ``sweep``    — the same DSE through the parallel orchestrator
+* ``sweep``    — the same DSE fanned out over worker processes
   (``--jobs N``) with the content-addressed artifact cache;
 * ``all``      — every figure/table experiment, fanned out over
   worker processes;
@@ -17,8 +17,8 @@ Mirrors the paper artifact's ``run.sh`` workflow:
 * ``fuzz``     — differential verification: seeded synthetic
   scenarios through every stage of the differential oracle, shrinking
   any mismatch to a replayable case under ``results/repro_cases/``;
-  ``--campaign <id>`` makes the run durable (checkpointed, killable,
-  resumable with ``--resume``), ``--task-timeout S`` bounds each
+  ``--campaign <id>`` names the run's campaign so it can be resumed
+  with ``--resume`` after a kill, ``--task-timeout S`` bounds each
   scenario's wall clock;
 * ``campaign`` — status of durable campaigns: completion,
   quarantine, retries, reclaimed leases, torn ledger lines;
@@ -107,8 +107,8 @@ def _add_cache_args(parser: argparse.ArgumentParser) -> None:
 def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the orchestrator (default 1: serial; "
-        "results are identical at any N)",
+        help="worker processes on the durable work queue (default 1: "
+        "serial; results are identical at any N)",
     )
 
 
@@ -116,9 +116,9 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
     """Durable-campaign flags shared by ``fuzz`` and ``sweep``."""
     parser.add_argument(
         "--campaign", default="", metavar="ID",
-        help="run through the durable work queue under this campaign "
-        "id: progress is checkpointed under the cache dir, the run "
-        "is killable and resumable, and the merged result is "
+        help="name the run's durable campaign: it lives under "
+        "<cache dir>/campaigns/ID (even at --jobs 1), so a killed run "
+        "resumes with --resume, and the merged result is "
         "byte-identical to an uninterrupted one",
     )
     parser.add_argument(
@@ -128,8 +128,8 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-attempts", type=int, default=3, metavar="K",
-        help="campaign mode: failures per task before it is "
-        "quarantined as poison instead of sinking the run (default 3)",
+        help="failures per task before it is quarantined as poison "
+        "(default 3)",
     )
     parser.add_argument(
         "--campaign-root", default="", metavar="DIR",
@@ -353,7 +353,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """Fig. 11 DSE through the parallel orchestrator + artifact cache.
+    """Fig. 11 DSE fanned out over worker processes + artifact cache.
 
     Also serves the ``dse`` subcommand (same wiring, no
     ``--workloads`` flag).
@@ -1267,7 +1267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep",
-        help="fig. 11 DSE via the parallel orchestrator + artifact cache",
+        help="fig. 11 DSE over worker processes + artifact cache",
     )
     p.add_argument(
         "--workloads", default="", metavar="A,B,...",

@@ -7,7 +7,6 @@ from .sweep import (
     evaluate_config,
     resolve_workloads,
     run_sweep,
-    run_sweep_campaign,
 )
 
 __all__ = [
@@ -16,7 +15,6 @@ __all__ = [
     "evaluate_config",
     "resolve_workloads",
     "run_sweep",
-    "run_sweep_campaign",
     "ParetoSummary",
     "summarize",
     "pareto_front",

@@ -156,11 +156,11 @@ def evaluate_config(
     )
 
 
-def _sweep_chunk(
-    args: tuple[list[ArchConfig], dict[str, DAG], int]
-) -> list[DsePoint]:
-    chunk, workloads, seed = args
-    return [evaluate_config(cfg, workloads, seed=seed) for cfg in chunk]
+def _sweep_task(item: tuple[ArchConfig, dict[str, DAG], int]) -> DsePoint:
+    """One grid point per task, so a resumed campaign recompiles only
+    the unfinished configurations."""
+    config, workloads, seed = item
+    return evaluate_config(config, workloads, seed=seed)
 
 
 def run_sweep(
@@ -169,106 +169,59 @@ def run_sweep(
     seed: int = 0,
     jobs: int | None = None,
     progress: bool | Callable[[int, int], None] = False,
-) -> DseResult:
-    """Run the 48-point sweep (or a custom config list).
-
-    ``jobs`` fans the grid out over worker processes through
-    :func:`repro.runner.parallel_map`.  Grid points are shipped in
-    contiguous chunks (a few per worker) so the workload DAGs are
-    pickled O(jobs) times rather than O(points); chunks merge back in
-    grid order, so every :class:`DsePoint` is bitwise-identical to
-    the serial path's.
-    """
-    from ..runner.orchestrator import default_jobs, parallel_map
-
-    grid = configs if configs is not None else dse_grid()
-    jobs = default_jobs() if jobs is None else max(1, int(jobs))
-    chunk_size = max(1, -(-len(grid) // (jobs * 4)))
-    chunks = [
-        grid[i : i + chunk_size] for i in range(0, len(grid), chunk_size)
-    ]
-    results = parallel_map(
-        _sweep_chunk,
-        [(chunk, workloads, seed) for chunk in chunks],
-        jobs=jobs,
-        progress=progress,
-        desc="dse sweep",
-    )
-    points = [point for chunk in results for point in chunk]
-    return DseResult(points=points, workloads=sorted(workloads))
-
-
-def _sweep_task(item: tuple[ArchConfig, dict[str, DAG], int]) -> DsePoint:
-    """Durable-campaign task body: one grid point per task, so resume
-    granularity is a single configuration."""
-    config, workloads, seed = item
-    return evaluate_config(config, workloads, seed=seed)
-
-
-def run_sweep_campaign(
-    workloads: dict[str, DAG],
-    configs: list[ArchConfig] | None = None,
-    seed: int = 0,
-    jobs: int | None = None,
     *,
-    campaign_id: str,
+    campaign_id: str | None = None,
     resume: bool = False,
     campaign_root=None,
     max_attempts: int = 3,
-    task_timeout_s: float | None = None,
-    progress: bool | Callable[[int, int], None] = False,
 ) -> DseResult:
-    """:func:`run_sweep` through the durable work queue.
+    """Run the 48-point sweep (or a custom config list).
 
-    Each grid point is one checkpointed task: a killed sweep resumed
-    with ``resume=True`` recompiles only the unfinished points, and
-    the merged :class:`DseResult` is bitwise-identical to an
-    uninterrupted (or serial) run because points merge in grid order.
+    ``jobs`` fans the grid out one point per task through
+    :func:`repro.runner.orchestrator.fan_out`; points merge back in
+    grid order, so every :class:`DsePoint` is bitwise-identical to the
+    serial path's.  ``campaign_id`` makes the sweep a named, resumable
+    campaign: a killed sweep resumed with ``resume=True`` recompiles
+    only the unfinished points.  Its task list is fingerprinted from
+    the workload DAGs, grid and seed, so a resume with different
+    parameters is refused rather than silently mixed.
 
-    The task list is fingerprinted from the workload DAGs + grid +
-    seed, so a resume with different parameters is refused rather
-    than silently mixed.  A sweep cannot average around a hole, so
-    quarantined (poison) points fail the sweep explicitly.
+    A sweep cannot average around a hole: a grid point that is still
+    failing after ``max_attempts`` fails the sweep
+    (:func:`repro.runner.orchestrator.raise_quarantined`).
     """
     import hashlib
 
     from ..runner.fingerprint import dag_fingerprint
-    from ..runner.orchestrator import default_jobs
-    from ..runner.queue import CampaignError, run_campaign
+    from ..runner.orchestrator import fan_out, raise_quarantined
 
     grid = configs if configs is not None else dse_grid()
-    identity = repr(
-        (
-            "sweep",
-            sorted((name, dag_fingerprint(dag))
-                   for name, dag in workloads.items()),
-            [str(cfg) for cfg in grid],
-            seed,
+    fingerprint = ""
+    if campaign_id is not None:
+        identity = repr(
+            (
+                "sweep",
+                sorted((name, dag_fingerprint(dag))
+                       for name, dag in workloads.items()),
+                [str(cfg) for cfg in grid],
+                seed,
+            )
         )
-    )
-    result = run_campaign(
+        fingerprint = hashlib.blake2b(
+            identity.encode(), digest_size=16
+        ).hexdigest()
+    points, quarantined = fan_out(
         _sweep_task,
         [(cfg, workloads, seed) for cfg in grid],
+        jobs,
         campaign_id=campaign_id,
-        root=campaign_root,
-        workers=default_jobs() if jobs is None else max(1, int(jobs)),
         resume=resume,
+        campaign_root=campaign_root,
         kind="sweep",
-        params_fingerprint=hashlib.blake2b(
-            identity.encode(), digest_size=16
-        ).hexdigest(),
+        params_fingerprint=fingerprint,
         max_attempts=max_attempts,
-        task_timeout_s=task_timeout_s,
         progress=progress,
         desc="dse sweep",
     )
-    if result.quarantined:
-        poisoned = [str(grid[i]) for i in sorted(result.quarantined)]
-        raise CampaignError(
-            f"sweep campaign {campaign_id!r} quarantined "
-            f"{len(poisoned)} grid point(s) ({', '.join(poisoned)}); "
-            "a DSE grid with holes cannot reproduce the paper figures"
-        )
-    return DseResult(
-        points=list(result.results), workloads=sorted(workloads)
-    )
+    raise_quarantined(quarantined, "dse sweep")
+    return DseResult(points=points, workloads=sorted(workloads))

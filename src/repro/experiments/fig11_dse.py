@@ -18,7 +18,6 @@ from ..dse import (
     ParetoSummary,
     resolve_workloads,
     run_sweep,
-    run_sweep_campaign,
     summarize,
 )
 
@@ -48,22 +47,18 @@ def run(
 ) -> DseExperiment:
     # Entries may be workload names or whole groups ("pc", "synth").
     workloads = resolve_workloads(workload_names, scale=scale)
-    if campaign_id is not None:
-        # Durable path: each grid point checkpointed, killable and
-        # resumable (`repro sweep --campaign <id> [--resume]`), with a
-        # merged result bitwise-identical to run_sweep's.
-        result = run_sweep_campaign(
-            workloads,
-            seed=seed,
-            jobs=jobs,
-            progress=progress,
-            campaign_id=campaign_id,
-            resume=resume,
-            campaign_root=campaign_root,
-            max_attempts=max_attempts,
-        )
-    else:
-        result = run_sweep(workloads, seed=seed, jobs=jobs, progress=progress)
+    # campaign_id makes the sweep durable: each grid point checkpointed,
+    # killable and resumable (`repro sweep --campaign <id> [--resume]`).
+    result = run_sweep(
+        workloads,
+        seed=seed,
+        jobs=jobs,
+        progress=progress,
+        campaign_id=campaign_id,
+        resume=resume,
+        campaign_root=campaign_root,
+        max_attempts=max_attempts,
+    )
     return DseExperiment(result=result, summary=summarize(result))
 
 

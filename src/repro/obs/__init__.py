@@ -6,8 +6,9 @@ Two small modules, stdlib-only, wired through every subsystem:
   decorator, or explicit begin/finish), recorded into lock-free
   per-thread ring buffers and exported to Chrome trace-event JSON
   (Perfetto-viewable) or to the durable campaign-ledger format.
-  Span context propagates across :func:`repro.runner.parallel_map`
-  worker processes and is merged parent-linked on the coordinator.
+  Span context propagates to the durable queue's worker processes
+  (every ``parallel_map`` with ``jobs > 1``), whose spans are merged
+  parent-linked on the coordinator.
 * :mod:`repro.obs.metrics` — counters / gauges / fixed-bucket
   histograms in process-local registries with Prometheus text
   exposition, scraped via ``GET /metrics`` on the serve and router

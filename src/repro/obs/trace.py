@@ -15,10 +15,11 @@ Design constraints, in order:
   qualified by a process token (the pid by default, settable for
   resumable campaigns) so merged multi-process traces never collide
   and a resumed run re-derives the same ids from the same work.
-* **Cross-process propagation.**  :func:`task_wrapper` wraps a
-  picklable callable so a ``parallel_map`` worker records spans
-  parented to the coordinator's current span and ships them back with
-  the result; :func:`merge_task_result` unwraps on the coordinator.
+* **Cross-process propagation.**  A campaign worker
+  (:mod:`repro.runner.queue`) enables tracing under its own token,
+  parents its spans to the coordinator's ``campaign.run`` span and
+  ships them back through a span file; the coordinator adopts them
+  with :func:`ingest`.
 
 Timestamps are ``time.monotonic_ns`` (CLOCK_MONOTONIC is system-wide
 on Linux, so coordinator and worker spans share one timeline).
@@ -49,13 +50,11 @@ __all__ = [
     "ingest",
     "ingest_chrome",
     "is_on",
-    "merge_task_result",
     "sampled_span",
     "set_sample_every",
     "should_sample",
     "snapshot",
     "span",
-    "task_wrapper",
     "traced",
     "validate_trace_events",
 ]
@@ -544,56 +543,3 @@ def validate_trace_events(doc: dict) -> list[dict]:
                 raise ValueError(f"duplicate span_id {sid!r}")
             seen_ids.add(sid)
     return events
-
-
-# ---------------------------------------------------------------------
-# Cross-process propagation (parallel_map)
-# ---------------------------------------------------------------------
-class _TaskResult:
-    """Envelope a traced worker returns: the value plus its spans."""
-
-    __slots__ = ("spans", "value")
-
-    def __init__(self, value, spans: list[dict]) -> None:
-        self.value = value
-        self.spans = spans
-
-
-class _TracedTask:
-    """Picklable wrapper running one task under a parented span.
-
-    The worker enables tracing with its own pid token (no id
-    collisions with the coordinator or sibling workers), runs the
-    task inside a span parented to the coordinator's current span,
-    then drains its buffers into the result envelope.
-    """
-
-    __slots__ = ("fn", "name", "parent_id")
-
-    def __init__(
-        self, fn: Callable, parent_id: str | None, name: str
-    ) -> None:
-        self.fn = fn
-        self.parent_id = parent_id
-        self.name = name
-
-    def __call__(self, item):
-        enable()
-        sp = begin(self.name, cat="runner", parent=self.parent_id)
-        with sp:
-            value = self.fn(item)
-        return _TaskResult(value, drain())
-
-
-def task_wrapper(fn: Callable, desc: str = "task") -> Callable:
-    """Wrap ``fn`` for a traced ``parallel_map`` fan-out."""
-    return _TracedTask(fn, current_span_id(), desc)
-
-
-def merge_task_result(result):
-    """Unwrap a worker envelope, adopting its spans; pass through
-    plain values untouched (mixed pools, untraced runs)."""
-    if isinstance(result, _TaskResult):
-        ingest(result.spans)
-        return result.value
-    return result

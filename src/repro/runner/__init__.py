@@ -7,15 +7,16 @@ The runner subsystem makes the full evaluation cheap to repeat:
 * :mod:`repro.runner.cache` — on-disk artifact cache memoizing
   compiled programs and lowered execution plans across processes and
   invocations (``cached_compile`` / ``cached_plan``);
-* :mod:`repro.runner.orchestrator` — deterministic process-pool
-  fan-out (``parallel_map``) with shared cache, progress reporting
-  and one-shot pool recovery when a worker dies;
+* :mod:`repro.runner.orchestrator` — deterministic fan-out
+  (``parallel_map``, ``fan_out``): inline at ``jobs=1``, otherwise a
+  campaign on the durable queue (anonymous in a temporary directory,
+  or named and resumable), with shared cache and progress reporting;
 * :mod:`repro.runner.ledger` — append-only, fsync'd, checksummed
   campaign event journal tolerating torn writes;
-* :mod:`repro.runner.queue` — durable work queue on top of the
-  ledger: lease files with heartbeats, dead/stalled-worker reclaim,
-  exponential backoff, poison-task quarantine and byte-identical
-  kill/resume campaign merges;
+* :mod:`repro.runner.queue` — the durable work queue every
+  multi-process fan-out runs on: lease files with heartbeats,
+  dead/stalled-worker reclaim, exponential backoff, poison-task
+  quarantine and byte-identical kill/resume campaign merges;
 * :mod:`repro.runner.registry` — one :class:`ExperimentSpec` per
   figure/table with canonical snapshots, powering ``repro all`` and
   the golden regression net under ``tests/goldens/``.
@@ -39,7 +40,7 @@ from .fingerprint import (
     plan_key,
 )
 from .ledger import CampaignLedger, LedgerError
-from .orchestrator import default_jobs, parallel_map, starmap_jobs
+from .orchestrator import default_jobs, fan_out, parallel_map
 from .queue import (
     CampaignError,
     CampaignResult,
@@ -91,7 +92,7 @@ __all__ = [
     "plan_key",
     "node_digests",
     "parallel_map",
-    "starmap_jobs",
+    "fan_out",
     "default_jobs",
     "CampaignLedger",
     "LedgerError",

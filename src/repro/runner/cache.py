@@ -39,8 +39,8 @@ variable is correct).
 
 The process-wide default cache is configured with
 :func:`configure_cache` (or the ``REPRO_CACHE_DIR`` /
-``REPRO_NO_CACHE`` environment variables, which is also how the
-orchestrator's worker processes inherit it); the library default is
+``REPRO_NO_CACHE`` environment variables, which is also how
+campaign worker processes inherit it); the library default is
 *no caching* so that plain API use never touches the filesystem.
 """
 
@@ -375,11 +375,25 @@ def get_cache() -> ArtifactCache | NullCache:
 
 def cache_env(cache: ArtifactCache | NullCache | None = None) -> dict:
     """Environment overrides that make a worker process inherit
-    ``cache`` (used by the orchestrator's pool initializer)."""
+    ``cache``; the worker applies them with :func:`adopt_cache_env`."""
     cache = cache if cache is not None else get_cache()
     if isinstance(cache, ArtifactCache):
         return {"REPRO_CACHE_DIR": str(cache.directory), "REPRO_NO_CACHE": ""}
     return {"REPRO_CACHE_DIR": "", "REPRO_NO_CACHE": "1"}
+
+
+def adopt_cache_env(env: dict[str, str]) -> None:
+    """Worker-side half of :func:`cache_env`: apply the overrides to
+    this process's environment and configure its default cache."""
+    for name, value in env.items():
+        if value:
+            os.environ[name] = value
+        else:
+            os.environ.pop(name, None)
+    configure_cache(
+        env.get("REPRO_CACHE_DIR") or None,
+        enabled=not env.get("REPRO_NO_CACHE"),
+    )
 
 
 # ---------------------------------------------------------------------

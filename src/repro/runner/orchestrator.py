@@ -1,49 +1,45 @@
-"""Process-pool fan-out with deterministic merge order.
+"""Deterministic fan-out on the durable work queue.
 
-:func:`parallel_map` is the one primitive every sweep and figure
-driver is built on: it runs ``fn`` over ``items`` on ``jobs`` worker
-processes and returns results **in item order**, so a parallel run is
-bit-identical to the serial one regardless of completion order.
+:func:`parallel_map` is the primitive every figure driver is built on,
+and :func:`fan_out` is the one underneath it that the fuzzer and the
+DSE sweep call directly.  Both return results **in item order**, so a
+parallel run is bit-identical to the serial one regardless of
+completion order.
 
-Design points:
-
-* ``jobs=1`` (the default) runs inline — no pool, no pickling — so
-  library callers and most tests pay nothing for the capability;
-* workers are initialized with the parent's cache configuration
-  (:func:`repro.runner.cache.cache_env`), so all workers share one
-  content-addressed artifact store on disk;
-* progress is reported through a callback (or ``progress=True`` for a
-  stderr ticker) as completions arrive, while the returned list stays
-  deterministically ordered;
-* a worker exception cancels the remaining tasks and re-raises in the
-  parent — partial results are never silently merged;
-* a worker *death* (SIGKILL, OOM-kill — surfacing as
-  ``BrokenProcessPool``) does not abort the map: completed results are
-  kept, the pool is restarted once, and only the lost tasks are
-  re-run.  A second death raises with the in-flight item indices named
-  so the poison task can be found.  Campaigns needing stronger
-  guarantees (durable checkpoints, retry budgets, quarantine) use
-  :mod:`repro.runner.queue` instead.
+* ``jobs=1`` (or a single task) runs inline — no processes, no
+  pickling — so library callers and most tests pay nothing;
+* otherwise the map is a campaign on :mod:`repro.runner.queue`: an
+  anonymous one in a temporary directory, removed after the merge, or
+  a named, resumable one under ``<cache dir>/campaigns/`` when the
+  caller passes ``campaign_id``.  Workers adopt the coordinator's
+  artifact cache (:func:`repro.runner.cache.cache_env`), and a traced
+  coordinator gets its workers' spans back;
+* failures follow the queue's policy: a dead or stalled worker's task
+  is reclaimed and re-run, a failing task is retried up to
+  ``max_attempts`` and then quarantined.  :func:`parallel_map` raises
+  once the map is done if anything was quarantined: the task's own
+  exception when it raised one, else a :class:`CampaignError` naming
+  the item that killed its workers.
 
 ``fn`` and every item must be picklable (module-level functions and
-plain data) when ``jobs > 1``; that is the usual multiprocessing
-contract and every driver in :mod:`repro.experiments` follows it.
+plain data) when ``jobs > 1``; every driver in
+:mod:`repro.experiments` follows that contract.
 """
 
 from __future__ import annotations
 
 import os
-import sys
-from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+import tempfile
+from collections.abc import Callable, Iterable
 
-from ..obs import trace
-from .cache import cache_env, configure_cache
+from .queue import (
+    DEFAULT_MAX_ATTEMPTS,
+    CampaignError,
+    progress_reporter,
+    quarantined_exception,
+    run_campaign,
+)
 
-#: Distinguishes "no result yet" from a legitimate ``None`` result when
-#: deciding which tasks were lost to a dead worker.
-_UNSET = object()
 
 def default_jobs() -> int:
     """Fallback worker count: ``REPRO_JOBS`` env, else 1 (serial)."""
@@ -53,23 +49,85 @@ def default_jobs() -> int:
         return 1
 
 
-def _init_worker(env: dict[str, str]) -> None:
-    """Pool initializer: adopt the parent's cache configuration."""
-    for name, value in env.items():
-        if value:
-            os.environ[name] = value
-        else:
-            os.environ.pop(name, None)
-    directory = env.get("REPRO_CACHE_DIR") or None
-    configure_cache(directory, enabled=not env.get("REPRO_NO_CACHE"))
+def fan_out(
+    fn: Callable,
+    items: Iterable,
+    jobs: int | None = None,
+    *,
+    campaign_id: str | None = None,
+    resume: bool = False,
+    campaign_root: str | os.PathLike | None = None,
+    kind: str = "map",
+    params_fingerprint: str = "",
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+    task_timeout_s: float | None = None,
+    progress: bool | Callable[[int, int], None] = False,
+    desc: str = "tasks",
+) -> tuple[list, dict[int, dict]]:
+    """Map ``fn`` over ``items``; return ``(results, quarantined)``.
+
+    ``results[i]`` is ``fn(items[i])``, or ``None`` for a task in
+    ``quarantined`` (task index -> quarantine record).  Without a
+    ``campaign_id``, ``jobs=1`` or a single task runs inline (an
+    exception propagates at once and nothing is quarantined), and
+    anything larger is an anonymous campaign.  ``items`` may be
+    ``None`` only to resume an existing named campaign.
+    """
+    tasks = None if items is None else list(items)
+    jobs = default_jobs() if jobs is None else max(1, int(jobs))
+    options = dict(
+        workers=jobs,
+        kind=kind,
+        params_fingerprint=params_fingerprint,
+        max_attempts=max_attempts,
+        task_timeout_s=task_timeout_s,
+        progress=progress,
+        desc=desc,
+    )
+    if campaign_id is not None:
+        result = run_campaign(
+            fn, tasks, campaign_id=campaign_id, root=campaign_root,
+            resume=resume, **options,
+        )
+        return result.results, result.quarantined
+    if jobs == 1 or len(tasks) <= 1:
+        report = progress_reporter(progress, desc)
+        results = []
+        for i, item in enumerate(tasks):
+            results.append(fn(item))
+            if report:
+                report(i + 1, len(tasks))
+        return results, {}
+    with tempfile.TemporaryDirectory(prefix="repro-map-") as root:
+        result = run_campaign(
+            fn, tasks, campaign_id=kind, root=root, **options
+        )
+    return result.results, result.quarantined
 
 
-def _stderr_progress(desc: str) -> Callable[[int, int], None]:
-    def report(done: int, total: int) -> None:
-        end = "\n" if done == total else ""
-        print(f"\r{desc}: {done}/{total}", end=end, file=sys.stderr)
-
-    return report
+def raise_quarantined(quarantined: dict[int, dict], desc: str) -> None:
+    """Raise for the first quarantined task, if any: its own exception
+    when it raised one, else a :class:`CampaignError` naming the item
+    (caused by a :class:`ChildProcessError` when its attempts killed or
+    stalled their workers)."""
+    if not quarantined:
+        return
+    index = min(quarantined)
+    doc = quarantined[index]
+    others = len(quarantined) - 1
+    where = (
+        f"{desc} task {index} (item {doc.get('task_repr', '?')}) failed "
+        f"{doc.get('attempts', '?')} attempts and was quarantined"
+        + (f"; {others} more task(s) quarantined" if others else "")
+    )
+    exc = quarantined_exception(doc)
+    if exc is not None:
+        exc.add_note(where)
+        raise exc
+    error = str(doc.get("error", ""))
+    # A reclaim means the worker died or stalled: no exception exists.
+    cause = ChildProcessError(error) if doc.get("kind") == "reclaim" else None
+    raise CampaignError(f"{where}; last failure: {error}") from cause
 
 
 def parallel_map(
@@ -82,120 +140,20 @@ def parallel_map(
     """Map ``fn`` over ``items`` on ``jobs`` processes, order-preserving.
 
     Args:
-        fn: Module-level callable applied to each item.
+        fn: Picklable callable applied to each item.
         items: Task inputs (materialized up front).
         jobs: Worker processes; ``None`` uses :func:`default_jobs`,
             ``1`` runs inline in this process.
         progress: ``True`` for a stderr ticker, or a callable invoked
-            as ``progress(done, total)`` after each completion.
-        desc: Label for the stderr ticker.
+            as ``progress(done, total)`` as tasks settle.
+        desc: Label for the stderr ticker and for errors.
 
     Returns:
         ``[fn(item) for item in items]`` — identical to the serial
         comprehension, whatever the completion order.
     """
-    tasks = list(items)
-    jobs = default_jobs() if jobs is None else max(1, int(jobs))
-    report: Callable[[int, int], None] | None
-    if progress is True:
-        report = _stderr_progress(desc)
-    elif callable(progress):
-        report = progress
-    else:
-        report = None
-
-    total = len(tasks)
-    if jobs == 1 or total <= 1:
-        results = []
-        for i, item in enumerate(tasks):
-            results.append(fn(item))
-            if report:
-                report(i + 1, total)
-        return results
-
-    results: list = [_UNSET] * total
-    env = cache_env()
-    if trace.is_on():
-        # Ship span context to the workers: each task runs under a
-        # span parented to the coordinator's current span, and the
-        # worker's buffered spans ride back inside the result
-        # envelope (unwrapped below), so jobs=N merges into the same
-        # parent-linked tree jobs=1 records directly.
-        fn = trace.task_wrapper(fn, desc)
-    restarts_left = 1  # one automatic pool restart on worker death
-    while True:
-        remaining = [i for i in range(total) if results[i] is _UNSET]
-        if not remaining:
-            return results
-        done = total - len(remaining)
-        broken: BaseException | None = None
-        pending: set = set()
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(remaining)),
-            initializer=_init_worker,
-            initargs=(env,),
-        ) as pool:
-            try:
-                futures = {
-                    pool.submit(fn, tasks[i]): i for i in remaining
-                }
-                pending = set(futures)
-                # A dead worker resolves every pending future with
-                # BrokenProcessPool, so this loop still drains: note
-                # the breakage but keep any results that did land.
-                while pending:
-                    finished, pending = wait(
-                        pending, return_when=FIRST_COMPLETED
-                    )
-                    for fut in finished:
-                        try:
-                            results[futures[fut]] = trace.merge_task_result(
-                                fut.result()
-                            )
-                        except BrokenProcessPool as exc:
-                            broken = exc
-                            continue
-                        done += 1
-                        if report:
-                            report(done, total)
-            except BrokenProcessPool as exc:
-                broken = exc
-            except BaseException:
-                for fut in pending:
-                    fut.cancel()
-                raise
-        if broken is None:
-            continue
-        lost = [i for i in range(total) if results[i] is _UNSET]
-        if restarts_left <= 0:
-            raise RuntimeError(
-                f"worker process died again after a pool restart; "
-                f"{len(lost)} task(s) unfinished — in-flight candidates "
-                f"(item indices): {lost[:8]}"
-                f"{', …' if len(lost) > 8 else ''}; first lost item: "
-                f"{tasks[lost[0]]!r:.200}"
-            ) from broken
-        restarts_left -= 1
-
-
-def starmap_jobs(
-    fn: Callable,
-    arg_tuples: Sequence[tuple],
-    jobs: int | None = None,
-    progress: bool | Callable[[int, int], None] = False,
-    desc: str = "tasks",
-) -> list:
-    """:func:`parallel_map` for functions taking positional args."""
-    return parallel_map(
-        _Star(fn), arg_tuples, jobs=jobs, progress=progress, desc=desc
+    results, quarantined = fan_out(
+        fn, items, jobs, progress=progress, desc=desc
     )
-
-
-class _Star:
-    """Picklable ``lambda args: fn(*args)``."""
-
-    def __init__(self, fn: Callable) -> None:
-        self.fn = fn
-
-    def __call__(self, args: tuple):
-        return self.fn(*args)
+    raise_quarantined(quarantined, desc)
+    return results

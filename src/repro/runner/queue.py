@@ -1,20 +1,20 @@
-"""Durable, fault-tolerant work queue for campaign-scale runs.
+"""Durable, fault-tolerant work queue: the one offline fan-out.
 
-:func:`repro.runner.orchestrator.parallel_map` is perfect for a sweep
-that fits one process pool's lifetime — and loses everything when a
-worker is SIGKILLed at hour three.  This module is the layer built for
-exactly that failure model: a **campaign** is a directory under the
-shared cache dir holding every piece of state needed to survive (and
-resume after) worker crashes, coordinator crashes, stalled tasks and
-torn writes:
+Every multi-process map in the package runs here.  A **campaign** is a
+directory holding every piece of state needed to survive (and resume
+after) worker crashes, coordinator crashes, stalled tasks and torn
+writes.  A named campaign (``repro fuzz``/``sweep --campaign <id>``)
+lives under ``<cache dir>/campaigns/`` and can be resumed;
+:func:`repro.runner.orchestrator.parallel_map` runs an anonymous one in
+a temporary directory that it removes after the merge.
 
 ``campaigns/<id>/``
-    * ``manifest.json`` — task count, the module-level task function,
-      retry/timeout policy, a fingerprint of the campaign parameters
-      (so a resume cannot silently attach to a different run).  The
-      atomic manifest rename is the campaign's creation commit point.
-    * ``tasks.pkl`` — the pickled task list, fsync'd and checksummed
-      **before** any dispatch.
+    * ``manifest.json`` — task count, retry/timeout policy, a
+      fingerprint of the campaign parameters (so a resume cannot
+      silently attach to a different run).  The atomic manifest
+      rename is the campaign's creation commit point.
+    * ``tasks.pkl`` — the pickled task callable and task list, fsync'd
+      and checksummed **before** any dispatch.
     * ``ledger.jsonl`` — append-only fsync'd event journal
       (:mod:`repro.runner.ledger`): enqueue, claim, complete, fail,
       reclaim, quarantine.  Torn lines are detected and skipped.
@@ -29,8 +29,13 @@ torn writes:
       earliest time the task may be re-claimed (exponential backoff
       with deterministic jitter).
     * ``quarantine/<i>.json`` — poison tasks that failed
-      ``max_attempts`` times; the campaign completes around them and
-      they remain as a replayable list.
+      ``max_attempts`` times, with the pickled exception when the task
+      raised; the campaign completes around them and they remain as a
+      replayable list.
+    * ``spans/<worker>.jsonl`` — traced runs only: each worker's
+      ``campaign.lease`` → ``campaign.task`` → ``campaign.checkpoint``
+      spans (and the task's own spans), ingested by the coordinator
+      once the campaign is done.
 
 **Failure detection.**  The coordinator reclaims a task when its
 worker process died (fast path for its own children), when the lease
@@ -41,7 +46,7 @@ thread is still alive; the offending worker is killed).  Every
 reclaim bumps the attempt count, so a task that keeps killing its
 workers ends up quarantined rather than looping forever.
 
-**Determinism.**  Task functions must be deterministic, module-level
+**Determinism.**  Task functions must be deterministic, picklable
 callables; duplicate executions (a reclaimed task finishing twice)
 are therefore harmless — both write identical results through an
 atomic rename.  :func:`merge_campaign` assembles results in task-index
@@ -57,11 +62,13 @@ production use.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import os
 import pickle
 import signal
+import sys
 import threading
 import time
 import uuid
@@ -72,7 +79,7 @@ from pathlib import Path
 from ..errors import ReproError
 from ..obs import trace
 from ..obs.metrics import get_registry
-from .cache import DEFAULT_CACHE_DIR, cache_env, get_cache
+from .cache import DEFAULT_CACHE_DIR, adopt_cache_env, cache_env, get_cache
 from .ledger import (
     CampaignLedger,
     read_json,
@@ -106,6 +113,10 @@ DEFAULT_HEARTBEAT_S = 0.5
 DEFAULT_LEASE_TIMEOUT_S = 6.0
 DEFAULT_BACKOFF_BASE_S = 0.25
 DEFAULT_BACKOFF_CAP_S = 30.0
+
+#: How long a traced coordinator waits for finished workers to exit
+#: (and write their last spans) before it terminates them.
+_SPAN_GRACE_S = 2.0
 
 
 def campaign_root(root: str | os.PathLike | None = None) -> Path:
@@ -270,7 +281,8 @@ class DurableQueue:
     def settings(self) -> dict:
         return self.manifest().get("settings", {})
 
-    def load_tasks(self) -> list:
+    def load_tasks(self) -> tuple[Callable, list]:
+        """The task callable and the task list, digest-checked."""
         try:
             raw = self.tasks_path.read_bytes()
         except OSError as exc:
@@ -285,7 +297,13 @@ class DurableQueue:
                 f"(digest {digest} != manifest {want}); the campaign "
                 "cannot be trusted — start a fresh one"
             )
-        return pickle.loads(raw)
+        doc = pickle.loads(raw)
+        if not (isinstance(doc, tuple) and len(doc) == 2):
+            raise CampaignError(
+                f"task list {self.tasks_path} predates pickled task "
+                "callables; start a fresh campaign"
+            )
+        return doc
 
     # -- leases --------------------------------------------------------
     def try_claim(
@@ -430,12 +448,15 @@ class DurableQueue:
         worker: str = "",
         max_attempts: int | None = None,
         task_repr: str = "",
+        exc: BaseException | None = None,
     ) -> int:
         """Journal one failed attempt; quarantine at ``max_attempts``.
 
         Returns the new attempt count.  ``kind`` is ``fail`` (the task
-        function raised) or ``reclaim`` (the coordinator recovered a
-        dead/stalled worker's lease).
+        function raised ``exc``) or ``reclaim`` (the coordinator
+        recovered a dead/stalled worker's lease).  A quarantine record
+        keeps ``exc`` pickled, so a map can re-raise it
+        (:func:`quarantined_exception`).
         """
         settings = self.settings()
         limit = (
@@ -453,6 +474,7 @@ class DurableQueue:
                     "error": error,
                     "kind": kind,
                     "task_repr": task_repr,
+                    "exception": _pickled_exception(exc),
                     "quarantined_at": time.time(),
                 },
             )
@@ -554,15 +576,11 @@ def create_campaign(
 ) -> Path:
     """Journal a new campaign to disk; the manifest rename commits it.
 
-    ``fn`` must be a module-level callable (workers re-import it by
-    name).  Task payloads are fsync'd (and digest-pinned in the
-    manifest) **before** the campaign exists, so no dispatch can ever
-    observe a half-written task list.
+    ``fn`` and ``items`` are pickled together into ``tasks.pkl``, so
+    ``fn`` may be any picklable callable.  Task payloads are fsync'd
+    (and digest-pinned in the manifest) **before** the campaign
+    exists, so no dispatch can ever observe a half-written task list.
     """
-    if getattr(fn, "__name__", None) is None or not hasattr(
-        fn, "__module__"
-    ):
-        raise CampaignError("campaign fn must be a module-level callable")
     directory = campaign_dir(campaign_id, root)
     if (directory / "manifest.json").exists():
         raise CampaignError(
@@ -575,7 +593,12 @@ def create_campaign(
     directory.mkdir(parents=True, exist_ok=True)
     for sub in ("results", "leases", "backoff", "quarantine", "chaos"):
         (directory / sub).mkdir(exist_ok=True)
-    raw = pickle.dumps(tasks, protocol=_PICKLE_PROTOCOL)
+    try:
+        raw = pickle.dumps((fn, tasks), protocol=_PICKLE_PROTOCOL)
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        raise CampaignError(
+            f"campaign task callable and items must pickle: {exc}"
+        ) from exc
     tasks_path = directory / "tasks.pkl"
     fd = os.open(
         tasks_path, os.O_CREAT | os.O_WRONLY | os.O_TRUNC, 0o644
@@ -602,8 +625,6 @@ def create_campaign(
         {
             "campaign": campaign_id,
             "kind": kind,
-            "fn_module": fn.__module__,
-            "fn_name": fn.__qualname__,
             "num_tasks": len(tasks),
             "tasks_digest": hashlib.blake2b(
                 raw, digest_size=16
@@ -811,18 +832,29 @@ def merge_campaign(
 # ---------------------------------------------------------------------
 # Worker process
 # ---------------------------------------------------------------------
-def _resolve_fn(manifest: dict) -> Callable:
-    import importlib
+def _pickled_exception(exc: BaseException | None) -> str | None:
+    if exc is None:
+        return None
+    try:
+        raw = pickle.dumps(exc, protocol=_PICKLE_PROTOCOL)
+    except (pickle.PicklingError, TypeError, AttributeError):
+        return None  # the quarantine record keeps the error text
+    return base64.b64encode(raw).decode("ascii")
 
-    module = importlib.import_module(manifest["fn_module"])
-    fn: object = module
-    for part in manifest["fn_name"].split("."):
-        fn = getattr(fn, part)
-    if not callable(fn):
-        raise CampaignError(
-            f"{manifest['fn_module']}.{manifest['fn_name']} is not callable"
-        )
-    return fn
+
+def quarantined_exception(doc: dict) -> BaseException | None:
+    """The exception a quarantined task raised on its last attempt, or
+    ``None`` when it killed or stalled its worker (or the exception
+    does not round-trip through pickle)."""
+    raw = doc.get("exception")
+    if not raw:
+        return None
+    try:
+        exc = pickle.loads(base64.b64decode(raw))
+    except (pickle.UnpicklingError, ValueError, TypeError,
+            AttributeError, ImportError):
+        return None  # e.g. an __init__ that unpickling cannot call
+    return exc if isinstance(exc, BaseException) else None
 
 
 def _sigkill_self() -> None:  # pragma: no cover - dies by design
@@ -845,30 +877,30 @@ def _worker_main(
     worker_id: str,
     env: dict[str, str],
     chaos_json: str | None = None,
+    traced: bool = False,
+    trace_parent: str | None = None,
 ) -> None:
     """Worker body: scan, claim, heartbeat, execute, checkpoint.
 
     Runs until every task is completed or quarantined, then exits.
     Also exits when orphaned (the coordinator died) so killed
-    campaigns do not leave stray compute behind.
+    campaigns do not leave stray compute behind.  A ``traced`` worker
+    parents its spans to the coordinator's ``trace_parent`` and ships
+    them through its span file.
     """
-    for name, value in env.items():
-        if value:
-            os.environ[name] = value
-        else:
-            os.environ.pop(name, None)
-    from .cache import configure_cache
-
-    configure_cache(
-        env.get("REPRO_CACHE_DIR") or None,
-        enabled=not env.get("REPRO_NO_CACHE"),
-    )
+    adopt_cache_env(env)
+    spans = None
+    if traced:
+        # Forked workers inherit the coordinator's trace buffers;
+        # enable() discards them and mints ids under the worker id.
+        trace.enable(process_token=worker_id)
+        spans = Path(directory) / "spans" / f"{worker_id}.jsonl"
+        spans.parent.mkdir(exist_ok=True)
     queue = DurableQueue(directory)
     manifest = queue.manifest()
     settings = manifest.get("settings", {})
     heartbeat_s = float(settings.get("heartbeat_s", DEFAULT_HEARTBEAT_S))
-    fn = _resolve_fn(manifest)
-    tasks = queue.load_tasks()
+    fn, tasks = queue.load_tasks()
     chaos = ChaosSpec.from_json(chaos_json)
     parent = os.getppid()
 
@@ -900,6 +932,7 @@ def _worker_main(
             return
         progressed = False
         now = time.time()
+        lease_start = time.monotonic_ns()
         for task in range(total):
             if task in done:
                 continue
@@ -923,9 +956,13 @@ def _worker_main(
                 continue
             progressed = True
             _run_claimed_task(
-                queue, task, tasks[task], fn, worker_id, heartbeat_s, chaos
+                queue, task, tasks[task], fn, worker_id, heartbeat_s,
+                chaos, lease_start, trace_parent,
             )
+            if spans is not None:
+                _ship_spans(spans)
             now = time.time()
+            lease_start = time.monotonic_ns()
         if len(done) >= total:
             return
         if not progressed:
@@ -949,7 +986,15 @@ def _run_claimed_task(
     worker_id: str,
     heartbeat_s: float,
     chaos: ChaosSpec | None,
+    lease_start: int,
+    trace_parent: str | None,
 ) -> None:
+    """Journal the claim, run ``fn(item)``, checkpoint the result.
+
+    The three layers of a task are spans: ``campaign.lease`` (from the
+    start of the scan that found the task to the journaled claim),
+    ``campaign.task`` and ``campaign.checkpoint``.
+    """
     attempt = queue.attempts(task) + 1
     queue.ledger.append(
         {
@@ -959,6 +1004,10 @@ def _run_claimed_task(
             "attempt": attempt,
         }
     )
+    trace.begin(
+        "campaign.lease", "campaign", parent=trace_parent,
+        start_ns=lease_start, task=task, worker=worker_id,
+    ).finish()
     if chaos is not None:
         if task in chaos.poison:
             _sigkill_self()  # every attempt: this task is poison
@@ -982,8 +1031,8 @@ def _run_claimed_task(
             # Wedged mid-task with a live heartbeat: only the per-task
             # wall-clock timeout can catch this.
             time.sleep(chaos.stall_s)
-        with trace.span(
-            "campaign.task", "campaign",
+        with trace.begin(
+            "campaign.task", "campaign", parent=trace_parent,
             task=task, worker=worker_id, attempt=attempt,
         ):
             value = fn(item)
@@ -995,16 +1044,61 @@ def _run_claimed_task(
             "fail",
             worker=worker_id,
             task_repr=repr(item)[:300],
+            exc=exc,
         )
         queue.release(task, worker_id)
         return
     stop.set()
-    queue.complete(task, value, worker=worker_id)
+    with trace.begin(
+        "campaign.checkpoint", "campaign", parent=trace_parent,
+        task=task, worker=worker_id,
+    ):
+        queue.complete(task, value, worker=worker_id)
+
+
+def _ship_spans(path: Path) -> None:
+    """Append this worker's finished spans to its span file."""
+    events = trace.drain()
+    if events:
+        with open(path, "a") as fh:
+            fh.write(
+                "".join(json.dumps(e, default=str) + "\n" for e in events)
+            )
+
+
+def _ingest_spans(directory: Path, nonce: str) -> None:
+    """Adopt the spans this run's workers shipped (a line torn by a
+    killed worker is skipped)."""
+    for path in sorted(directory.glob(f"spans/{nonce}-*.jsonl")):
+        events = []
+        for line in path.read_text().splitlines():
+            try:
+                events.append(json.loads(line))
+            except ValueError:
+                continue
+        trace.ingest(events)
 
 
 # ---------------------------------------------------------------------
 # Coordinator
 # ---------------------------------------------------------------------
+def progress_reporter(
+    progress: bool | Callable[[int, int], None], desc: str
+) -> Callable[[int, int], None] | None:
+    """``progress=True`` is a stderr ticker; a callable is called as
+    ``progress(done, total)``; anything else reports nothing."""
+    if callable(progress):
+        return progress
+    if progress is not True:
+        return None
+
+    def report(done: int, total: int) -> None:
+        end = "\n" if done == total else ""
+        print(f"\r{desc}: {done}/{total}", end=end, file=sys.stderr)
+
+    return report
+
+
 def _spawn_context():
     import multiprocessing as mp
 
@@ -1045,6 +1139,8 @@ def run_campaign(
     spawns ``workers`` processes, reclaims leases whose worker died or
     whose heartbeat went stale, SIGKILLs workers whose task exceeded
     ``task_timeout_s``, and respawns workers to keep the pool full.
+    When tracing is on it records a ``campaign.run`` span and adopts
+    the spans its workers ship back, parented to it.
     """
     directory = campaign_dir(campaign_id, root)
     exists = (directory / "manifest.json").exists()
@@ -1097,22 +1193,19 @@ def run_campaign(
     task_limit = settings.get("task_timeout_s")
     task_limit = float(task_limit) if task_limit else None
     total = queue.num_tasks
-    tasks = queue.load_tasks()
-
-    report: Callable[[int, int], None] | None
-    if progress is True:
-        from .orchestrator import _stderr_progress
-
-        report = _stderr_progress(desc)
-    elif callable(progress):
-        report = progress
-    else:
-        report = None
+    _fn, tasks = queue.load_tasks()
+    report = progress_reporter(progress, desc)
 
     ctx = _spawn_context()
     env = cache_env()
     chaos_json = (
         chaos.to_json() if chaos is not None and not chaos.empty else None
+    )
+    traced = trace.is_on()
+    # Parent of every worker span: the coordinator's own span.
+    run_span = trace.begin(
+        "campaign.run", "campaign", campaign=campaign_id,
+        workers=workers, tasks=total,
     )
     nonce = uuid.uuid4().hex[:8]
     procs: dict[str, object] = {}
@@ -1121,7 +1214,10 @@ def run_campaign(
         worker_id = f"{nonce}-w{ordinal}"
         proc = ctx.Process(
             target=_worker_main,
-            args=(str(directory), worker_id, env, chaos_json),
+            args=(
+                str(directory), worker_id, env, chaos_json, traced,
+                run_span.span_id,
+            ),
             daemon=False,
         )
         proc.start()
@@ -1133,20 +1229,15 @@ def run_campaign(
         spawn(ordinal)
     next_ordinal = workers
 
-    done: set[int] = set()
     settled: set[int] = set()  # completed or quarantined
     last_reported = -1
     try:
         while True:
             now = time.time()
-            for task in range(total):
-                if task in settled:
-                    continue
-                if queue.completed(task):
-                    done.add(task)
-                    settled.add(task)
-                elif queue.quarantined(task):
-                    settled.add(task)
+            # One scan per directory, not two stats per task: the
+            # coordinator shares the host's cores with its workers.
+            settled = _task_files(directory / "results", ".pkl")
+            settled |= _task_files(directory / "quarantine", ".json")
             if report is not None and len(settled) != last_reported:
                 report(len(settled), total)
                 last_reported = len(settled)
@@ -1233,6 +1324,12 @@ def run_campaign(
                 spawn(next_ordinal)
                 next_ordinal += 1
             time.sleep(poll_s)
+        if traced:
+            # Workers leave on their own once every task is settled;
+            # wait briefly so their last spans reach the span files.
+            deadline = time.monotonic() + _SPAN_GRACE_S
+            for proc in procs.values():
+                proc.join(timeout=max(0.0, deadline - time.monotonic()))
     finally:
         for proc in procs.values():
             if proc.is_alive():
@@ -1240,7 +1337,24 @@ def run_campaign(
         for proc in procs.values():
             proc.join(timeout=10)
         queue.ledger.close()
+    if traced:
+        run_span.finish()
+        _ingest_spans(directory, nonce)
     return merge_campaign(directory)
+
+
+def _task_files(directory: Path, suffix: str) -> set[int]:
+    """Indices of the ``<task:08d><suffix>`` files in ``directory``
+    (in-flight ``.tmp`` files do not match)."""
+    try:
+        names = os.listdir(directory)
+    except FileNotFoundError:
+        return set()
+    cut = -len(suffix)
+    return {
+        int(name[:cut]) for name in names
+        if name.endswith(suffix) and name[:cut].isdigit()
+    }
 
 
 def _pid_alive(pid: int) -> bool:

@@ -501,7 +501,7 @@ def run_all(
     kwargs_by_name: dict[str, dict] | None = None,
     progress: bool | Callable[[int, int], None] = False,
 ) -> dict[str, ExperimentRun]:
-    """Fan the selected experiments out over the process pool.
+    """Fan the selected experiments out over worker processes.
 
     Results come back keyed by experiment name in registry order —
     deterministic regardless of worker scheduling.

@@ -42,8 +42,7 @@ from ..obs.metrics import (
     get_registry,
     render_registries,
 )
-from ..runner.cache import cache_env
-from ..runner.orchestrator import _init_worker
+from ..runner.cache import adopt_cache_env, cache_env
 from .batcher import BatchPolicy, MicroBatcher
 from .planpool import PlanPool, ProgramSpec, ServedProgram, worker_execute
 
@@ -229,7 +228,7 @@ class InferenceService:
         if self.workers:
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
-                initializer=_init_worker,
+                initializer=adopt_cache_env,
                 initargs=(cache_env(),),
             )
         self.stats.started_at = time.monotonic()

@@ -13,7 +13,7 @@ This subsystem turns that redundancy into a verification harness:
   compared bitwise;
 * :mod:`repro.verify.fuzz` — seeded campaign driver
   (:func:`fuzz`) fanning scenarios from
-  :mod:`repro.workloads.synth` over the process pool;
+  :mod:`repro.workloads.synth` over the durable work queue;
 * :mod:`repro.verify.shrink` — minimal-reproducer search
   (:func:`shrink_dag`);
 * :mod:`repro.verify.artifacts` — replayable repro cases under

@@ -160,8 +160,9 @@ def run_chaos_fuzz(
 ) -> ChaosReport:
     """The kill/resume identity phase.
 
-    Runs the control in-process (plain pool — so this also proves the
-    durable path agrees with the pool path), then drives the same
+    Runs the control in-process (an anonymous campaign at ``jobs > 1``,
+    inline at ``jobs=1`` — so this also proves a named, killed and
+    resumed campaign agrees with a plain run), then drives the same
     campaign through coordinator subprocesses killed at ``kills``
     seeded points, resuming after each kill until completion, and
     compares canonical merged bytes.

@@ -24,7 +24,7 @@ configured.
 :func:`diff_check_dag` runs the oracle on a bare DAG and returns the
 first mismatch (or ``None``); :func:`check_scenario` wraps it with
 scenario bookkeeping into a picklable :class:`ScenarioOutcome` for the
-fuzzer's process pool.
+fuzzer's worker processes.
 
 Fault injection
 ---------------
@@ -81,7 +81,7 @@ def config_from_label(label: str) -> ArchConfig:
 class Scenario:
     """One fuzzing work item: what to generate and how to execute it.
 
-    Everything here is plain data — picklable for the process pool and
+    Everything here is plain data — picklable for worker processes and
     JSON-able for repro-case artifacts.
     """
 

@@ -6,7 +6,8 @@ is exercised even at small budgets, with sizes spanning degenerate
 (``n=3``) through a few hundred nodes, random architecture points from
 :data:`CONFIG_POOL`, and per-scenario value seeds — then fans the
 differential oracle (:func:`repro.verify.differential.check_scenario`)
-out over :func:`repro.runner.orchestrator.parallel_map`.
+out over the durable work queue (:func:`repro.runner.orchestrator.
+fan_out`).
 
 Scenario derivation is a pure function of ``(budget, seed, families,
 fault)``: re-running with the same arguments replays the identical
@@ -25,12 +26,12 @@ Two robustness layers sit on top of the oracle:
   campaign — timed-out scenarios come back as failures, are shrunk
   with a timeout-aware predicate and written as repro cases.  The
   fuzz-only :data:`STALL_FAULT` injects exactly that wedge for tests.
-* ``campaign_id`` routes the fan-out through the durable work queue
-  (:mod:`repro.runner.queue`) instead of an in-memory pool: progress
-  is checkpointed per scenario, a killed run resumes with
-  ``resume=True`` (CLI ``repro fuzz --resume --campaign <id>``), and
-  poison scenarios are quarantined after ``max_attempts`` instead of
-  sinking the campaign.
+* every fan-out follows the queue's failure policy: a scenario whose
+  worker dies is re-run, and a poison scenario is quarantined after
+  ``max_attempts`` (and reported as a failure) instead of sinking the
+  campaign.  ``campaign_id`` names the campaign, so its progress is
+  checkpointed under the cache dir and a killed run resumes with
+  ``resume=True`` (CLI ``repro fuzz --resume --campaign <id>``).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import VerificationError
-from ..runner.orchestrator import default_jobs, parallel_map
+from ..runner.orchestrator import fan_out
 from ..workloads.synth import MIN_NODES, SYNTH_FAMILIES, SynthParams
 from .artifacts import ReproCase, write_case
 from .differential import (
@@ -107,11 +108,10 @@ def _alarm(timeout_s: float | None):
 
 
 def _check_timed_task(item: tuple) -> ScenarioOutcome:
-    """Campaign/pool task body: one scenario under a wall-clock budget.
+    """Fan-out task body: one scenario under a wall-clock budget.
 
-    The item is ``(scenario, timeout_s)`` so the same module-level
-    callable serves both the in-memory pool and the durable queue
-    (whose workers re-import it by name).
+    The item is ``(scenario, timeout_s)``, so one module-level callable
+    serves inline runs and campaign workers alike.
     """
     scenario, timeout_s = item
     if timeout_s is None:
@@ -147,6 +147,13 @@ CONFIG_POOL: tuple[str, ...] = (
     "D3-B16-R16",
     "D3-B32-R32",
 )
+
+#: Batch widths a scenario draws from: one row, a four-row body, and 67
+#: rows — past :data:`repro.sim.native.TILE` twice, so load-heavy plans
+#: run the tiled sweep with two full 32-lane tiles and a partial one.
+#: A three-way choice, like the (1, 2, 4) it replaced, consumes the
+#: master rng identically, so every other scenario field is unchanged.
+FUZZ_BATCHES: tuple[int, ...] = (1, 4, 67)
 
 
 def make_scenarios(
@@ -213,7 +220,7 @@ def make_scenarios(
                 ),
                 config_label=pool[rng.randrange(len(pool))],
                 value_seed=rng.randrange(2**31),
-                batch=rng.choice((1, 2, 4)),
+                batch=rng.choice(FUZZ_BATCHES),
                 fault=fault,
                 stages=stages,
             )
@@ -518,15 +525,16 @@ def fuzz(
         task_timeout_s: Hard per-scenario wall-clock budget enforced
             inside the worker; timed-out scenarios are failures (and
             are shrunk/persisted like any other).
-        campaign_id: Run through the durable work queue under this
-            campaign id instead of an in-memory pool — the run
-            becomes killable/resumable.
+        campaign_id: Name the campaign, so it lives under
+            ``campaign_root`` and a killed run can be resumed;
+            otherwise a ``jobs > 1`` run is an anonymous campaign in a
+            temporary directory, and ``jobs=1`` runs inline.
         resume: Pick up an existing campaign where it left off
             (requires ``campaign_id``).
-        max_attempts: Campaign mode: failures per scenario before it
-            is quarantined.
-        campaign_root: Campaign mode: override the campaigns
-            directory (default ``<cache dir>/campaigns``).
+        max_attempts: Failures per scenario before it is
+            quarantined (worker processes only; inline runs raise).
+        campaign_root: Override the directory of named campaigns
+            (default ``<cache dir>/campaigns``).
 
     Returns:
         A :class:`FuzzReport`; ``report.ok`` is False iff any scenario
@@ -546,63 +554,44 @@ def fuzz(
         budget, seed=seed, families=families, fault=fault, configs=configs,
         image_all=image_all,
     )
-    quarantined: dict[int, dict] = {}
-    if campaign_id is None:
-        outcomes = parallel_map(
-            _check_timed_task,
-            [(s, task_timeout_s) for s in scenarios],
-            jobs=jobs,
-            progress=progress,
-            desc="fuzz",
-        )
-    else:
-        from ..runner.queue import run_campaign
-
-        # The in-worker alarm is the first line of defense; the
-        # coordinator's wall-clock kill is the backstop for wedges the
-        # alarm cannot interrupt (C-level loops).
-        backstop = (
-            None if task_timeout_s is None else task_timeout_s + 30.0
-        )
-        result = run_campaign(
-            _check_timed_task,
-            [(s, task_timeout_s) for s in scenarios],
-            campaign_id=campaign_id,
-            root=campaign_root,
-            workers=default_jobs() if jobs is None else max(1, int(jobs)),
-            resume=resume,
-            kind="fuzz",
-            params_fingerprint=_campaign_fingerprint(
-                budget, seed, families, fault, configs, image_all,
-                task_timeout_s,
-            ),
-            max_attempts=max_attempts,
-            task_timeout_s=backstop,
-            progress=progress,
-            desc="fuzz",
-        )
-        quarantined = result.quarantined
-        outcomes = []
-        for i, value in enumerate(result.results):
-            if i in quarantined:
-                doc = quarantined[i]
-                outcomes.append(
-                    ScenarioOutcome(
-                        scenario=scenarios[i],
-                        status="quarantined",
-                        mismatch=Mismatch(
-                            "quarantine",
-                            f"{doc.get('attempts', '?')} failed "
-                            f"attempts; last: "
-                            f"{str(doc.get('error', ''))[:200]}",
-                        ),
-                        nodes=scenarios[i].params.n,
-                        fingerprint="",
-                        cycles=0,
-                    )
-                )
-            else:
-                outcomes.append(value)
+    # The in-worker alarm is the first line of defense; the
+    # coordinator's wall-clock kill is the backstop for wedges the
+    # alarm cannot interrupt (C-level loops).
+    backstop = None if task_timeout_s is None else task_timeout_s + 30.0
+    results, quarantined = fan_out(
+        _check_timed_task,
+        [(s, task_timeout_s) for s in scenarios],
+        jobs,
+        campaign_id=campaign_id,
+        resume=resume,
+        campaign_root=campaign_root,
+        kind="fuzz",
+        params_fingerprint=_campaign_fingerprint(
+            budget, seed, families, fault, configs, image_all,
+            task_timeout_s,
+        ),
+        max_attempts=max_attempts,
+        task_timeout_s=backstop,
+        progress=progress,
+        desc="fuzz",
+    )
+    outcomes = []
+    for i, value in enumerate(results):
+        if i in quarantined:
+            doc = quarantined[i]
+            value = ScenarioOutcome(
+                scenario=scenarios[i],
+                status="quarantined",
+                mismatch=Mismatch(
+                    "quarantine",
+                    f"{doc.get('attempts', '?')} failed attempts; last: "
+                    f"{str(doc.get('error', ''))[:200]}",
+                ),
+                nodes=scenarios[i].params.n,
+                fingerprint="",
+                cycles=0,
+            )
+        outcomes.append(value)
     report = FuzzReport(budget=budget, seed=seed, outcomes=outcomes)
     for outcome in outcomes:
         if outcome.status in ("mismatch", "timeout"):

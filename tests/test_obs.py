@@ -10,7 +10,7 @@ Three property groups (hypothesis) plus integration checks:
 * span trees — every drained trace is a forest: unique ids, parents
   exist, children nest inside their parent's interval — identical
   guarantees under ``parallel_map`` ``jobs=1`` (inline) and ``jobs=N``
-  (process pool with span shipping);
+  (durable-queue workers shipping their spans back);
 * request-id threading — the correlation id survives service,
   router-hop, and rejection paths unchanged.
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 import asyncio
 import gc
 import math
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -249,13 +250,27 @@ class TestSpanTrees:
         inners = [e for e in events if e["name"] == "work.inner"]
         assert len(outers) == len(inners) == 4
         # Every task span's ancestry terminates at the coordinator's
-        # fanout span — jobs=1 directly, jobs=N via the shipped
-        # worker envelopes.
+        # fanout span — jobs=1 directly, jobs=N via the spans the
+        # workers shipped back.
         for e in outers + inners:
             cur = e
             while cur.get("parent"):
                 cur = by_id[cur["parent"]]
             assert cur["id"] == root["id"]
+        if jobs > 1:
+            # Each task's three campaign layers, recorded by workers
+            # under the coordinator's campaign.run span.
+            (run,) = [e for e in events if e["name"] == "campaign.run"]
+            assert run["parent"] == root["id"]
+            assert run["pid"] == os.getpid()
+            for name in ("campaign.lease", "campaign.task",
+                         "campaign.checkpoint"):
+                layer = [e for e in events if e["name"] == name]
+                assert len(layer) == 4, name
+                assert all(e["parent"] == run["id"] for e in layer)
+                assert all(e["pid"] != os.getpid() for e in layer)
+            tasks = {e["id"] for e in events if e["name"] == "campaign.task"}
+            assert {e["parent"] for e in outers} == tasks
 
     def test_chrome_export_round_trip(self, tmp_path):
         import json

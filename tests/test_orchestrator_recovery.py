@@ -1,31 +1,34 @@
-"""parallel_map worker-death recovery (BrokenProcessPool).
+"""parallel_map's failure policy: the durable queue's.
 
-Before this PR a SIGKILLed pool worker aborted the whole map with a
-bare ``BrokenProcessPool`` — hours of completed work discarded and no
-hint which task killed the worker.  These tests pin the recovery
-contract: one automatic pool restart re-running only the lost tasks,
-and a second death raising with the in-flight item indices named.
+A ``jobs > 1`` map is an anonymous campaign on
+:mod:`repro.runner.queue`: a SIGKILLed worker's task is reclaimed and
+re-run by a fresh worker, a task that keeps failing is quarantined
+after ``max_attempts``, and the map then raises — the task's own
+exception when it raised one, else an error naming the item that
+killed its workers.  ``jobs=1`` runs inline.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import tempfile
 
 import pytest
 
-from repro.runner.orchestrator import parallel_map, starmap_jobs
+from repro.runner.orchestrator import parallel_map
+from repro.runner.queue import CampaignError
 
 
-# -- module-level worker bodies (must pickle into the pool) -----------
+# -- module-level worker bodies (pickled into the campaign) ------------
 def _double(x: int) -> int:
     return x * 2
 
 
 def _kill_worker_once(item) -> int:
     """SIGKILLs its worker the first time any worker sees the poison
-    value — the marker file makes "once" hold across the pool restart
-    and across worker processes."""
+    value — the marker file makes "once" hold across worker processes
+    and the re-run of the reclaimed task."""
     marker, x = item
     if x == 13:
         try:
@@ -38,15 +41,33 @@ def _kill_worker_once(item) -> int:
     return x * 2
 
 
+def _logged_kill_worker_once(item) -> int:
+    """Appends ``x`` to a run log, then behaves like
+    :func:`_kill_worker_once`."""
+    log, marker, x = item
+    fd = os.open(log, os.O_CREAT | os.O_WRONLY | os.O_APPEND)
+    try:
+        os.write(fd, f"{x}\n".encode())
+    finally:
+        os.close(fd)
+    return _kill_worker_once((marker, x))
+
+
 def _kill_worker_always(x: int) -> int:
     if x == 13:
         os.kill(os.getpid(), signal.SIGKILL)
     return x * 2
 
 
+def _raise_on_13(x: int) -> int:
+    if x == 13:
+        raise ValueError("bad item")
+    return x
+
+
 def test_sigkilled_worker_does_not_lose_the_map(tmp_path):
-    """The pre-PR-failing regression: a worker dying mid-map used to
-    raise BrokenProcessPool and discard every completed result."""
+    """A worker dying mid-map loses no result: its task is reclaimed
+    and re-run, and every other result is kept."""
     marker = str(tmp_path / "killed-once")
     items = [(marker, x) for x in list(range(12)) + [13] + [20, 21]]
     results = parallel_map(_kill_worker_once, items, jobs=2)
@@ -66,47 +87,91 @@ def test_progress_reaches_total_despite_restart(tmp_path):
     assert seen[-1] == (len(items), len(items))
 
 
-def test_second_death_names_the_inflight_task():
+def test_worker_killing_task_is_quarantined_and_named():
     """A task that kills every worker it touches must surface, not
-    loop: after the single restart the error names the candidate
-    item indices so the poison task can be found."""
+    loop: once its attempts are spent it is quarantined, and the map
+    raises naming the item, caused by the workers' deaths."""
     items = list(range(8)) + [13]
-    with pytest.raises(RuntimeError) as excinfo:
+    with pytest.raises(CampaignError) as excinfo:
         parallel_map(_kill_worker_always, items, jobs=2)
     message = str(excinfo.value)
-    assert "died again after a pool restart" in message
-    assert "13" in message  # the poison item (index or repr)
-    assert isinstance(excinfo.value.__cause__, BaseException)
+    assert "task 8 (item 13)" in message
+    assert "quarantined" in message
+    assert isinstance(excinfo.value.__cause__, ChildProcessError)
+    assert "worker-death" in str(excinfo.value.__cause__)
 
 
 def test_completed_results_survive_the_restart(tmp_path):
-    """Only the lost tasks re-run: tasks completed before the death
-    are not executed a second time (their side-effect files are
-    created O_EXCL, so a re-run would crash)."""
+    """Only the lost task re-runs: every task logs each execution, and
+    tasks completed before (or beside) the death run exactly once."""
+    log = str(tmp_path / "runs.log")
     marker = str(tmp_path / "kill-marker")
-    items = [(marker, x) for x in [0, 1, 2, 13, 4, 5]]
-    results = parallel_map(_kill_worker_once, items, jobs=2)
-    assert results == [x * 2 for _, x in items]
+    xs = [0, 1, 2, 13, 4, 5]
+    results = parallel_map(
+        _logged_kill_worker_once, [(log, marker, x) for x in xs], jobs=2
+    )
+    assert results == [x * 2 for x in xs]
+    runs = [int(line) for line in open(log).read().split()]
+    assert sorted(runs) == sorted(xs + [13])  # 13 died once, re-ran
 
 
 def test_ordinary_exceptions_still_propagate():
-    """Worker *exceptions* (vs deaths) keep the original contract:
-    cancel and re-raise, no restart."""
-
-    with pytest.raises(ValueError, match="bad item"):
+    """A task's exception reaches the caller as itself — same type,
+    same message — once its retries are spent, with a note naming
+    the item."""
+    with pytest.raises(ValueError, match="bad item") as excinfo:
         parallel_map(_raise_on_13, list(range(6)) + [13], jobs=2)
+    assert any("item 13" in note for note in excinfo.value.__notes__)
 
 
-def _raise_on_13(x: int) -> int:
+class _TwoArgError(Exception):
+    """Pickles, but cannot be unpickled: ``args`` holds one value and
+    ``__init__`` needs two."""
+
+    def __init__(self, code: int, detail: str) -> None:
+        super().__init__(f"code {code}: {detail}")
+
+
+def _raise_two_arg(x: int) -> int:
     if x == 13:
-        raise ValueError("bad item")
+        raise _TwoArgError(7, "no round trip")
     return x
 
 
-def test_serial_path_unaffected():
+def test_exception_that_cannot_round_trip_is_named():
+    """When the task's exception does not survive pickling, the map
+    still raises, naming the item and carrying the exception's text."""
+    with pytest.raises(CampaignError) as excinfo:
+        parallel_map(_raise_two_arg, [1, 13], jobs=2)
+    message = str(excinfo.value)
+    assert "item 13" in message
+    assert "_TwoArgError: code 7: no round trip" in message
+    assert excinfo.value.__cause__ is None
+
+
+def test_serial_path_unaffected(tmp_path, monkeypatch):
+    """jobs=1 runs inline in this process: the exception propagates
+    from the first (only) attempt, and no campaign is written."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     assert parallel_map(_double, [1, 2, 3], jobs=1) == [2, 4, 6]
-    assert starmap_jobs(_add, [(1, 2), (3, 4)], jobs=1) == [3, 7]
+    assert parallel_map(os.getpid().__add__, [0], jobs=1) == [os.getpid()]
+    calls: list[int] = []
+
+    def record(x: int) -> int:
+        calls.append(x)
+        return _raise_on_13(x)
+
+    with pytest.raises(ValueError, match="bad item"):
+        parallel_map(record, [1, 13, 2], jobs=1)
+    assert calls == [1, 13]
+    assert list(tmp_path.iterdir()) == []
 
 
-def _add(a: int, b: int) -> int:
-    return a + b
+def test_anonymous_campaign_leaves_nothing_behind(tmp_path, monkeypatch):
+    """A jobs > 1 map runs in a temporary campaign directory that is
+    removed after the merge."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert parallel_map(_double, list(range(5)), jobs=2) == [
+        0, 2, 4, 6, 8,
+    ]
+    assert list(tmp_path.iterdir()) == []

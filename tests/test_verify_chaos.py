@@ -58,17 +58,18 @@ class TestTaskTimeout:
 
 class TestFuzzCampaign:
     def test_campaign_path_matches_pool_path_byte_for_byte(self):
-        """The durable-queue fan-out must agree with the in-memory
-        pool fan-out on canonical outcome bytes — the core identity
-        the chaos harness builds on."""
-        pool = fuzz(BUDGET, seed=1, jobs=2, write_artifacts=False)
+        """A named campaign, an anonymous one (plain ``jobs=2``) and
+        the inline ``jobs=1`` run agree on canonical outcome bytes —
+        the core identity the chaos harness builds on."""
+        inline = fuzz(BUDGET, seed=1, jobs=1, write_artifacts=False)
+        anonymous = fuzz(BUDGET, seed=1, jobs=2, write_artifacts=False)
         campaign = fuzz(
             BUDGET, seed=1, jobs=2, write_artifacts=False,
             campaign_id="pool-vs-campaign",
         )
-        assert canonical_outcomes(campaign.outcomes) == canonical_outcomes(
-            pool.outcomes
-        )
+        expected = canonical_outcomes(inline.outcomes)
+        assert canonical_outcomes(anonymous.outcomes) == expected
+        assert canonical_outcomes(campaign.outcomes) == expected
 
     def test_resume_of_complete_campaign_is_a_pure_merge(self):
         first = fuzz(
@@ -125,6 +126,35 @@ class TestFuzzCampaign:
             fuzz(
                 BUDGET, seed=5, jobs=1, write_artifacts=False,
                 campaign_id="fuzz-v1", campaign_root=root, resume=True,
+            )
+
+    def test_campaign_with_a_bare_task_list_is_refused(self, tmp_path):
+        """A campaign created when ``tasks.pkl`` held only the items
+        (its workers resolved the task function by name) cannot be
+        resumed: unpacking its list as ``(fn, items)`` would misread
+        it, so the resume is refused with a message."""
+        import hashlib
+        import json
+        import pickle
+
+        from repro.runner.queue import CampaignError, campaign_dir
+
+        root = tmp_path / "campaigns"
+        fuzz(
+            BUDGET, seed=5, jobs=1, write_artifacts=False,
+            campaign_id="fuzz-bare", campaign_root=root,
+        )
+        directory = campaign_dir("fuzz-bare", root)
+        _fn, items = pickle.loads((directory / "tasks.pkl").read_bytes())
+        raw = pickle.dumps(items[:2], protocol=5)
+        (directory / "tasks.pkl").write_bytes(raw)
+        doc = json.loads((directory / "manifest.json").read_text())
+        doc["tasks_digest"] = hashlib.blake2b(raw, digest_size=16).hexdigest()
+        (directory / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(CampaignError, match="predates"):
+            fuzz(
+                BUDGET, seed=5, jobs=1, write_artifacts=False,
+                campaign_id="fuzz-bare", campaign_root=root, resume=True,
             )
 
 class TestChaosHarness:

@@ -201,6 +201,25 @@ class TestFuzzCampaigns:
         assert a == b
         assert a != make_scenarios(12, seed=10)
 
+    def test_fuzz_reaches_the_tiled_sweep(self):
+        """The default campaign runs the fused-vs-batch stage on a plan
+        the native kernel sweeps in 32-lane tiles (full tiles and a
+        partial one), not only on untiled small batches."""
+        from repro.compiler import compile_dag
+        from repro.errors import SpillError
+        from repro.sim import fuse_plan
+
+        for s in make_scenarios(500, seed=0):
+            if "fused-vs-batch" not in s.stages or s.batch < 64:
+                continue
+            try:
+                result = compile_dag(s.params.build(), s.config())
+            except SpillError:
+                continue
+            if fuse_plan(result.plan()).tile_width(s.batch) < s.batch:
+                return
+        pytest.fail("no fused-vs-batch scenario runs a tiled sweep")
+
     def test_parallel_matches_serial(self):
         serial = fuzz(budget=8, seed=4, jobs=1, write_artifacts=False)
         parallel = fuzz(budget=8, seed=4, jobs=2, write_artifacts=False)
