@@ -4,8 +4,12 @@ Measures rows/sec for both execution paths on fig. 14 workloads and
 records the speedup, so the batched engine's gain lands in the bench
 trajectory.  The acceptance bar is >= 10x at batch 256; in practice
 the vectorized sweep lands orders of magnitude above it.
+
+Run: ``PYTHONPATH=src python benchmarks/bench_batch_throughput.py``
+(writes ``results/bench_batch_throughput.txt``).
 """
 
+import pathlib
 import time
 
 import numpy as np
@@ -14,8 +18,6 @@ from repro.arch import MIN_EDP_CONFIG
 from repro.compiler import compile_dag
 from repro.sim import BatchSimulator, run_program
 from repro.workloads import build_workload
-
-from conftest import publish
 
 BATCH = 256
 SCALAR_ROWS = 4  # scalar rows timed (each is ~interpreter-slow)
@@ -59,16 +61,12 @@ def _measure_workload(name: str):
     )
 
 
-def test_batched_engine_speedup(benchmark):
-    rows = benchmark.pedantic(
-        lambda: [_measure_workload(name) for name in WORKLOADS],
-        rounds=1,
-        iterations=1,
-    )
-    publish("bench_batch_throughput", _format_rows(rows))
+if __name__ == "__main__":
+    rows = [_measure_workload(name) for name in WORKLOADS]
+    table = _format_rows(rows)
+    results = pathlib.Path(__file__).resolve().parent.parent / "results"
+    results.mkdir(exist_ok=True)
+    (results / "bench_batch_throughput.txt").write_text(table + "\n")
+    print(table)
     for row in rows:
         assert row[-1] >= 10.0, f"{row[0]}: speedup {row[-1]}x < 10x"
-
-
-if __name__ == "__main__":
-    print(_format_rows([_measure_workload(name) for name in WORKLOADS]))

@@ -401,7 +401,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_all(args: argparse.Namespace) -> int:
-    """Every figure/table experiment, fanned out over worker processes."""
+    """Every figure/table experiment, fanned out over worker processes.
+
+    After the tables, one verdict line per paper-shape claim the runs
+    checked (``--quick`` checks those that hold at the reduced
+    scale); exit status 1 when any claim fails.
+    """
     from .runner.registry import experiment_names, run_all
 
     _setup_cache(args)
@@ -423,7 +428,12 @@ def cmd_all(args: argparse.Namespace) -> int:
         print(f"==== {name} " + "=" * max(0, 60 - len(name)))
         print(run.rendered)
         print()
-    return 0
+    verdicts = [(n, *v) for n, run in runs.items() for v in run.verdicts]
+    for name, text, passed in verdicts:
+        print(f"{'PASS' if passed else 'FAIL'}  {name}: {text}")
+    failed = sum(not passed for _, _, passed in verdicts)
+    print(f"claims: {len(verdicts) - failed} passed, {failed} failed")
+    return 1 if failed else 0
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
@@ -1283,7 +1293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(
-        "all", help="run every figure/table experiment"
+        "all",
+        help="run every figure/table experiment and check the paper's "
+        "shape claims",
     )
     p.add_argument(
         "--only", default="", metavar="A,B,...",

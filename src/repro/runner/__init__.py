@@ -18,8 +18,9 @@ The runner subsystem makes the full evaluation cheap to repeat:
   dead/stalled-worker reclaim, exponential backoff, poison-task
   quarantine and byte-identical kill/resume campaign merges;
 * :mod:`repro.runner.registry` — one :class:`ExperimentSpec` per
-  figure/table with canonical snapshots, powering ``repro all`` and
-  the golden regression net under ``tests/goldens/``.
+  figure/table with canonical snapshots and the paper's shape claims,
+  powering ``repro all`` and the golden regression net under
+  ``tests/goldens/``.
 """
 
 from .cache import (

@@ -524,15 +524,20 @@ class DurableQueue:
     def reclaim(
         self, task: int, reason: str, worker: str = "", task_repr: str = ""
     ) -> int:
-        """Recover a dead/stalled worker's lease and schedule a retry."""
+        """Recover a dead/stalled worker's lease and schedule a retry.
+
+        The backoff or quarantine record is written before the lease
+        goes, so no worker can claim the task in between.
+        """
+        attempt = self.record_failure(
+            task, reason, "reclaim", worker=worker, task_repr=task_repr
+        )
         try:
             os.unlink(self.lease_path(task))
         except OSError:
             pass
         _campaign_events().inc(event="reclaim")
-        return self.record_failure(
-            task, reason, "reclaim", worker=worker, task_repr=task_repr
-        )
+        return attempt
 
     def complete(self, task: int, value, worker: str = "") -> None:
         """Checkpoint ``value`` and journal the completion."""

@@ -1,11 +1,8 @@
 """Shared test/benchmark helpers: DAG generators and verification glue.
 
-Importable from both the test suite and the benchmark harness (their
-``conftest.py`` files used to carry these helpers, which collided when
-pytest collected both directories in one run — two modules named
-``conftest`` cannot coexist on ``sys.path``).  Keeping them inside the
-package also lets examples and downstream users generate the same
-randomized workloads the tests exercise.
+Importable from the test suite and the benchmark scripts alike.
+Keeping them inside the package also lets examples and downstream
+users generate the same randomized workloads the tests exercise.
 """
 
 from __future__ import annotations

@@ -69,13 +69,21 @@ from .shrink import ShrinkResult, shrink_dag
 STALL_FAULT = "stall"
 
 
+#: Interval at which an expired :func:`_alarm` fires again until its
+#: context exits.
+ALARM_REARM_S = 0.05
+
+
 class TaskTimeout(BaseException):
     """A scenario exceeded its wall-clock budget.
 
     Derives from ``BaseException`` so broad ``except Exception``
     blocks in library code (cache reads treating corruption as a
-    miss, etc.) cannot swallow the alarm and leave the task wedged
-    with its one-shot timer spent.
+    miss, etc.) cannot swallow the alarm.  Where it is lost anyway —
+    asyncio stores it in the background task it interrupted (such as
+    ``MicroBatcher._collect``), or a finalizer swallows it — the alarm
+    raises it again every :data:`ALARM_REARM_S` until the timed block
+    exits, so the task cannot wedge.
     """
 
 
@@ -85,7 +93,8 @@ def _raise_task_timeout(signum, frame):  # noqa: ARG001 - signal API
 
 @contextlib.contextmanager
 def _alarm(timeout_s: float | None):
-    """Arm a one-shot SIGALRM raising :class:`TaskTimeout`.
+    """Raise :class:`TaskTimeout` after ``timeout_s`` via ``SIGALRM``,
+    and again every :data:`ALARM_REARM_S` until the context exits.
 
     No-op when ``timeout_s`` is ``None`` or when not on the main
     thread (signal handlers can only be installed there; worker
@@ -99,11 +108,18 @@ def _alarm(timeout_s: float | None):
         yield
         return
     previous = signal.signal(signal.SIGALRM, _raise_task_timeout)
-    signal.setitimer(signal.ITIMER_REAL, timeout_s)
     try:
+        signal.setitimer(signal.ITIMER_REAL, timeout_s, ALARM_REARM_S)
         yield
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
+        # A re-fire can land before the timer is off; retry until the
+        # disarm itself completes.
+        while True:
+            try:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                break
+            except TaskTimeout:
+                pass
         signal.signal(signal.SIGALRM, previous)
 
 

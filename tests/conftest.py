@@ -1,9 +1,8 @@
 """Shared fixtures for the test suite.
 
 The DAG generators and verification helpers live in the importable
-:mod:`repro.testing` module (not here) so that both this conftest and
-the benchmark harness's conftest can use them without the two
-``conftest`` module names colliding on ``sys.path``.
+:mod:`repro.testing` module (not here), so that benchmark scripts and
+examples can use them too.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
 """Unit tests for the command-line interface."""
 
+import dataclasses
+
 import pytest
 
 from repro.cli import _parse_config, main
 from repro.graphs import save_json
+from repro.runner.registry import EXPERIMENTS, Claim
 from repro.testing import make_random_dag
 
 
@@ -170,6 +173,23 @@ class TestOrchestratorCommands:
         out = capsys.readouterr().out
         assert "fig03_utilization" in out
         assert "fig. 3(c)" in out
+        assert "PASS  fig03_utilization: tree utilization" in out
+        assert "claims: 2 passed, 0 failed" in out
+
+    def test_all_exits_nonzero_on_a_failed_claim(self, capsys, monkeypatch):
+        spec = EXPERIMENTS["fig03_utilization"]
+        monkeypatch.setitem(
+            EXPERIMENTS,
+            spec.name,
+            dataclasses.replace(
+                spec, claims=(Claim("never holds", lambda r: False),)
+            ),
+        )
+        rc = main(["all", "--quick", "--only", "fig03_utilization"])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "FAIL  fig03_utilization: never holds" in out
+        assert "claims: 0 passed, 1 failed" in out
 
     def test_all_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit, match="unknown experiments"):

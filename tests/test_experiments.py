@@ -1,8 +1,9 @@
 """Smoke + shape tests for the per-figure experiment drivers.
 
-Each driver runs at a reduced scale here; the benchmark harness runs
-them at reporting scale.  Shape assertions mirror the paper's claims
-(who wins, directionality), not absolute values.
+Each driver runs at a reduced scale here.  The paper's shape claims
+are checked on the registry's runs instead (``ExperimentSpec.claims``,
+asserted by ``tests/test_runner_parity.py``); these tests cover the
+rest of each driver's behaviour, not absolute values.
 """
 
 import pytest
@@ -66,18 +67,8 @@ class TestFig01:
         assert gpu[-1] > gpu[0]
         assert "fig. 1(c)" in fig01_motivation.render(result)
 
-    def test_cpu_beats_gpu_when_small(self):
-        result = fig01_motivation.run(sizes=(1_000,))
-        p = result.points[0]
-        assert p.cpu_gops > p.gpu_gops
-
 
 class TestFig03:
-    def test_tree_beats_systolic(self):
-        result = fig03_utilization.run(scale=SMALL, input_counts=(4, 8))
-        for p in result.points:
-            assert p.tree_utilization >= p.systolic_utilization
-
     def test_systolic_degrades_with_inputs(self):
         result = fig03_utilization.run(scale=SMALL, input_counts=(2, 8, 16))
         sys_utils = [p.systolic_utilization for p in result.points]
@@ -138,14 +129,6 @@ class TestFig11Fig12:
         return fig11_dse.run(
             workload_names=("tretail", "bp_200"), scale=SMALL
         )
-
-    def test_depth3_wins_edp(self, experiment):
-        assert experiment.summary.min_edp.config.depth >= 2
-
-    def test_depth_trend_monotone_latency(self, experiment):
-        trend = fig11_dse.depth_trend(experiment)
-        lats = [row[1] for row in trend]
-        assert lats[-1] < lats[0]
 
     def test_render(self, experiment):
         out = fig11_dse.render(experiment)

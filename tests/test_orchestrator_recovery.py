@@ -17,7 +17,7 @@ import tempfile
 import pytest
 
 from repro.runner.orchestrator import parallel_map
-from repro.runner.queue import CampaignError
+from repro.runner.queue import CampaignError, DurableQueue, create_campaign
 
 
 # -- module-level worker bodies (pickled into the campaign) ------------
@@ -175,3 +175,25 @@ def test_anonymous_campaign_leaves_nothing_behind(tmp_path, monkeypatch):
         0, 2, 4, 6, 8,
     ]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_reclaim_writes_the_retry_record_before_dropping_the_lease(
+    tmp_path, monkeypatch
+):
+    """A worker that scans while a dead worker's lease is reclaimed
+    cannot claim the task ahead of its backoff or quarantine record."""
+    queue = DurableQueue(
+        create_campaign("race", _double, [1, 2], root=tmp_path)
+    )
+    assert queue.try_claim(0, "dead-worker")
+    claimed = []
+    record_failure = queue.record_failure
+
+    def claim_then_record(task, *args, **kwargs):
+        claimed.append(queue.try_claim(task, "scanning-worker"))
+        return record_failure(task, *args, **kwargs)
+
+    monkeypatch.setattr(queue, "record_failure", claim_then_record)
+    assert queue.reclaim(0, "worker-death") == 1
+    assert claimed == [False]
+    assert queue.read_lease(0) is None

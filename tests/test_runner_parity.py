@@ -9,7 +9,9 @@ canonical snapshot must be bitwise-identical
 * on a warm artifact cache.
 
 All three evaluations share one module-scoped cache directory, so
-this module also exercises cross-process cache reuse end to end.
+this module also exercises cross-process cache reuse end to end.  The
+serial runs also carry the verdicts of every paper-shape claim that
+holds at golden scale, and each must pass.
 """
 
 from __future__ import annotations
@@ -75,6 +77,16 @@ def test_matches_committed_golden(serial_runs, name):
     )
 
 
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_golden_scale_claims_hold(serial_runs, name):
+    verdicts = serial_runs[name].verdicts
+    assert [text for text, _ in verdicts] == [
+        c.text for c in EXPERIMENTS[name].claims if c.golden
+    ]
+    failed = [text for text, passed in verdicts if not passed]
+    assert not failed, f"{name}: claims failed at golden scale: {failed}"
+
+
 def test_parallel_run_is_bitwise_identical(serial_runs, cache_dir):
     configure_cache(cache_dir)
     parallel = run_all(jobs=JOBS, golden=True)
@@ -83,6 +95,7 @@ def test_parallel_run_is_bitwise_identical(serial_runs, cache_dir):
         assert canonical_json(parallel[name].snapshot) == canonical_json(
             serial_runs[name].snapshot
         ), f"{name}: --jobs {JOBS} diverged from serial"
+        assert parallel[name].verdicts == serial_runs[name].verdicts
 
 
 def test_warm_cache_run_is_bitwise_identical(serial_runs, cache_dir):

@@ -3,7 +3,15 @@ per-scenario wall-clock timeouts, quarantine of poison scenarios."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.errors import VerificationError
 from repro.runner.queue import ChaosSpec
@@ -16,6 +24,26 @@ from repro.verify.chaos import (
 )
 
 BUDGET = 6  # tiny but covers every family slice at least once
+
+#: Arms the task alarm 1-40 ms into a warmed check of the seed-3
+#: ``diamond`` scenario, whose served-vs-direct and routed-vs-direct
+#: stages run asyncio loops (about 25 ms per check).
+_ALARM_SWEEP = textwrap.dedent("""
+    from repro.verify.differential import check_scenario
+    from repro.verify.fuzz import TaskTimeout, _alarm, make_scenarios
+
+    scenario = make_scenarios(2, seed=3)[1]
+    assert set(scenario.stages) == {"served-vs-direct", "routed-vs-direct"}
+    check_scenario(scenario)
+    for ms in range(1, 41):
+        try:
+            with _alarm(ms / 1000):
+                outcome = check_scenario(scenario)
+        except TaskTimeout:
+            continue
+        assert outcome.status == "ok", outcome
+    print("swept")
+""")
 
 
 class TestTaskTimeout:
@@ -50,6 +78,19 @@ class TestTaskTimeout:
             # replays clean.
             case = load_case(failure.case_path)
             assert case.scenario.fault is None
+
+    def test_alarm_at_any_offset_into_served_check_returns(self):
+        """Wherever the alarm lands in an asyncio-driven check, the
+        check returns: a timeout that asyncio parks in a background
+        task, or that a finalizer swallows, is raised again."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", _ALARM_SWEEP],
+            capture_output=True, text=True, timeout=90,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "swept"
 
     def test_timeout_none_means_no_alarm(self):
         report = fuzz(2, seed=4, jobs=1, write_artifacts=False)
