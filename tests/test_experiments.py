@@ -1,9 +1,10 @@
 """Smoke + shape tests for the per-figure experiment drivers.
 
-Each driver runs at a reduced scale here.  The paper's shape claims
-are checked on the registry's runs instead (``ExperimentSpec.claims``,
-asserted by ``tests/test_runner_parity.py``); these tests cover the
-rest of each driver's behaviour, not absolute values.
+Each driver runs at a reduced scale here.  Most of the paper's shape
+claims are checked on the registry's runs instead
+(``ExperimentSpec.claims``, asserted by ``tests/test_runner_parity.py``);
+these tests cover the rest of each driver's behaviour, not absolute
+values.
 """
 
 import pytest
@@ -129,6 +130,14 @@ class TestFig11Fig12:
         return fig11_dse.run(
             workload_names=("tretail", "bp_200"), scale=SMALL
         )
+
+    def test_depth3_wins_edp(self, experiment):
+        assert experiment.summary.min_edp.config.depth >= 2
+
+    def test_depth_trend_monotone_latency(self, experiment):
+        trend = fig11_dse.depth_trend(experiment)
+        lats = [row[1] for row in trend]
+        assert lats[-1] < lats[0]
 
     def test_render(self, experiment):
         out = fig11_dse.render(experiment)
