@@ -30,7 +30,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro.runner.cache import cached_compile, cached_plan  # noqa: E402
+from repro.runner.cache import cached_compile, cached_fused_plan  # noqa: E402
 from repro.serve import ProgramSpec  # noqa: E402
 from repro.sim import BatchSimulator  # noqa: E402
 from repro.workloads import build_workload  # noqa: E402
@@ -39,7 +39,7 @@ from repro.workloads import build_workload  # noqa: E402
 def measure(name: str, scale: float, batch: int, pad: int, repeat: int):
     spec = ProgramSpec(name=name, scale=scale)
     dag = build_workload(name, scale=scale)
-    plan = cached_plan(cached_compile(dag, spec.config()))
+    plan = cached_fused_plan(cached_compile(dag, spec.config()))
     sim = BatchSimulator(plan)
     rng = np.random.default_rng(0)
     # Rows live padded inside a Fortran-ordered tenant buffer: every

@@ -119,7 +119,7 @@ def bench_workload(label, build, args) -> dict:
     matrix = rng.uniform(0.9, 1.1, size=(args.batch, dag.num_inputs))
 
     sim = BatchSimulator(plan)
-    fused = sim._fused
+    fused = sim.plan
     _check_parity(sim, plan, matrix, label)
 
     record: dict = {

@@ -279,10 +279,11 @@ def _run_batched(args, dag: DAG, config, result, ops: int) -> int:
     """``run --batch N``: plan once, sweep N rows, spot-check golden."""
     import numpy as np
 
-    from .runner.cache import cached_plan
+    from .runner.cache import cached_fused_plan
     from .sim import BatchSimulator, batch_perf_report
 
-    plan = cached_plan(result)  # phase 1: verified lowering (memoized)
+    # Phase 1: verified lowering + fusion (memoized as one artifact).
+    plan = cached_fused_plan(result)
     rng = np.random.default_rng(args.seed)
     matrix = rng.uniform(0.9, 1.1, size=(args.batch, dag.num_inputs))
     batch = BatchSimulator(plan).run(matrix)  # phase 2: fused sweep

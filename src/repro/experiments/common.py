@@ -9,7 +9,7 @@ import numpy as np
 from ..arch import ArchConfig, Interconnect, Topology
 from ..compiler import CompileResult
 from ..graphs import DAG
-from ..runner.cache import cached_compile, cached_fused_plan, cached_plan
+from ..runner.cache import cached_compile, cached_fused_plan
 from ..sim.activity import count_activity
 from ..sim.batch import BatchResult, BatchSimulator
 from ..sim.energy import EnergyReport, energy_of_run
@@ -51,9 +51,9 @@ def measure(
     Static activity is exact for this architecture (execution is fully
     data-independent), so the per-inference perf/energy numbers never
     require value-level simulation.  With ``batch > 0`` the compiled
-    program is additionally lowered to a verified
-    :class:`~repro.sim.plan.ExecutionPlan` and a ``(batch, inputs)``
-    random matrix is executed through the fused batch engine, attaching
+    program's :class:`~repro.sim.fused.FusedPlan` (lowered, verified
+    and fused, or loaded from the artifact cache) executes a ``(batch,
+    inputs)`` random matrix on the batch engine, attaching
     the :class:`~repro.sim.batch.BatchResult` — this is how the
     throughput experiments actually exercise the production path.  The
     matrix runs twice and the second, steady run is reported: the
@@ -72,11 +72,9 @@ def measure(
     )
     batch_result = None
     if batch > 0:
-        plan = cached_plan(result, interconnect)
         rng = np.random.default_rng(seed)
         matrix = rng.uniform(0.9, 1.1, size=(batch, dag.num_inputs))
-        fused = cached_fused_plan(result, interconnect)
-        sim = BatchSimulator(plan, fused_plan=fused)
+        sim = BatchSimulator(cached_fused_plan(result, interconnect))
         sim.run(matrix)
         batch_result = sim.run(matrix)
     return Measurement(

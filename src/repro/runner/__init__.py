@@ -5,8 +5,8 @@ The runner subsystem makes the full evaluation cheap to repeat:
 * :mod:`repro.runner.fingerprint` — permutation-invariant content
   addresses for DAG/config/compile invocations;
 * :mod:`repro.runner.cache` — on-disk artifact cache memoizing
-  compiled programs and lowered execution plans across processes and
-  invocations (``cached_compile`` / ``cached_plan``);
+  compiled programs and fused plans across processes and invocations
+  (``cached_compile`` / ``cached_fused_plan``);
 * :mod:`repro.runner.orchestrator` — deterministic fan-out
   (``parallel_map``, ``fan_out``): inline at ``jobs=1``, otherwise a
   campaign on the durable queue (anonymous in a temporary directory,
@@ -28,7 +28,7 @@ from .cache import (
     ArtifactCache,
     NullCache,
     cached_compile,
-    cached_plan,
+    cached_fused_plan,
     configure_cache,
     get_cache,
 )
@@ -83,7 +83,7 @@ __all__ = [
     "NullCache",
     "DEFAULT_CACHE_DIR",
     "cached_compile",
-    "cached_plan",
+    "cached_fused_plan",
     "configure_cache",
     "get_cache",
     "COMPILER_CACHE_VERSION",

@@ -5,26 +5,25 @@ processes and invocations:
 
 * ``compile_dag`` results (:class:`~repro.compiler.CompileResult`),
   keyed by :func:`repro.runner.fingerprint.compile_key`;
-* lowered :class:`~repro.sim.plan.ExecutionPlan` artifacts, keyed per
-  interconnect topology on top of the compile key.
+* fused plans (:class:`~repro.sim.fused.FusedPlan`), the one
+  artifact a batch or a served program runs from, keyed per
+  interconnect topology on top of the compile key.  The
+  :class:`~repro.sim.plan.ExecutionPlan` a fused plan is made from is
+  lowered (and verified) on a miss and not stored.
 
-Artifacts land under ``<dir>/<k[:2]>/`` via an atomic tmp-file
-(fsync'd before the rename, so a power cut cannot promote unwritten
-data) + :func:`os.replace`, so concurrent workers racing on the same
-key at worst redo the work — they never observe a torn file, even
-when a writer is SIGKILLed between its tmp write and the rename (the
-orphaned tmp is swept by the next ``prune``/``clear`` once stale).  Lowered
-:class:`~repro.sim.plan.ExecutionPlan` payloads are stored as dense
-checksummed binary images (``<key>.img``, :mod:`repro.runner.
-imageio`) — smaller than the pickles they replace and loadable
-through ``mmap`` with zero-copy index arrays, which is how the serve
-plan pool reads them; every other payload is pickled to ``<key>.pkl``
-with an explicitly pinned protocol (5), so shards on different Python
-versions sharing one cache directory always read each other's
-entries.  A corrupted or truncated artifact of either kind is treated
-as a miss (and unlinked), never an error: the cache must always be
-safe to delete, truncate or share.  The directory is designed to be hammered by many processes at
-once (the serving layer makes cross-process races routine):
+Artifacts land under ``<dir>/<k[:2]>/<key>.pkl`` via an atomic
+tmp-file (fsync'd before the rename, so a power cut cannot promote
+unwritten data) + :func:`os.replace`, so concurrent workers racing on
+the same key at worst redo the work — they never observe a torn file,
+even when a writer is SIGKILLed between its tmp write and the rename
+(the orphaned tmp is swept by the next ``prune``/``clear`` once
+stale).  Payloads are pickled with an explicitly pinned protocol (5),
+so shards on different Python versions sharing one cache directory
+always read each other's entries.  A corrupted or truncated artifact
+is treated as a miss (and unlinked), never an error: the cache must
+always be safe to delete, truncate or share.  The directory is
+designed to be hammered by many processes at once (the serving layer
+makes cross-process races routine):
 ``prune``/``clear`` serialize against each other through an advisory
 :mod:`fcntl` lock and tolerate entries vanishing mid-scan, while
 readers racing maintenance see at worst a miss.
@@ -99,20 +98,16 @@ class NullCache:
 
 
 class ArtifactCache:
-    """Content-addressed artifact store under one directory.
-
-    Plans are stored as binary images (``.img``), everything else as
-    pickles (``.pkl``); ``get`` transparently resolves whichever kind
-    the key was written as.
-    """
+    """Content-addressed store of pickled artifacts under one
+    directory."""
 
     def __init__(self, directory: str | os.PathLike) -> None:
         self.directory = Path(directory)
         self.hits = 0
         self.misses = 0
 
-    def path_for(self, key: str, suffix: str = ".pkl") -> Path:
-        return self.directory / key[:2] / f"{key}{suffix}"
+    def path_for(self, key: str) -> Path:
+        return self.directory / key[:2] / f"{key}.pkl"
 
     def _touch(self, path: Path) -> None:
         """Best-effort read-recency marker for the LRU prune.
@@ -129,24 +124,6 @@ class ArtifactCache:
 
     def get(self, key: str):
         """Load a payload, treating any malformed artifact as a miss."""
-        img_path = self.path_for(key, ".img")
-        if img_path.exists():
-            from .imageio import read_plan_image
-
-            try:
-                payload = read_plan_image(img_path, use_mmap=True)
-            except Exception:
-                # Bad magic/version/checksum or undecodable payload:
-                # drop the image and fall through to the pickle (then
-                # a miss).
-                try:
-                    img_path.unlink()
-                except OSError:
-                    pass
-            else:
-                self.hits += 1
-                self._touch(img_path)
-                return payload
         path = self.path_for(key)
         try:
             with open(path, "rb") as fh:
@@ -169,17 +146,7 @@ class ArtifactCache:
 
     def put(self, key: str, payload) -> None:
         """Atomically persist a payload; IO failures are non-fatal."""
-        from ..sim.plan import ExecutionPlan
-        from .imageio import dump_plan
-
-        if isinstance(payload, ExecutionPlan):
-            path = self.path_for(key, ".img")
-            writer = lambda fh: fh.write(dump_plan(payload))  # noqa: E731
-        else:
-            path = self.path_for(key)
-            writer = lambda fh: pickle.dump(  # noqa: E731
-                payload, fh, protocol=_PICKLE_PROTOCOL
-            )
+        path = self.path_for(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(
@@ -187,7 +154,7 @@ class ArtifactCache:
             )
             try:
                 with os.fdopen(fd, "wb") as fh:
-                    writer(fh)
+                    pickle.dump(payload, fh, protocol=_PICKLE_PROTOCOL)
                     # Flush to stable storage BEFORE the rename: on a
                     # power cut the rename may survive while the data
                     # does not, leaving a renamed-but-empty artifact —
@@ -209,11 +176,18 @@ class ArtifactCache:
 
     # -- maintenance ---------------------------------------------------
     def entries(self) -> list[Path]:
+        """Every file in the two-character shard directories
+        (``<k[:2]>/``) except in-flight ``.tmp`` files, whatever its
+        suffix, so files an earlier cache layout wrote are still counted
+        and reclaimed.  Nothing outside the shards is an entry: not the
+        maintenance lock, nor the native-kernel builds under
+        ``native/``."""
         if not self.directory.is_dir():
             return []
         return sorted(
-            list(self.directory.glob("*/*.pkl"))
-            + list(self.directory.glob("*/*.img"))
+            path
+            for path in self.directory.glob("??/*")
+            if not path.name.startswith(".")
         )
 
     @staticmethod
@@ -397,7 +371,7 @@ def adopt_cache_env(env: dict[str, str]) -> None:
 
 
 # ---------------------------------------------------------------------
-# Memoized compile + plan lowering
+# Memoized compile + fused plan
 # ---------------------------------------------------------------------
 def cached_compile(
     dag: DAG,
@@ -475,56 +449,32 @@ def cached_compile(
     return result
 
 
-def cached_plan(
-    result: CompileResult,
-    interconnect: Interconnect | None = None,
-    cache: ArtifactCache | NullCache | None = None,
-):
-    """Memoized :meth:`CompileResult.plan` lowering.
-
-    Falls back to a live lowering when the result did not come through
-    :func:`cached_compile` (no ``cache_key``) or caching is off.
-    """
-    cache = cache if cache is not None else get_cache()
-    base_key = getattr(result, "cache_key", None)
-    if isinstance(cache, NullCache) or base_key is None:
-        return result.plan(interconnect)
-    topology = (
-        DEFAULT_TOPOLOGY if interconnect is None else interconnect.topology
-    )
-    key = plan_key(base_key, topology)
-    plan = cache.get(key)
-    if plan is None:
-        plan = result.plan(interconnect)
-        cache.put(key, plan)
-    return plan
-
-
 def cached_fused_plan(
     result: CompileResult,
     interconnect: Interconnect | None = None,
     cache: ArtifactCache | NullCache | None = None,
 ):
-    """Memoized super-op fusion (:func:`repro.sim.fused.fuse_plan`) of
-    a compilation's lowered plan.
+    """The compilation's :class:`~repro.sim.fused.FusedPlan`, memoized
+    through the artifact cache: the one place a fused plan is loaded.
 
-    Layered on :func:`cached_plan`: a warm cache serves the fused form
-    directly without re-lowering or re-fusing; a cold one lowers,
-    fuses and stores both artifacts.  Falls back to a live fusion when
-    caching is off or the result has no ``cache_key``.
+    A warm cache serves the fused plan without lowering or fusing; a
+    miss lowers (verifying the program), fuses and stores the fused
+    plan only.  Falls back to a live lowering and fusion when caching
+    is off or the result has no ``cache_key`` (it did not come through
+    :func:`cached_compile`).
     """
     from ..sim.fused import fuse_plan  # local: sim must not be a hard dep here
 
     cache = cache if cache is not None else get_cache()
     base_key = getattr(result, "cache_key", None)
     if isinstance(cache, NullCache) or base_key is None:
-        return fuse_plan(cached_plan(result, interconnect, cache))
+        return fuse_plan(result.plan(interconnect))
     topology = (
         DEFAULT_TOPOLOGY if interconnect is None else interconnect.topology
     )
     key = fused_key(plan_key(base_key, topology))
     fused = cache.get(key)
     if fused is None:
-        fused = fuse_plan(cached_plan(result, interconnect, cache))
+        fused = fuse_plan(result.plan(interconnect))
         cache.put(key, fused)
     return fused

@@ -144,8 +144,10 @@ def compile_key(
 
 
 def plan_key(base_key: str, topology: Topology) -> str:
-    """Cache key for an :class:`~repro.sim.plan.ExecutionPlan` lowered
-    from the compilation identified by ``base_key``."""
+    """Identity of the :class:`~repro.sim.plan.ExecutionPlan` lowered
+    from the compilation identified by ``base_key``: the base of the
+    fused plan's cache key (:func:`fused_key`); the lowered plan
+    itself is not stored."""
     return _h(b"plan", base_key.encode(), topology.value.encode()).hex()
 
 

@@ -1,29 +1,20 @@
-"""Dense binary artifact images for compiled programs and plans.
+"""Dense binary images of compiled programs.
 
-Pickles are convenient but fragile (Python-version coupled) and bulky
-(per-array headers, framing).  This module serializes the two artifact
-kinds the cache stores — compiled :class:`~repro.arch.Program` objects
-and lowered :class:`~repro.sim.plan.ExecutionPlan` objects — as dense
-little-endian binary images:
+This module serializes a compiled :class:`~repro.arch.Program` as a
+dense little-endian binary image built around its fig. 7 bitstream:
 
 ``header | section table | aligned section data``
 
 * **Header** (32 bytes): magic ``RIMG``, format version, artifact
   kind, section count, payload length and a BLAKE2b-64 checksum of the
   payload (table + data).  A failed checksum, bad magic or truncation
-  raises :class:`~repro.errors.ImageError` — the cache maps that to a
-  miss, exactly like a torn pickle.
+  raises :class:`~repro.errors.ImageError`, so a corrupt image is
+  never decoded.
 * **Section table**: 32 bytes per section — an 8-byte ASCII tag, file
   offset, byte length and a dtype code.
 * **Sections**: a compact JSON metadata blob, raw byte blobs (the
-  packed instruction bitstream) and numpy array payloads.  Array
-  sections are 64-byte aligned so a reader can map the file with
-  :mod:`mmap` and expose every array as a **zero-copy**
-  ``np.frombuffer`` view — the serve plan pool loads plans this way.
-
-Plan images pool every ``int32`` index array into one section; the
-metadata records only each array's length, in a fixed traversal order,
-so reconstruction is a cursor walk over one buffer.
+  packed instruction bitstream) and numpy array payloads, each 64-byte
+  aligned and read back as an ``np.frombuffer`` view.
 
 Program images store the *encoded bitstream itself* (the fig. 7
 variable-length binary) plus the compiler-only sidecars the hardware
@@ -41,7 +32,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import mmap
 import struct
 from pathlib import Path
 
@@ -66,12 +56,9 @@ from ..arch import (
     instruction_widths,
 )
 from ..errors import ImageError
-from ..sim.functional import ActivityCounters
-from ..sim.plan import ComputeStep, ExecutionPlan, MoveStep
 
 MAGIC = b"RIMG"
 IMAGE_VERSION = 1
-KIND_PLAN = 1
 KIND_PROGRAM = 2
 
 _HEADER = struct.Struct("<4sHHIQQ4x")  # magic ver kind nsect paylen cksum
@@ -87,12 +74,6 @@ _DTYPES: dict[int, np.dtype | None] = {
     4: np.dtype("u1"),
 }
 _DTYPE_CODE = {dt: code for code, dt in _DTYPES.items() if dt is not None}
-
-#: Fixed field order of a ComputeStep's index arrays.
-_COMPUTE_FIELDS = (
-    "add_out", "add_a", "add_b", "mul_out", "mul_a", "mul_b",
-    "mov_out", "mov_src",
-)
 
 
 def _checksum(payload) -> int:
@@ -146,11 +127,11 @@ class _Builder:
 
 
 class Image:
-    """Parsed image over a bytes-like buffer (``bytes`` or ``mmap``).
+    """Parsed image over a bytes-like buffer.
 
     Array sections come back as ``np.frombuffer`` views into the
-    buffer — no copy; the arrays keep the buffer (and any underlying
-    mmap) alive through their ``base`` chain.
+    buffer — no copy; the arrays keep the buffer alive through their
+    ``base`` chain.
     """
 
     def __init__(self, buf) -> None:
@@ -211,160 +192,22 @@ class Image:
                              count=length // dt.itemsize, offset=offset)
 
 
-def open_image(path: str | Path, use_mmap: bool = True) -> Image:
-    """Open an image file, optionally via ``mmap`` (zero-copy arrays).
+def open_image(path: str | Path) -> Image:
+    """Read and parse an image file.
 
     Raises:
-        ImageError: Malformed image (also wraps I/O and empty-file
-            mapping failures, so callers need one except clause).
+        ImageError: Malformed image (also wraps I/O failures, so
+            callers need one except clause).
     """
     try:
-        if use_mmap:
-            with open(path, "rb") as fh:
-                buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-            return Image(buf)
-        return Image(Path(path).read_bytes())
-    except ImageError:
-        raise
-    except (OSError, ValueError) as exc:
+        data = Path(path).read_bytes()
+    except OSError as exc:
         raise ImageError(f"cannot open image {path}: {exc}") from exc
+    return Image(data)
 
 
 def _config_dict(config: ArchConfig) -> dict:
     return dataclasses.asdict(config)
-
-
-# ---------------------------------------------------------------------
-# ExecutionPlan images
-# ---------------------------------------------------------------------
-def _plan_arrays(plan: ExecutionPlan):
-    """The plan's int32 arrays, in the image's fixed traversal order."""
-    yield plan.input_cells
-    yield plan.input_slots
-    yield plan.output_cells
-    for step in plan.steps:
-        if isinstance(step, MoveStep):
-            yield step.src
-            yield step.dst
-        else:
-            for name in _COMPUTE_FIELDS:
-                yield getattr(step, name)
-
-
-def dump_plan(plan: ExecutionPlan) -> bytes:
-    """Serialize a lowered plan as one image blob."""
-    steps_meta = []
-    for step in plan.steps:
-        if isinstance(step, MoveStep):
-            steps_meta.append(["m", int(step.src.size), int(step.dst.size)])
-        else:
-            steps_meta.append(
-                ["c"] + [int(getattr(step, n).size) for n in _COMPUTE_FIELDS]
-            )
-    meta = {
-        "config": _config_dict(plan.config),
-        "source_name": plan.source_name,
-        "num_instructions": plan.num_instructions,
-        "num_inputs": plan.num_inputs,
-        "state_size": plan.state_size,
-        "output_vars": [int(v) for v in plan.output_vars],
-        "counters": dataclasses.asdict(plan.counters),
-        "peak_occupancy": [int(v) for v in plan.peak_occupancy],
-        "lead": [
-            int(plan.input_cells.size),
-            int(plan.input_slots.size),
-            int(plan.output_cells.size),
-        ],
-        "steps": steps_meta,
-    }
-    arrays = list(_plan_arrays(plan))
-    pool = (
-        np.concatenate([np.asarray(a, dtype="<i4") for a in arrays])
-        if arrays else np.empty(0, dtype="<i4")
-    )
-    builder = _Builder(KIND_PLAN)
-    builder.add_json("meta", meta)
-    builder.add_array("i32", pool)
-    return builder.tobytes()
-
-
-def load_plan(source: bytes | Image) -> ExecutionPlan:
-    """Rebuild a plan from an image; arrays are views into the buffer.
-
-    Raises:
-        ImageError: Malformed/corrupt image or inconsistent metadata.
-    """
-    img = source if isinstance(source, Image) else Image(source)
-    if img.kind != KIND_PLAN:
-        raise ImageError(f"not a plan image (kind {img.kind})")
-    meta = img.json("meta")
-    pool = img.array("i32")
-    cursor = 0
-
-    def take(n: int) -> np.ndarray:
-        nonlocal cursor
-        if cursor + n > pool.size:
-            raise ImageError("plan image array pool underrun")
-        out = pool[cursor:cursor + n]
-        cursor += n
-        return out
-
-    try:
-        config = ArchConfig(**meta["config"])
-        counters = ActivityCounters(**meta["counters"])
-        n_in_cells, n_in_slots, n_out_cells = (
-            int(n) for n in meta["lead"]
-        )
-        input_cells = take(n_in_cells)
-        input_slots = take(n_in_slots)
-        output_cells = take(n_out_cells)
-        steps = []
-        for rec in meta["steps"]:
-            if rec[0] == "m":
-                src = take(int(rec[1]))
-                steps.append(MoveStep(src=src, dst=take(int(rec[2]))))
-            elif rec[0] == "c":
-                parts = [take(int(n)) for n in rec[1:]]
-                steps.append(
-                    ComputeStep(**dict(zip(_COMPUTE_FIELDS, parts)))
-                )
-            else:
-                raise ImageError(f"unknown step kind {rec[0]!r}")
-        plan = ExecutionPlan(
-            config=config,
-            source_name=meta["source_name"],
-            num_instructions=int(meta["num_instructions"]),
-            num_inputs=int(meta["num_inputs"]),
-            state_size=int(meta["state_size"]),
-            input_cells=input_cells,
-            input_slots=input_slots,
-            steps=tuple(steps),
-            output_vars=tuple(int(v) for v in meta["output_vars"]),
-            output_cells=output_cells,
-            counters=counters,
-            peak_occupancy=[int(v) for v in meta["peak_occupancy"]],
-        )
-    except ImageError:
-        raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ImageError(f"malformed plan metadata: {exc}") from exc
-    if cursor != pool.size:
-        raise ImageError(
-            f"plan image pool has {pool.size - cursor} unconsumed entries"
-        )
-    return plan
-
-
-def write_plan_image(path: str | Path, plan: ExecutionPlan) -> Path:
-    path = Path(path)
-    path.write_bytes(dump_plan(plan))
-    return path
-
-
-def read_plan_image(path: str | Path, use_mmap: bool = True) -> ExecutionPlan:
-    """Load a plan image from disk; with ``use_mmap`` the plan's index
-    arrays are read-only zero-copy views over the mapped file."""
-    return load_plan(open_image(path, use_mmap=use_mmap))
 
 
 # ---------------------------------------------------------------------
@@ -649,6 +492,6 @@ def write_program_image(
 
 
 def read_program_image(
-    path: str | Path, use_mmap: bool = False
+    path: str | Path,
 ) -> tuple[Program, list[dict[int, int]]]:
-    return load_program(open_image(path, use_mmap=use_mmap))
+    return load_program(open_image(path))

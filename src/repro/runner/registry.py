@@ -14,7 +14,9 @@ numbers across refactors.
 
 ``golden_kwargs`` are the reduced-scale parameters the regression
 tests (and ``tests/make_goldens.py``) use; ``repro all`` runs the
-specs at their papers'-scale defaults instead.
+specs at their papers'-scale defaults instead.  A spec with a
+``source`` has no kwargs of its own: it derives its result from its
+source's, and a run of both runs the source once.
 
 Each spec also carries the paper's shape claims about its result as
 :class:`Claim` checks, and each run carries the verdicts of the claims
@@ -74,6 +76,10 @@ class ExperimentSpec:
     golden_kwargs: dict = field(default_factory=dict)
     default_kwargs: dict = field(default_factory=dict)
     claims: tuple[Claim, ...] = ()
+    #: Name of the spec whose result this one is derived from: ``run``
+    #: takes that result instead of kwargs, and the two share one run
+    #: of the source, in one worker.
+    source: str | None = None
 
 
 @dataclass(frozen=True)
@@ -509,10 +515,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             run=fig12_edp_curves.run,
             render=fig12_edp_curves.render,
             snapshot=_snap_fig12,
-            golden_kwargs={
-                "workload_names": ("tretail", "bp_200"),
-                "scale": _GOLDEN_SCALE,
-            },
+            source="fig11_dse",
             claims=(
                 Claim("latency spreads more than energy across the grid",
                       lambda c: c.latency_spread > c.energy_spread,
@@ -686,23 +689,41 @@ def canonical_json(snapshot: dict) -> str:
 def run_experiment(name: str, golden: bool = False) -> ExperimentRun:
     """Run one registered experiment, package the artifacts and judge
     the claims that apply at this scale."""
-    spec = EXPERIMENTS[name]
-    kwargs = spec.golden_kwargs if golden else spec.default_kwargs
-    result = spec.run(**kwargs)
-    return ExperimentRun(
-        name=name,
-        rendered=spec.render(result),
-        snapshot=spec.snapshot(result),
-        verdicts=tuple(
-            (claim.text, bool(claim.holds(result)))
-            for claim in spec.claims
-            if claim.golden or not golden
-        ),
-    )
+    return _run_group(((name,), golden))[0]
 
 
-def _run_task(task: tuple[str, bool]) -> ExperimentRun:
-    return run_experiment(*task)
+def _run_group(task: tuple[tuple[str, ...], bool]) -> list[ExperimentRun]:
+    """Run experiments in one process, each source experiment once
+    however many of them derive from it."""
+    names, golden = task
+    results: dict[str, object] = {}
+
+    def result_of(name: str):
+        if name not in results:
+            spec = EXPERIMENTS[name]
+            if spec.source is not None:
+                results[name] = spec.run(result_of(spec.source))
+            else:
+                kwargs = spec.golden_kwargs if golden else spec.default_kwargs
+                results[name] = spec.run(**kwargs)
+        return results[name]
+
+    runs = []
+    for name in names:
+        spec, result = EXPERIMENTS[name], result_of(name)
+        runs.append(
+            ExperimentRun(
+                name=name,
+                rendered=spec.render(result),
+                snapshot=spec.snapshot(result),
+                verdicts=tuple(
+                    (claim.text, bool(claim.holds(result)))
+                    for claim in spec.claims
+                    if claim.golden or not golden
+                ),
+            )
+        )
+    return runs
 
 
 def run_all(
@@ -713,18 +734,24 @@ def run_all(
 ) -> dict[str, ExperimentRun]:
     """Fan the selected experiments out over worker processes.
 
-    Results come back keyed by experiment name in registry order —
-    deterministic regardless of worker scheduling.
+    An experiment runs in the same task as its ``source``, so a
+    selection holding both runs the source once.  Results come back
+    keyed by experiment name in selection order — deterministic
+    regardless of worker scheduling.
     """
     selected = names if names is not None else experiment_names()
     unknown = [n for n in selected if n not in EXPERIMENTS]
     if unknown:
         raise KeyError(f"unknown experiments: {unknown}")
+    groups: dict[str, list[str]] = {}
+    for name in selected:
+        groups.setdefault(EXPERIMENTS[name].source or name, []).append(name)
     runs = parallel_map(
-        _run_task,
-        [(n, golden) for n in selected],
+        _run_group,
+        [(tuple(group), golden) for group in groups.values()],
         jobs=jobs,
         progress=progress,
         desc="experiments",
     )
-    return {run.name: run for run in runs}
+    by_name = {run.name: run for group in runs for run in group}
+    return {name: by_name[name] for name in selected}

@@ -1,16 +1,17 @@
-"""Warm pool of served programs: fingerprint-keyed lowered plans.
+"""Warm pool of served programs: fingerprint-keyed fused plans.
 
 A serving process must never compile on the request path twice for the
 same program.  :class:`PlanPool` memoizes :class:`ServedProgram`
-entries — a compiled + lowered, ready-to-execute program — keyed by
+entries — a compiled + fused, ready-to-execute program — keyed by
 the *content* identity :func:`repro.runner.fingerprint.dag_fingerprint`
 (plus config/seed), so two registrations of structurally identical
 DAGs under different names share one plan.  A miss compiles through
 the content-addressed artifact cache (:func:`repro.runner.cache.
-cached_compile` / :func:`cached_plan`), which means
+cached_compile` / :func:`~repro.runner.cache.cached_fused_plan`),
+which means
 
 * a cold *process* with a warm *disk cache* registers programs in
-  milliseconds (pickle load, no compile);
+  milliseconds (two pickle loads, no compile, lowering or fusion);
 * worker processes resolving the same :class:`ProgramSpec` hit the
   same on-disk artifacts the parent just wrote — each worker compiles
   nothing and loads each plan at most once (its own in-memory pool
@@ -35,7 +36,7 @@ from ..errors import ServeError
 from ..graphs import DAG, OpType, from_json
 from ..obs import trace
 from ..obs.metrics import get_registry
-from ..runner.cache import cached_compile, cached_fused_plan, cached_plan
+from ..runner.cache import cached_compile, cached_fused_plan
 from ..runner.fingerprint import config_fingerprint, dag_fingerprint
 from ..sim import BatchSimulator
 from ..workloads import DEFAULT_SCALE, SynthParams, build_workload
@@ -146,12 +147,12 @@ class ServedProgram:
         return [node for node, _ in self.sink_vars]
 
 
-def _plan_executor(plan, sink_vars, fused_plan=None):
-    """Serve through one ExecutionPlan on the fused batch engine."""
-    # One simulator per served program: its slot-sort/dense-check
-    # precompute and per-batch-width bound sweeps run once here, not
-    # per dispatched micro-batch.
-    sim = BatchSimulator(plan, fused_plan=fused_plan)
+def _plan_executor(plan, sink_vars):
+    """Serve through one fused plan (an execution plan is fused on the
+    spot) on the batch engine."""
+    # One simulator per served program: its per-batch-width bound
+    # sweeps are built here and reused, not per dispatched micro-batch.
+    sim = BatchSimulator(plan)
 
     def execute(rows: Sequence[np.ndarray]) -> dict[int, np.ndarray]:
         result = sim.run_rows(rows)
@@ -170,7 +171,7 @@ def _plan_executor(plan, sink_vars, fused_plan=None):
 
 
 def build_served_program(spec: ProgramSpec) -> ServedProgram:
-    """Compile/lower one spec into a ready-to-serve program.
+    """Compile and fuse one spec into a ready-to-serve program.
 
     Goes through the content-addressed artifact cache, so repeated
     builds of the same content (across processes, restarts, workers)
@@ -185,20 +186,17 @@ def build_served_program(spec: ProgramSpec) -> ServedProgram:
             f"program {spec.key!r} has no computable outputs"
         )
     result = cached_compile(dag, config, seed=spec.seed)
-    plan = cached_plan(result)
-    # The fused lowering goes through the artifact cache: a warm disk
-    # cache registers fused programs without re-fusing.
     fused = cached_fused_plan(result)
     sink_vars = tuple((s, result.node_map[s]) for s in sinks)
     return ServedProgram(
         key=spec.key,
         spec=spec,
         fingerprint=fingerprint,
-        num_inputs=plan.num_inputs,
+        num_inputs=fused.num_inputs,
         num_nodes=dag.num_nodes,
-        cycles_per_row=plan.cycles_per_row,
+        cycles_per_row=fused.cycles_per_row,
         sink_vars=sink_vars,
-        _executor=_plan_executor(plan, sink_vars, fused),
+        _executor=_plan_executor(fused, sink_vars),
     )
 
 

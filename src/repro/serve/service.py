@@ -560,8 +560,9 @@ class InferenceService:
 
 
 def program_from_plan(key: str, plan) -> ServedProgram:
-    """Wrap a pre-lowered :class:`~repro.sim.plan.ExecutionPlan` as a
-    served program whose outputs are keyed by the plan's own output
+    """Wrap a :class:`~repro.sim.fused.FusedPlan` (or an
+    :class:`~repro.sim.plan.ExecutionPlan`, fused here) as a served
+    program whose outputs are keyed by the plan's own output
     *variables* (not DAG sinks) — the vocabulary the differential
     oracle compares in."""
     from .planpool import _plan_executor

@@ -1,11 +1,15 @@
 """Phase 2 of the two-phase execution engine: vectorized batch runs.
 
-Executes an :class:`~repro.sim.plan.ExecutionPlan` on a whole
-``(B, num_inputs)`` input matrix in one sweep.  The plan is lowered
-once more into a level-major schedule of ops over a liveness-compacted
-state (:mod:`repro.sim.fused`): the state of all B independent
-inferences is one float64 array, and a sweep runs every op over the
-batch dimension.  This is the library's only batch engine.
+Executes a :class:`~repro.sim.fused.FusedPlan` on a whole ``(B,
+num_inputs)`` input matrix in one sweep.  The fused plan is the
+verified :class:`~repro.sim.plan.ExecutionPlan` lowered once more into
+a level-major schedule of ops over a liveness-compacted state
+(:mod:`repro.sim.fused`): the state of all B independent inferences is
+one float64 array, and a sweep runs every op over the batch dimension.
+It carries the inputs, outputs, counters and occupancy a batch needs,
+so it is the one artifact a batch or a served program runs from (the
+artifact cache stores it, :func:`repro.runner.cache.
+cached_fused_plan`).  This is the library's only batch engine.
 
 The state is tile-major, ``(tiles, cells, width)``.  When at least a
 quarter of a plan's rows are input loads and the batch is at least
@@ -121,19 +125,18 @@ class BatchResult:
 
 
 class BatchSimulator:
-    """Executes a lowered plan over batches of input rows.
+    """Executes a fused plan over batches of input rows.
 
-    Construct from a :class:`~repro.sim.plan.ExecutionPlan` (reusing a
-    verified lowering) or directly from a
-    :class:`~repro.arch.Program` (lowered — and therefore verified —
-    on construction).
+    Construct from a :class:`~repro.sim.fused.FusedPlan` (the cached
+    artifact, :func:`repro.runner.cache.cached_fused_plan`), or from
+    an :class:`~repro.sim.plan.ExecutionPlan` or a
+    :class:`~repro.arch.Program`, which is lowered (and therefore
+    verified) as needed and fused on construction.
 
     Args:
-        plan_or_program: The plan (or program to lower) to execute.
+        plan: The fused plan to execute, or the plan or program to
+            fuse.
         interconnect: Interconnect model for a program lowering.
-        fused_plan: Optional pre-fused plan (e.g. from
-            :func:`repro.runner.cache.cached_fused_plan`) to reuse
-            instead of fusing here.
         engine: Accepted for callers of the former two-engine API;
             only ``"fused"`` and its alias ``"auto"`` are valid.
     """
@@ -143,10 +146,9 @@ class BatchSimulator:
 
     def __init__(
         self,
-        plan_or_program: ExecutionPlan | Program,
+        plan: FusedPlan | ExecutionPlan | Program,
         interconnect: Interconnect | None = None,
         *,
-        fused_plan: FusedPlan | None = None,
         engine: str = "fused",
     ) -> None:
         # Scripts written when a step interpreter was selectable still
@@ -156,22 +158,11 @@ class BatchSimulator:
                 f"unknown engine {engine!r}; the batch engine is 'fused' "
                 "('auto' is accepted as its alias)"
             )
-        if isinstance(plan_or_program, ExecutionPlan):
-            self.plan = plan_or_program
-        else:
-            self.plan = lower_program(
-                plan_or_program, interconnect=interconnect
-            )
-        if fused_plan is None:
-            fused_plan = fuse_plan(self.plan)
-        elif (
-            fused_plan.num_inputs != self.plan.num_inputs
-            or fused_plan.output_vars != self.plan.output_vars
-        ):
-            raise SimulationError(
-                "fused_plan does not match the execution plan"
-            )
-        self._fused = fused_plan
+        if isinstance(plan, Program):
+            plan = lower_program(plan, interconnect=interconnect)
+        if isinstance(plan, ExecutionPlan):
+            plan = fuse_plan(plan)
+        self.plan: FusedPlan = plan
         # Build (or find) the native kernel now, in set-up, not in the
         # first timed run; this raises when no working cc exists.
         native.load()
@@ -273,7 +264,7 @@ class BatchSimulator:
             ):
                 sweep(matrix)
             outputs = dict(
-                zip(plan.output_vars, self._fused.read_outputs(state, batch))
+                zip(plan.output_vars, plan.read_outputs(state, batch))
             )
         finally:
             if lock is not None:
@@ -306,7 +297,7 @@ class BatchSimulator:
             try:
                 entry = self._bound.get(batch)
                 if entry is None:
-                    entry = bind_sweep(self._fused, batch)
+                    entry = bind_sweep(self.plan, batch)
                     while len(self._bound) >= BOUND_SWEEP_CAP:
                         self._bound.pop(next(iter(self._bound)))
                     self._bound[batch] = entry
@@ -314,15 +305,13 @@ class BatchSimulator:
                 self._bound_lock.release()
                 raise
             return (*entry, self._bound_lock)
-        return (*bind_sweep(self._fused, batch), None)
+        return (*bind_sweep(self.plan, batch), None)
 
 
 def run_batch(
-    plan_or_program: ExecutionPlan | Program,
+    plan: FusedPlan | ExecutionPlan | Program,
     inputs: np.ndarray,
     interconnect: Interconnect | None = None,
 ) -> BatchResult:
     """Convenience wrapper: build a BatchSimulator and run once."""
-    return BatchSimulator(plan_or_program, interconnect=interconnect).run(
-        inputs
-    )
+    return BatchSimulator(plan, interconnect=interconnect).run(inputs)

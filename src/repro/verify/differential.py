@@ -49,7 +49,12 @@ from ..arch import ArchConfig, DEFAULT_TOPOLOGY, encode_program
 from ..compiler import CompileResult, compile_dag
 from ..errors import ReproError, SpillError, VerificationError
 from ..graphs import DAG, binarize, validate
-from ..runner.cache import NullCache, cached_compile, cached_plan, get_cache
+from ..runner.cache import (
+    NullCache,
+    cached_compile,
+    cached_fused_plan,
+    get_cache,
+)
 from ..runner.fingerprint import dag_fingerprint
 from ..sim import BatchSimulator, evaluate_dag, run_program
 from ..sim.batch import BatchResult
@@ -337,9 +342,9 @@ def _check_fused(ctx: StageContext, inject: bool) -> Mismatch | None:
 
 
 def _check_image(ctx: StageContext, inject: bool) -> Mismatch | None:
-    """Serialize the compiled program and the execution plan to binary
-    artifact images (:mod:`repro.runner.imageio`), reload both, and
-    demand bitwise identity end to end.
+    """Serialize the compiled program to a binary artifact image
+    (:mod:`repro.runner.imageio`), reload it, and demand bitwise
+    identity end to end.
 
     Three properties are enforced:
 
@@ -349,26 +354,21 @@ def _check_image(ctx: StageContext, inject: bool) -> Mismatch | None:
       drift);
     * **behavioral identity** — the round-tripped program executes on
       the scalar verifying simulator (with address checking against
-      the round-tripped read addresses) to bitwise-equal outputs, and
-      the reloaded plan's batch execution matches the original's
-      outputs and counters bitwise;
+      the round-tripped read addresses) to outputs bitwise equal to
+      the batch's row 0;
     * **corruption rejection** — flipping one payload byte while
       leaving the header checksum stale must make the loader raise
       :class:`~repro.errors.ImageError`; a loader that silently
       accepts a corrupt image is itself the bug.
     """
     from ..errors import ImageError
-    from ..runner.imageio import (
-        dump_plan,
-        dump_program,
-        load_plan,
-        load_program,
-    )
+    from ..runner.imageio import dump_program, load_program
 
     program = ctx.result.program
     read_addrs = ctx.result.allocation.read_addrs
     try:
-        prog2, addrs2 = load_program(dump_program(program, read_addrs))
+        image = dump_program(program, read_addrs)
+        prog2, addrs2 = load_program(image)
     except ReproError as exc:
         return _failed("image-io", exc)
     if addrs2 != read_addrs:
@@ -394,38 +394,17 @@ def _check_image(ctx: StageContext, inject: bool) -> Mismatch | None:
         return _failed("image-roundtrip", exc)
     mismatch = _same_outputs(
         "image-roundtrip", _scalars(sim2.outputs), ctx.batch.outputs, 1,
-        False,
-    )
-    if mismatch is not None:
-        return mismatch
-
-    try:
-        plan_buf = dump_plan(ctx.plan)
-        plan2 = load_plan(plan_buf)
-    except ReproError as exc:
-        return _failed("image-io", exc)
-    try:
-        loaded = BatchSimulator(plan2).run(ctx.matrix)
-    except ReproError as exc:
-        return _failed("image-roundtrip", exc)
-    mismatch = _same_outputs(
-        "image-roundtrip", loaded.outputs, ctx.batch.outputs, ctx.rows,
         inject,
     )
     if mismatch is not None:
         return mismatch
-    if loaded.counters != ctx.batch.counters:
-        return Mismatch(
-            "image-roundtrip",
-            "image-loaded plan counters diverged from the original's",
-        )
 
     # Corruption must be *detected*: flip one payload byte without
     # repatching the checksum and demand the loader refuses it.
-    corrupt = bytearray(plan_buf)
+    corrupt = bytearray(image)
     corrupt[-1] ^= 0xFF  # last payload byte: never in the header
     try:
-        load_plan(bytes(corrupt))
+        load_program(bytes(corrupt))
     except ImageError:
         return None
     return Mismatch(
@@ -476,10 +455,11 @@ def _check_routed(ctx: StageContext, inject: bool) -> Mismatch | None:
 
 def _check_warm(ctx: StageContext, inject: bool) -> Mismatch | None:
     """Recompiling through :func:`repro.runner.cache.cached_compile` /
-    :func:`~repro.runner.cache.cached_plan` (a pickle round-trip
-    through the content-addressed artifact store, exercising the
-    digest-based ``node_map`` translation) reproduces the cold path's
-    outputs and counters bitwise.  Runs only with a cache configured.
+    :func:`~repro.runner.cache.cached_fused_plan` (pickle round-trips
+    of the compile result and of the fused plan through the
+    content-addressed artifact store, exercising the digest-based
+    ``node_map`` translation) reproduces the cold path's outputs and
+    counters bitwise.  Runs only with a cache configured.
 
     Raises:
         VerificationError: ``warm_output`` armed without a cache — the
@@ -508,13 +488,14 @@ def _check_warm(ctx: StageContext, inject: bool) -> Mismatch | None:
     )
     if mismatch is not None:
         return mismatch
-    warm_plan = cached_plan(warm)  # pickle round-trip of the plan
-    warm_batch = BatchSimulator(warm_plan).run(ctx.matrix)
+    # The cold path stored the fused plan: this loads it back.
+    warm_fused = cached_fused_plan(warm)
+    warm_batch = BatchSimulator(warm_fused).run(ctx.matrix)
     mismatch = _same_outputs(
         "warm-vs-cold", warm_batch.outputs, ctx.batch.outputs, ctx.rows,
         inject,
     )
-    if mismatch is None and warm_plan.counters != ctx.plan.counters:
+    if mismatch is None and warm_fused.counters != ctx.plan.counters:
         return Mismatch(
             "warm-vs-cold", "warm plan counters diverged from cold"
         )
@@ -636,13 +617,14 @@ def _run_pipeline(
 
     # ---- verified lowering + analytic counters ----------------------
     try:
-        plan = cached_plan(result) if caching else result.plan()
+        plan = result.plan()
     except ReproError as exc:
         return DiffReport(_failed("lowering", exc))
 
-    # ---- fused batch engine -----------------------------------------
+    # ---- fused batch engine (the fused plan memoized when caching) ---
     try:
-        batch_result = BatchSimulator(plan).run(matrix)
+        fused = cached_fused_plan(result) if caching else plan
+        batch_result = BatchSimulator(fused).run(matrix)
     except ReproError as exc:
         return DiffReport(_failed("batch-execute", exc), plan.cycles_per_row)
     return StageContext(

@@ -151,6 +151,27 @@ class TestFig11Fig12:
         assert curves.front
         assert "Pareto front" in fig12_edp_curves.render(curves)
 
+    def test_fig12_reuses_the_fig11_sweep(self, monkeypatch):
+        """``run_all`` of both figures runs the design-space sweep
+        once: fig. 12 is derived from fig. 11's result."""
+        from repro.runner.registry import run_all
+
+        calls = []
+        real = fig11_dse.run_sweep
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fig11_dse, "run_sweep", counting)
+        runs = run_all(["fig11_dse", "fig12_edp_curves"], jobs=1, golden=True)
+        assert len(calls) == 1
+        assert list(runs) == ["fig11_dse", "fig12_edp_curves"]
+        assert runs["fig12_edp_curves"].snapshot["front"]
+        calls.clear()
+        run_all(["fig12_edp_curves"], jobs=1, golden=True)
+        assert len(calls) == 1  # alone, it runs its source's sweep
+
 
 class TestFig13:
     def test_exec_fraction_positive(self):

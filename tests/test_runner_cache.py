@@ -14,7 +14,7 @@ from repro.runner.cache import (
     NullCache,
     cache_env,
     cached_compile,
-    cached_plan,
+    cached_fused_plan,
     configure_cache,
     get_cache,
 )
@@ -145,7 +145,7 @@ def test_clear_empties_the_store(cache):
 
 def test_maintenance_never_unlinks_the_live_lock_file(cache):
     """Pin the structural guarantee that prune/clear only ever touch
-    ``*/*.pkl`` / ``*/*.img`` entries: the top-level
+    files in the ``<k[:2]>/`` shard directories: the top-level
     ``.maintenance.lock`` another
     process may be flock-ing RIGHT NOW must survive both — unlinking
     it would silently split the advisory lock into two files and
@@ -166,29 +166,40 @@ def test_maintenance_never_unlinks_the_live_lock_file(cache):
 
 
 def test_cached_plan_round_trips_and_executes(cache):
+    """The cached plan is the fused plan: a miss lowers, fuses and
+    stores it, and a hit executes bitwise like a live lowering."""
     import numpy as np
+
+    from repro.sim import FusedPlan
 
     dag = make_random_dag(seed=12)
     result = cached_compile(dag, CONFIG)
-    plan_cold = cached_plan(result)
+    fused_cold = cached_fused_plan(result)
+    # A miss stores the fused plan only: no lowered plan beside it.
+    assert len(cache.entries()) == 2  # compile result + fused plan
     result2 = cached_compile(dag, CONFIG)
     hits_before = cache.hits
-    plan_warm = cached_plan(result2)
+    fused_warm = cached_fused_plan(result2)
     assert cache.hits == hits_before + 1
-    assert plan_warm.cycles_per_row == plan_cold.cycles_per_row
+    assert isinstance(fused_warm, FusedPlan)
+    assert fused_warm.fingerprint == fused_cold.fingerprint
+    assert fused_warm.cycles_per_row == result.plan().cycles_per_row
     matrix = np.random.default_rng(0).uniform(
         0.9, 1.1, size=(4, dag.num_inputs)
     )
-    a = BatchSimulator(plan_cold).run(matrix)
-    b = BatchSimulator(plan_warm).run(matrix)
+    a = BatchSimulator(result.plan()).run(matrix)  # fused on the spot
+    b = BatchSimulator(fused_warm).run(matrix)
     for var, col in a.outputs.items():
         np.testing.assert_array_equal(col, b.outputs[var])
+    assert a.counters == b.counters
 
 
 def test_plan_lowering_without_cache_key_still_works(cache):
     dag = make_random_dag(seed=13)
     live = compile_dag(dag, CONFIG, validate_input=False)
-    assert cached_plan(live) is not None  # no cache_key -> live lowering
+    # No cache_key -> live lowering and fusion, nothing stored.
+    assert cached_fused_plan(live) is not None
+    assert cache.entries() == []
 
 
 def test_interconnect_topology_separates_entries(cache):
@@ -346,71 +357,47 @@ class TestConcurrentAccess:
 
 
 class TestBinaryPlanImages:
-    """Plans are stored as ``.img`` binary images, not pickles."""
+    """Plan images (``.img``) are no longer written, but ``entries()``
+    lists every file in the shard directories, so the images an
+    earlier cache layout wrote are still counted and reclaimed."""
 
-    def _plan(self, seed=30):
-        dag = make_random_dag(seed=seed, num_ops=20)
-        result = cached_compile(dag, CONFIG)
-        return dag, result, cached_plan(result)
+    def _legacy_image(self, cache):
+        key = "ab" + "0" * 30
+        path = cache.directory / key[:2] / f"{key}.img"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b"RIMG" + b"\0" * 60)
+        return path
 
-    def test_plan_stored_as_image_not_pickle(self, cache):
-        _, result, plan = self._plan()
-        imgs = [p for p in cache.entries() if p.suffix == ".img"]
-        assert len(imgs) == 1
-        # The plan key has no companion pickle.
-        assert not imgs[0].with_suffix(".pkl").exists()
-
-    def test_warm_image_load_executes_bitwise(self, cache):
-        import numpy as np
-
-        dag, result, plan = self._plan(seed=31)
-        hits = cache.hits
-        warm = cached_plan(result)
-        assert cache.hits == hits + 1
-        matrix = np.random.default_rng(1).uniform(
-            0.9, 1.1, size=(3, dag.num_inputs)
-        )
-        a = BatchSimulator(plan).run(matrix)
-        b = BatchSimulator(warm).run(matrix)
-        for var, col in a.outputs.items():
-            np.testing.assert_array_equal(col, b.outputs[var])
-        assert a.counters == b.counters
-
-    def test_warm_plan_arrays_are_mmap_backed(self, cache):
-        import mmap as mmap_mod
-
-        import numpy as np
-
-        _, result, _ = self._plan(seed=32)
-        warm = cached_plan(result)
-        base = warm.input_cells
-        while base.base is not None and isinstance(base.base, np.ndarray):
-            base = base.base
-        assert isinstance(base.base, (mmap_mod.mmap, memoryview))
-
-    def test_corrupt_image_is_dropped_and_recomputed(self, cache):
-        _, result, plan = self._plan(seed=33)
-        (img,) = [p for p in cache.entries() if p.suffix == ".img"]
-        data = bytearray(img.read_bytes())
-        data[-1] ^= 0xFF  # payload flip; checksum now stale
-        img.write_bytes(bytes(data))
-        again = cached_plan(result)  # must not raise
-        assert again.cycles_per_row == plan.cycles_per_row
-        # The torn image was dropped and rewritten by the recompute.
-        (rewritten,) = [p for p in cache.entries() if p.suffix == ".img"]
-        assert rewritten == img
+    def test_legacy_image_is_counted_and_cleared(self, cache):
+        cached_compile(make_random_dag(seed=30, num_ops=10), CONFIG)
+        before = cache.size_bytes()
+        img = self._legacy_image(cache)
+        native = cache.directory / "native" / "sweep-0123.so"
+        native.parent.mkdir(parents=True)
+        native.write_bytes(b"elf")
+        lock = cache.directory / ".maintenance.lock"
+        lock.write_bytes(b"")
+        assert img in cache.entries()
+        assert native not in cache.entries()
+        assert cache.size_bytes() == before + img.stat().st_size
+        cache.clear()
+        assert not img.exists()
+        assert cache.entries() == []
+        assert native.exists()
+        assert lock.exists()
 
     def test_prune_covers_images(self, cache):
-        import os
-        import time
-
-        for seed in (34, 35, 36):
-            self._plan(seed=seed)
-        now = time.time()
-        for i, path in enumerate(sorted(cache.entries())):
-            os.utime(path, (now + i, now + i))
+        img = self._legacy_image(cache)
         cache.prune(max_bytes=0)
-        assert cache.entries() == []
+        assert not img.exists()
+
+    def test_in_flight_tmp_is_not_an_entry(self, cache):
+        img = self._legacy_image(cache)
+        tmp = img.parent / ".abcdef01-xyz.tmp"
+        tmp.write_bytes(b"partial")
+        assert cache.entries() == [img]
+        cache.prune(max_bytes=0)
+        assert tmp.exists()  # young: may belong to a live writer
 
 
 class TestPickleProtocolPin:

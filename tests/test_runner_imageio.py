@@ -1,7 +1,4 @@
-"""Tests for binary artifact images (plans + programs)."""
-
-import mmap
-import pickle
+"""Tests for binary program images."""
 
 import numpy as np
 import pytest
@@ -12,17 +9,13 @@ from repro.errors import ImageError
 from repro.runner.imageio import (
     IMAGE_VERSION,
     Image,
-    dump_plan,
     dump_program,
-    load_plan,
     load_program,
     open_image,
-    read_plan_image,
     read_program_image,
-    write_plan_image,
     write_program_image,
 )
-from repro.sim import BatchSimulator, run_program
+from repro.sim import run_program
 from repro.testing import make_random_dag
 
 CONFIG = ArchConfig(depth=2, banks=8, regs_per_bank=16)
@@ -36,48 +29,9 @@ def compiled():
 
 
 @pytest.fixture(scope="module")
-def plan(compiled):
+def image(compiled):
     _, result = compiled
-    return result.plan()
-
-
-class TestPlanImages:
-    def test_round_trip_executes_bitwise(self, plan):
-        plan2 = load_plan(dump_plan(plan))
-        rng = np.random.default_rng(3)
-        matrix = rng.uniform(0.9, 1.1, size=(4, plan.input_cells.size))
-        direct = BatchSimulator(plan).run(matrix)
-        loaded = BatchSimulator(plan2).run(matrix)
-        assert sorted(direct.outputs) == sorted(loaded.outputs)
-        for var in direct.outputs:
-            assert np.array_equal(direct.outputs[var], loaded.outputs[var])
-        assert direct.counters == loaded.counters
-        assert plan2.cycles_per_row == plan.cycles_per_row
-
-    def test_image_smaller_than_pickle(self, plan):
-        img = dump_plan(plan)
-        pkl = pickle.dumps(plan, protocol=5)
-        assert len(img) < len(pkl)
-
-    def test_file_round_trip(self, plan, tmp_path):
-        path = tmp_path / "plan.img"
-        write_plan_image(path, plan)
-        plan2 = read_plan_image(path)
-        assert plan2.state_size == plan.state_size
-        assert len(plan2.steps) == len(plan.steps)
-
-    def test_mmap_arrays_are_zero_copy(self, plan, tmp_path):
-        path = tmp_path / "plan.img"
-        write_plan_image(path, plan)
-        plan2 = read_plan_image(path, use_mmap=True)
-        base = plan2.input_cells
-        while base.base is not None and isinstance(base.base, np.ndarray):
-            base = base.base
-        assert isinstance(base.base, (mmap.mmap, memoryview))
-        assert np.array_equal(plan2.input_cells, plan.input_cells)
-
-    def test_dump_is_deterministic(self, plan):
-        assert dump_plan(plan) == dump_plan(plan)
+    return dump_program(result.program, result.allocation.read_addrs)
 
 
 class TestProgramImages:
@@ -116,52 +70,60 @@ class TestProgramImages:
         assert len(prog2.instructions) == len(result.program.instructions)
         assert addrs2 == addrs
 
+    def test_dump_is_deterministic(self, compiled, image):
+        _, result = compiled
+        again = dump_program(result.program, result.allocation.read_addrs)
+        assert again == image
+
 
 class TestCorruptionDetection:
-    def test_flipped_payload_byte_rejected(self, plan):
-        buf = bytearray(dump_plan(plan))
+    def test_flipped_payload_byte_rejected(self, image):
+        buf = bytearray(image)
         buf[-1] ^= 0xFF
         with pytest.raises(ImageError):
             Image(bytes(buf))
+        with pytest.raises(ImageError):
+            load_program(bytes(buf))
 
-    def test_flipped_table_byte_rejected(self, plan):
-        buf = bytearray(dump_plan(plan))
+    def test_flipped_table_byte_rejected(self, image):
+        buf = bytearray(image)
         buf[40] ^= 0xFF  # inside the section table
         with pytest.raises(ImageError):
             Image(bytes(buf))
 
-    def test_truncation_rejected(self, plan):
-        buf = dump_plan(plan)
+    def test_truncation_rejected(self, image):
         with pytest.raises(ImageError):
-            Image(buf[: len(buf) // 2])
+            Image(image[: len(image) // 2])
         with pytest.raises(ImageError):
-            Image(buf[:10])
+            Image(image[:10])
         with pytest.raises(ImageError):
             Image(b"")
 
-    def test_bad_magic_rejected(self, plan):
-        buf = bytearray(dump_plan(plan))
+    def test_bad_magic_rejected(self, image):
+        buf = bytearray(image)
         buf[:4] = b"NOPE"
         with pytest.raises(ImageError):
             Image(bytes(buf))
 
-    def test_future_version_rejected(self, plan):
-        buf = bytearray(dump_plan(plan))
+    def test_future_version_rejected(self, image):
+        buf = bytearray(image)
         import struct
 
         struct.pack_into("<H", buf, 4, IMAGE_VERSION + 1)
         with pytest.raises(ImageError):
             Image(bytes(buf))
 
-    def test_kind_mismatch_rejected(self, compiled, plan):
-        _, result = compiled
-        prog_buf = dump_program(
-            result.program, result.allocation.read_addrs
-        )
-        with pytest.raises(ImageError):
-            load_plan(prog_buf)
-        with pytest.raises(ImageError):
-            load_program(dump_plan(plan))
+    def test_kind_mismatch_rejected(self, image):
+        """An image of any other kind (the retired plan images were
+        kind 1) is refused by the program loader, checksum intact."""
+        buf = bytearray(image)
+        import struct
+
+        struct.pack_into("<H", buf, 6, 1)  # the header's kind field
+        foreign = Image(bytes(buf))  # header + checksum still valid
+        assert foreign.kind == 1
+        with pytest.raises(ImageError, match="not a program image"):
+            load_program(foreign)
 
     def test_missing_file_wrapped(self, tmp_path):
         with pytest.raises(ImageError):
@@ -171,4 +133,6 @@ class TestCorruptionDetection:
         path = tmp_path / "empty.img"
         path.write_bytes(b"")
         with pytest.raises(ImageError):
-            open_image(path)  # mmap of an empty file raises ValueError
+            open_image(path)
+        with pytest.raises(ImageError):
+            read_program_image(path)

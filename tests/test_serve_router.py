@@ -558,11 +558,11 @@ class TestRouteRowsOracle:
         live 2-shard router — with the owning shard drained and
         restarted mid-stream — reassembles bitwise identical to the
         batch simulator."""
-        from repro.runner.cache import cached_compile, cached_plan
+        from repro.runner.cache import cached_compile, cached_fused_plan
         from repro.workloads import build_workload
 
         dag = build_workload(SPEC.name, scale=SPEC.scale)
-        plan = cached_plan(cached_compile(dag, SPEC.config()))
+        plan = cached_fused_plan(cached_compile(dag, SPEC.config()))
         matrix = np.vstack([
             request_inputs(plan.num_inputs, seed) for seed in range(13)
         ])

@@ -130,12 +130,12 @@ class TestServedVsDirect:
                 )
 
     def test_serve_rows_matches_batch_simulator(self, programs):
-        from repro.runner.cache import cached_compile, cached_plan
+        from repro.runner.cache import cached_compile, cached_fused_plan
         from repro.workloads import build_workload
 
         dag = build_workload(SPEC.name, scale=SPEC.scale)
         result = cached_compile(dag, SPEC.config())
-        plan = cached_plan(result)
+        plan = cached_fused_plan(result)
         matrix = np.vstack([
             request_inputs(plan.num_inputs, seed) for seed in range(9)
         ])
@@ -482,11 +482,11 @@ class TestServeRowsHelper:
 
 
 def _plan_for(spec: ProgramSpec):
-    from repro.runner.cache import cached_compile, cached_plan
+    from repro.runner.cache import cached_compile, cached_fused_plan
     from repro.workloads import build_workload
 
     dag = build_workload(spec.name, scale=spec.scale)
-    return cached_plan(cached_compile(dag, spec.config()))
+    return cached_fused_plan(cached_compile(dag, spec.config()))
 
 
 class TestHttpRobustness:
@@ -688,18 +688,21 @@ class TestLoadgenCli:
         assert len(doc["runs"][-1]["records"]) == 2
 
 
-class TestPlanPoolImages:
-    """With a warm disk cache, the pool's plans load from ``.img``
-    binary images as zero-copy mmap views — and serve bitwise the
-    same responses as a cold compile."""
+class TestPlanPoolCache:
+    """A served program runs from one cached artifact, its fused plan:
+    a fresh pool on a warm disk cache serves bitwise the same
+    responses as a cold compile, and registration stores nothing
+    else."""
 
-    def test_warm_pool_serves_bitwise_from_mmap_images(self, tmp_path):
+    def test_warm_pool_serves_bitwise_from_cached_fused_plans(
+        self, tmp_path
+    ):
         from repro.runner import cache as cache_mod
         from repro.runner.cache import configure_cache
         from repro.serve.planpool import PlanPool
 
         previous = cache_mod._default_cache
-        configure_cache(tmp_path / "cache")
+        cache = configure_cache(tmp_path / "cache")
         try:
             spec = ProgramSpec(
                 name="synth_layered",
@@ -708,12 +711,13 @@ class TestPlanPoolImages:
             )
             cold_pool = PlanPool()
             cold = cold_pool.register(spec)
-            imgs = list((tmp_path / "cache").glob("*/*.img"))
-            assert imgs, "plan should be cached as a binary image"
-            # A fresh pool on the warm cache loads the plan from the
-            # image (mmap path) — responses must match bitwise.
+            # A fresh pool on the warm cache loads the compile result
+            # and the fused plan — responses must match bitwise.
+            hits = cache.hits
             warm_pool = PlanPool()
             warm = warm_pool.register(spec)
+            assert cache.hits == hits + 2
+            assert warm.cycles_per_row == cold.cycles_per_row
             rng = np.random.default_rng(7)
             rows = [
                 rng.uniform(0.9, 1.1, size=cold.num_inputs)
@@ -726,6 +730,39 @@ class TestPlanPoolImages:
                 np.testing.assert_array_equal(a[node], b[node])
         finally:
             cache_mod._default_cache = previous
+
+    def test_registration_stores_one_compile_result_and_one_fused_plan(
+        self, tmp_path
+    ):
+        """Registering the serve benchmark's three programs in a fresh
+        cache leaves exactly one compile result and one fused plan per
+        program: no binary image, no pickled execution plan."""
+        import pickle
+
+        from repro.runner import cache as cache_mod
+        from repro.runner.cache import configure_cache
+        from repro.sim import ExecutionPlan, FusedPlan
+
+        previous = cache_mod._default_cache
+        cache = configure_cache(tmp_path / "cache")
+        names = ("tretail", "bp_200", "msnbc")
+        try:
+            service = InferenceService()
+            for name in names:
+                service.register(ProgramSpec(name, scale=0.05))
+        finally:
+            cache_mod._default_cache = previous
+        assert not list(cache.directory.rglob("*.img"))
+        entries = cache.entries()
+        assert all(path.suffix == ".pkl" for path in entries)
+        payloads = [pickle.loads(path.read_bytes()) for path in entries]
+        assert not any(isinstance(p, ExecutionPlan) for p in payloads)
+        fused = [p for p in payloads if isinstance(p, FusedPlan)]
+        compiled = [p for p in payloads if isinstance(p, dict)]
+        assert len(entries) == 2 * len(names)
+        assert sorted(f.source_name for f in fused) == sorted(names)
+        assert len(compiled) == len(names)
+        assert all("result" in p for p in compiled)
 
 
 class TestServiceClock:

@@ -326,7 +326,7 @@ class TestFusePlan:
         _assert_layout_safe(fused, plan)
         matrix = _inputs(dag, 5)
         _assert_bitwise(
-            BatchSimulator(plan, fused_plan=fused).run(matrix).outputs,
+            BatchSimulator(fused).run(matrix).outputs,
             interpret_plan(plan, matrix).outputs,
         )
 
@@ -339,7 +339,7 @@ class TestFusePlan:
         for name in ("auto", "fused"):
             sim = BatchSimulator(plan, engine=name)
             assert sim.engine == "fused"
-            assert isinstance(sim._fused, FusedPlan)
+            assert isinstance(sim.plan, FusedPlan)
         for name in ("step", "warp"):
             with pytest.raises(SimulationError, match="unknown engine"):
                 BatchSimulator(plan, engine=name)
@@ -501,7 +501,7 @@ class TestBoundSweeps:
         dag, plan = self._plan()
         fused = fuse_plan(plan)
         assert fused.state_size < _uncompacted_cells(fused)
-        sim = BatchSimulator(plan, fused_plan=fused)
+        sim = BatchSimulator(fused)
         for widths in ((6,), range(1, BOUND_SWEEP_CAP + 1)):
             for seed in (1, 2, 1):
                 for width in widths:
@@ -544,7 +544,7 @@ class TestBoundSweeps:
         for family in ("reuse", "wide"):
             dag, plan = self._plan(family)
             sim = BatchSimulator(plan)
-            fused = sim._fused
+            fused = sim.plan
             states = [fused.make_state(batch) for _ in range(8)]
             sim.run(_inputs(dag, batch))
             states.append(sim._bound[batch][0])

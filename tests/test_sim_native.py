@@ -158,7 +158,7 @@ class TestParity:
         has the shape :meth:`~repro.sim.fused.FusedPlan.tile_width`
         decides."""
         plan, fused = _plan(family)
-        sim = BatchSimulator(plan, fused_plan=fused)
+        sim = BatchSimulator(fused)
         rng = np.random.default_rng(1)
         n = plan.num_inputs
         for batch in WIDTHS:
@@ -291,7 +291,7 @@ class TestParity:
         assert fused.num_ops == 0 and fused.ops.shape == (0, 5)
         matrix = np.random.default_rng(4).uniform(size=(3, dag.num_inputs))
         _assert_matches_interpreter(fused, plan, matrix)
-        out = BatchSimulator(plan, fused_plan=fused).run(matrix).outputs
+        out = BatchSimulator(fused).run(matrix).outputs
         ref = interpret_plan(plan, matrix).outputs
         for var in plan.output_vars:
             assert np.array_equal(_bits(out[var]), _bits(ref[var]))

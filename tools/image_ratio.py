@@ -1,11 +1,11 @@
-"""Measure binary-image vs pickle size for cached artifacts.
+"""Measure binary program-image vs pickle size.
 
 Compiles a spread of workloads across several design points, then
-serializes each lowered plan and compiled program both ways — pickle
-protocol 5 and the `runner.imageio` binary image — and reports the
-size ratio.  The acceptance bar for the image format is a ratio < 1.0
-on every artifact (images must never be *larger* than the pickles
-they replaced).
+serializes each compiled program both ways — pickle protocol 5 and the
+`runner.imageio` binary image — and reports the size ratio.  The
+acceptance bar for the image format is a ratio < 1.0 on every program
+(an image must never be *larger* than the pickle of the same
+program).
 
 Usage::
 
@@ -26,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.arch import ArchConfig  # noqa: E402
 from repro.compiler import compile_dag  # noqa: E402
-from repro.runner.imageio import dump_plan, dump_program  # noqa: E402
+from repro.runner.imageio import dump_program  # noqa: E402
 from repro.workloads import generate_synth  # noqa: E402
 
 CASES = [
@@ -51,9 +51,6 @@ def measure() -> dict:
     for family, n, label in CASES:
         dag = generate_synth(family, n, seed=1)
         result = compile_dag(dag, _config(label))
-        plan = result.plan()
-        plan_img = len(dump_plan(plan))
-        plan_pkl = len(pickle.dumps(plan, protocol=5))
         prog_img = len(
             dump_program(result.program, result.allocation.read_addrs)
         )
@@ -66,21 +63,15 @@ def measure() -> dict:
             "family": family,
             "nodes": dag.num_nodes,
             "config": label,
-            "plan_image_bytes": plan_img,
-            "plan_pickle_bytes": plan_pkl,
-            "plan_ratio": round(plan_img / plan_pkl, 4),
             "program_image_bytes": prog_img,
             "program_pickle_bytes": prog_pkl,
             "program_ratio": round(prog_img / prog_pkl, 4),
         })
-    plan_ratios = [r["plan_ratio"] for r in records]
     prog_ratios = [r["program_ratio"] for r in records]
     return {
-        "schema": "repro-image-ratio-v1",
+        "schema": "repro-image-ratio-v2",
         "records": records,
         "summary": {
-            "plan_ratio_mean": round(statistics.mean(plan_ratios), 4),
-            "plan_ratio_max": max(plan_ratios),
             "program_ratio_mean": round(statistics.mean(prog_ratios), 4),
             "program_ratio_max": max(prog_ratios),
         },
@@ -96,25 +87,20 @@ def main(argv=None) -> int:
     for rec in doc["records"]:
         print(
             f"{rec['family']:12s} n={rec['nodes']:4d} {rec['config']:11s}"
-            f" plan {rec['plan_image_bytes']:7d}B /"
-            f" {rec['plan_pickle_bytes']:7d}B = {rec['plan_ratio']:.3f}"
-            f"   prog {rec['program_image_bytes']:7d}B /"
+            f" prog {rec['program_image_bytes']:7d}B /"
             f" {rec['program_pickle_bytes']:7d}B ="
             f" {rec['program_ratio']:.3f}"
         )
     print(
-        f"mean ratio: plan {summary['plan_ratio_mean']:.3f}, "
-        f"program {summary['program_ratio_mean']:.3f} "
-        f"(max {summary['plan_ratio_max']:.3f} / "
-        f"{summary['program_ratio_max']:.3f})"
+        f"program ratio: mean {summary['program_ratio_mean']:.3f}, "
+        f"max {summary['program_ratio_max']:.3f}"
     )
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         print(f"wrote {out}")
-    worst = max(summary["plan_ratio_max"], summary["program_ratio_max"])
-    if worst >= 1.0:
+    if summary["program_ratio_max"] >= 1.0:
         print("FAILED: an image came out larger than its pickle")
         return 1
     return 0
