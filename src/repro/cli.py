@@ -604,7 +604,6 @@ def _serve_policy(args: argparse.Namespace):
 async def serve_forever(
     specs: list,
     policy,
-    workers: int = 0,
     host: str = "127.0.0.1",
     port: int = 8321,
     stop=None,
@@ -622,7 +621,7 @@ async def serve_forever(
     from .serve import InferenceService
     from .serve.http import start_http_server
 
-    service = InferenceService(policy=policy, workers=workers)
+    service = InferenceService(policy=policy)
     for spec in specs:
         try:
             program = service.register(spec)
@@ -642,7 +641,7 @@ async def serve_forever(
             f"serving {len(specs)} program(s) on "
             f"http://{bound_host}:{bound_port} "
             f"(max_batch={policy.max_batch}, "
-            f"max_wait={policy.max_wait_s * 1e3:g}ms, workers={workers})",
+            f"max_wait={policy.max_wait_s * 1e3:g}ms)",
             flush=True,
         )
         if on_ready is not None:
@@ -758,7 +757,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return await serve_forever(
             specs,
             policy,
-            workers=args.workers,
             host=args.host,
             port=args.port,
             stop=stop,
@@ -802,7 +800,6 @@ def _shard_argv(
         "--max-batch", str(args.max_batch),
         "--max-wait-ms", str(args.max_wait_ms),
         "--max-queue", str(args.max_queue),
-        "--workers", str(args.workers),
         "--cache-dir", args.cache_dir,
     ]
     if args.no_cache:
@@ -929,9 +926,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         return reports
 
     async def drive_in_process() -> list:
-        service = InferenceService(
-            policy=_serve_policy(args), workers=args.workers
-        )
+        service = InferenceService(policy=_serve_policy(args))
         for program in local.values():
             service.install(program)
         reports = []
@@ -1438,11 +1433,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--max-queue", type=int, default=1024, metavar="N",
             help="per-program admission bound (backpressure beyond it)",
-        )
-        p.add_argument(
-            "--workers", type=int, default=0, metavar="N",
-            help="execute micro-batches on N worker processes "
-            "(0: inline on the event loop)",
         )
 
     p = sub.add_parser(

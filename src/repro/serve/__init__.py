@@ -9,14 +9,14 @@ requests:
   micro-batching policy (``max_batch`` / ``max_wait`` / bounded-queue
   admission control), both as a live asyncio engine and as a pure
   coalescing law for tests and offline analysis;
-* :mod:`repro.serve.planpool` — the warm pool of compiled + lowered
+* :mod:`repro.serve.planpool` — the warm pool of compiled + fused
   programs, keyed by content fingerprint and fed through the
   content-addressed artifact cache (a warm disk cache makes process
   start instant; a miss compiles the whole DAG once);
 * :mod:`repro.serve.service` — the asyncio
   :class:`~repro.serve.service.InferenceService`: submit -> coalesce
-  -> execute (inline or across worker processes) -> scatter, with
-  responses bitwise identical to direct plan execution;
+  -> execute inline on the event loop -> scatter, with responses
+  bitwise identical to direct plan execution;
 * :mod:`repro.serve.http` — a minimal stdlib HTTP/1.1 front end
   (``POST /infer``, ``GET /stats``, ``GET /healthz``) plus the tiny
   keep-alive client the load generator uses;
@@ -27,7 +27,8 @@ requests:
   :class:`~repro.serve.router.ShardRouter` fanning requests by
   program content fingerprint across N service shards over one
   shared artifact cache, with per-tenant admission/SLO overrides,
-  graceful drain/restart, and health-checked failover.
+  graceful drain/restart, and health-checked failover — the one way
+  to serve from more than one process.
 
 CLI entry points: ``repro serve`` (``--shards N`` for the routed
 topology) and ``repro loadgen`` (``--router N`` for client-side

@@ -8,18 +8,14 @@ the *content* identity :func:`repro.runner.fingerprint.dag_fingerprint`
 DAGs under different names share one plan.  A miss compiles through
 the content-addressed artifact cache (:func:`repro.runner.cache.
 cached_compile` / :func:`~repro.runner.cache.cached_fused_plan`),
-which means
-
-* a cold *process* with a warm *disk cache* registers programs in
-  milliseconds (two pickle loads, no compile, lowering or fusion);
-* worker processes resolving the same :class:`ProgramSpec` hit the
-  same on-disk artifacts the parent just wrote — each worker compiles
-  nothing and loads each plan at most once (its own in-memory pool
-  holds it after that).
+so a cold *process* with a warm *disk cache* (a restarted shard, or
+every shard after the first behind a
+:class:`~repro.serve.router.ShardRouter`) registers programs in
+milliseconds: two pickle loads, no compile, lowering or fusion.
 
 Access is guarded by an RLock: the asyncio service calls from the
-event-loop thread while worker initializers and tests may touch pools
-from other threads.
+event-loop thread while registrations and tests may touch a pool from
+other threads.
 """
 
 from __future__ import annotations
@@ -77,11 +73,11 @@ class ProgramSpec:
 
     Resolution order for the DAG source: ``synth`` params if set, else
     ``dag_json`` if set, else ``name`` as a Table-I / synth suite
-    workload regenerated at ``scale``.  Workers rebuild the identical
-    DAG from this spec (generators are seeded and fingerprint-stable),
-    and the artifact cache keys by content — so parent and workers
-    converge on the same cached plan.  Served traffic runs on the
-    fused batch engine (:mod:`repro.sim.batch`).
+    workload regenerated at ``scale``.  Every shard process rebuilds
+    the identical DAG from this spec (generators are seeded and
+    fingerprint-stable), and the artifact cache keys by content — so
+    all shards converge on the same cached plan.  Served traffic runs
+    on the fused batch engine (:mod:`repro.sim.batch`).
     """
 
     name: str
@@ -174,7 +170,7 @@ def build_served_program(spec: ProgramSpec) -> ServedProgram:
     """Compile and fuse one spec into a ready-to-serve program.
 
     Goes through the content-addressed artifact cache, so repeated
-    builds of the same content (across processes, restarts, workers)
+    builds of the same content (across processes, restarts, shards)
     skip compilation.
     """
     dag = spec.build_dag()
@@ -305,41 +301,3 @@ class PlanPool:
     def __len__(self) -> int:
         with self._lock:
             return len(self._by_content)
-
-
-# ---------------------------------------------------------------------
-# Worker-process side
-# ---------------------------------------------------------------------
-_WORKER_POOL: PlanPool | None = None
-
-
-def _worker_pool() -> PlanPool:
-    global _WORKER_POOL
-    if _WORKER_POOL is None:
-        _WORKER_POOL = PlanPool(max_programs=64)
-    return _WORKER_POOL
-
-
-def worker_execute(
-    spec: ProgramSpec, matrix: np.ndarray
-) -> dict[int, np.ndarray]:
-    """Process-pool task: execute one micro-batch in a worker.
-
-    The worker resolves ``spec`` through its process-local pool (first
-    touch loads the plan from the shared artifact cache — compiled at
-    most once machine-wide), then runs the batch.  Bitwise identical
-    to in-process execution: same plan, same sweep.
-    """
-    pool = _worker_pool()
-    try:
-        program = pool.get(spec.key)
-    except ServeError:
-        program = pool.register(spec)
-    else:
-        if program.spec != spec:
-            # The key was re-registered with a different recipe since
-            # this worker last served it — rebuild (cache-backed, so
-            # this is a load, not a compile) rather than serve stale
-            # results under the new name binding.
-            program = pool.register(spec)
-    return program.execute_rows(list(matrix))

@@ -213,12 +213,10 @@ class LocalShard:
         self,
         shard_id: str,
         policy: BatchPolicy | None = None,
-        workers: int = 0,
         pool: PlanPool | None = None,
     ) -> None:
         self.shard_id = shard_id
         self.policy = policy if policy is not None else BatchPolicy()
-        self.workers = workers
         self.pool = pool if pool is not None else PlanPool()
         self.service: InferenceService | None = None
         self._specs: list[ProgramSpec] = []
@@ -247,9 +245,7 @@ class LocalShard:
     async def start(self) -> None:
         if self.service is not None:
             raise ServeError(f"shard {self.shard_id} already started")
-        service = InferenceService(
-            pool=self.pool, policy=self.policy, workers=self.workers
-        )
+        service = InferenceService(pool=self.pool, policy=self.policy)
         for spec in self._specs:
             service.register(spec)
         for program in self._programs:

@@ -6,15 +6,13 @@
   enter through :meth:`InferenceService.submit` and land in the
   per-program :class:`~repro.serve.batcher.MicroBatcher` queue;
 * the batcher coalesces them under the max-batch/max-wait policy and
-  hands each micro-batch to the executor — inline on the event-loop
-  thread (``workers=0``, deterministic, what tests and the
-  differential hook use) or fanned across a process pool
-  (``workers=N``) for multi-program sharding, where every worker
-  resolves plans through its process-local pool backed by the shared
-  on-disk artifact cache;
+  hands each micro-batch to the program's fused-plan sweep, inline on
+  the event-loop thread (a batch sweeps in microseconds, far less than
+  a process hop costs; multi-process serving is the shard router's
+  job, :mod:`repro.serve.router`);
 * responses scatter back to per-request futures bitwise identical to
-  a direct :class:`~repro.sim.plan.ExecutionPlan` execution of the
-  same rows (asserted continuously by the ``served-vs-direct`` oracle
+  a direct :class:`~repro.sim.fused.FusedPlan` execution of the same
+  rows (asserted continuously by the ``served-vs-direct`` oracle
   stage and the serving test suite).
 
 Admission control is the batcher's bounded per-program depth: beyond
@@ -30,21 +28,19 @@ import asyncio
 import os
 import time
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ReproError, ServeError
+from ..errors import ServeError
 from ..obs import trace
 from ..obs.metrics import (
     MetricsRegistry,
     get_registry,
     render_registries,
 )
-from ..runner.cache import adopt_cache_env, cache_env
 from .batcher import BatchPolicy, MicroBatcher
-from .planpool import PlanPool, ProgramSpec, ServedProgram, worker_execute
+from .planpool import PlanPool, ProgramSpec, ServedProgram
 
 
 @dataclass(frozen=True)
@@ -180,11 +176,10 @@ class InferenceService:
     Args:
         pool: Warm plan pool (a private one is created if omitted).
         policy: Micro-batching bounds.
-        workers: 0 executes batches inline on the event-loop thread;
-            N > 0 fans them over a process pool (multi-program
-            sharding — different programs' batches execute truly
-            concurrently, and each worker holds its own warm pool fed
-            by the shared artifact cache).
+
+    Every micro-batch executes inline on the event-loop thread, so a
+    service is one process; scale out with shards behind a
+    :class:`~repro.serve.router.ShardRouter`.
 
     Use as an async context manager, or call :meth:`start` /
     :meth:`stop` explicitly.  Programs must be registered (or
@@ -195,16 +190,11 @@ class InferenceService:
         self,
         pool: PlanPool | None = None,
         policy: BatchPolicy | None = None,
-        workers: int = 0,
     ) -> None:
-        if workers < 0:
-            raise ServeError(f"workers must be >= 0, got {workers}")
         self.pool = pool if pool is not None else PlanPool()
         self.policy = policy if policy is not None else BatchPolicy()
-        self.workers = workers
         self.stats = ServiceStats()
         self._batcher: MicroBatcher | None = None
-        self._executor: ProcessPoolExecutor | None = None
         self._next_id = 0
         self._rid_prefix = f"{os.getpid():x}"
 
@@ -225,21 +215,12 @@ class InferenceService:
         if self._batcher is not None:
             raise ServeError("service already started")
         self._batcher = MicroBatcher(self.policy, self._on_batch)
-        if self.workers:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=adopt_cache_env,
-                initargs=(cache_env(),),
-            )
         self.stats.started_at = time.monotonic()
 
     async def stop(self) -> None:
         if self._batcher is not None:
             await self._batcher.close()
             self._batcher = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
 
     async def drain(self) -> None:
         """Wait for every accepted request to resolve."""
@@ -447,21 +428,11 @@ class InferenceService:
             else None
         )
         try:
-            program = self.pool.get(key)
-            if self._executor is not None:
-                width = program.num_inputs
-                matrix = np.stack(
-                    [np.asarray(r)[:width] for r in rows]
-                )
-                columns = await loop.run_in_executor(
-                    self._executor, worker_execute, program.spec, matrix
-                )
-            else:
-                columns = program.execute_rows(rows)
+            columns = self.pool.get(key).execute_rows(rows)
         except Exception as exc:
-            # Not just ReproError: a worker pool dying mid-batch
-            # (BrokenProcessPool, pickling failures, ...) must still
-            # resolve every future — an accepted request never hangs.
+            # Not just ReproError: any exception mid-batch (an OSError,
+            # a bug in the sweep, ...) must still resolve every future
+            # — an accepted request never hangs.
             if exec_span is not None:
                 exec_span.set(error=type(exc).__name__).finish()
                 batch_span.finish()
@@ -550,7 +521,6 @@ class InferenceService:
         )
         doc = self.stats.as_dict(batcher_stats)
         doc["programs"] = self.pool.keys()
-        doc["workers"] = self.workers
         doc["policy"] = {
             "max_batch": self.policy.max_batch,
             "max_wait_s": self.policy.max_wait_s,

@@ -59,6 +59,7 @@ from ..runner.fingerprint import dag_fingerprint
 from ..sim import BatchSimulator, evaluate_dag, run_program
 from ..sim.batch import BatchResult
 from ..sim.functional import SimResult
+from ..sim.fused import FusedPlan
 from ..sim.plan import ExecutionPlan, MoveStep
 from ..workloads.synth import SynthParams
 
@@ -166,6 +167,7 @@ class StageContext:
     result: CompileResult
     sim: SimResult  # scalar verifying run of row 0
     plan: ExecutionPlan
+    fused: FusedPlan  # what the batch engine and the served paths run
     matrix: np.ndarray  # (B, inputs) input rows
     reference: np.ndarray  # (B, vars) golden value of every variable
     batch: BatchResult  # direct batch execution of ``matrix``
@@ -428,7 +430,7 @@ def _check_served(ctx: StageContext, inject: bool) -> Mismatch | None:
     from ..serve.service import serve_rows
 
     try:
-        served = serve_rows(ctx.plan, ctx.matrix, max_batch=_max_batch(ctx))
+        served = serve_rows(ctx.fused, ctx.matrix, max_batch=_max_batch(ctx))
     except ReproError as exc:
         return _failed("serve-execute", exc)
     return _same_outputs(
@@ -445,7 +447,7 @@ def _check_routed(ctx: StageContext, inject: bool) -> Mismatch | None:
     from ..serve.router import route_rows
 
     try:
-        routed = route_rows(ctx.plan, ctx.matrix, max_batch=_max_batch(ctx))
+        routed = route_rows(ctx.fused, ctx.matrix, max_batch=_max_batch(ctx))
     except ReproError as exc:
         return _failed("route-execute", exc)
     return _same_outputs(
@@ -621,9 +623,9 @@ def _run_pipeline(
     except ReproError as exc:
         return DiffReport(_failed("lowering", exc))
 
-    # ---- fused batch engine (the fused plan memoized when caching) ---
+    # ---- fused batch engine: fused once, memoized when caching ------
     try:
-        fused = cached_fused_plan(result) if caching else plan
+        fused = cached_fused_plan(result)
         batch_result = BatchSimulator(fused).run(matrix)
     except ReproError as exc:
         return DiffReport(_failed("batch-execute", exc), plan.cycles_per_row)
@@ -635,6 +637,7 @@ def _run_pipeline(
         result=result,
         sim=sim,
         plan=plan,
+        fused=fused,
         matrix=matrix,
         reference=reference,
         batch=batch_result,

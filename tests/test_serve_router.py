@@ -12,6 +12,9 @@ duplicated, or cross-wired to another request's payload.
 from __future__ import annotations
 
 import asyncio
+import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from repro.serve import (
     BatchPolicy,
     HashRing,
     LocalShard,
+    ProcessShard,
     ProgramSpec,
     ShardRouter,
     TenantSLO,
@@ -577,6 +581,64 @@ class TestRouteRowsOracle:
     def test_single_shard_rejected(self, programs):
         with pytest.raises(ServeError, match=">= 2 shards"):
             route_rows(None, np.zeros((2, 2)), max_batch=2, num_shards=1)
+
+
+class TestProcessShards:
+    def test_bitwise_parity_across_processes_and_a_restart(
+        self, monkeypatch
+    ):
+        """Two ``repro serve`` subprocesses behind the router: outputs
+        that crossed the process boundary and the JSON wire — before
+        and after the owning shard restarts as a fresh process — are
+        the bits direct execution produces."""
+        cache_dir = os.environ["REPRO_CACHE_DIR"]  # per-test, conftest
+        monkeypatch.setenv(
+            "PYTHONPATH", str(Path(__file__).resolve().parent.parent / "src")
+        )
+        spec = ProgramSpec(name="bp_200", config_label="D2-B8-R16", scale=0.05)
+        local = build_served_program(spec)  # warms the shared cache
+        argv = [
+            sys.executable, "-m", "repro", "serve",
+            "--programs", spec.name, "--config", spec.config_label,
+            "--scale", str(spec.scale), "--max-wait-ms", "0",
+            "--cache-dir", cache_dir,
+        ]
+        shards = [
+            ProcessShard(f"shard{i}", argv, ready_timeout_s=60.0)
+            for i in range(2)
+        ]
+        rows = [request_inputs(local.num_inputs, seed) for seed in range(8)]
+
+        async def main():
+            router = ShardRouter(
+                shards, fingerprints={spec.name: local.fingerprint}
+            )
+            async with router:
+                first = await asyncio.gather(*(
+                    router.submit(spec.name, row) for row in rows[:4]
+                ))
+                owner = router.shard_for(spec.name)
+                await router.restart(owner)
+                second = await asyncio.gather(*(
+                    router.submit(spec.name, row) for row in rows[4:]
+                ))
+            return first + second, owner
+
+        try:
+            docs, owner = run(asyncio.wait_for(main(), timeout=120))
+        finally:
+            for shard in shards:
+                shard.kill()
+        restarted = next(s for s in shards if s.shard_id == owner)
+        assert restarted.restarts == 1
+        assert [doc["shard"] for doc in docs] == [owner] * len(rows)
+        direct = local.execute_rows(rows)
+        for j, doc in enumerate(docs):
+            assert doc["status"] == "ok", doc["error"]
+            assert sorted(doc["outputs"]) == sorted(direct)
+            for node, col in direct.items():
+                assert np.isfinite(col[j])
+                assert doc["outputs"][node] == col[j], (j, node)
 
 
 class TestRouterDispatch:

@@ -64,6 +64,31 @@ class TestOracleAgreement:
         report = diff_check_dag(dag, cfg, value_seed=1)
         assert report.ok, str(report.mismatch)
 
+    def test_served_stages_run_the_one_fused_plan(
+        self, tiny_config, monkeypatch
+    ):
+        """One oracle run fuses its plan once: the served and routed
+        stages reuse the batch engine's fused plan, not a refusion."""
+        import repro.sim.batch as batch_mod
+        import repro.sim.fused as fused_mod
+
+        fusions = []
+        real = fused_mod.fuse_plan
+
+        def counting(plan, *args, **kwargs):
+            fusions.append(plan)
+            return real(plan, *args, **kwargs)
+
+        monkeypatch.setattr(fused_mod, "fuse_plan", counting)
+        monkeypatch.setattr(batch_mod, "fuse_plan", counting)
+        dag = generate_synth("layered", 40, seed=2)
+        report = diff_check_dag(
+            dag, tiny_config, value_seed=1, batch=4,
+            stages=("served-vs-direct", "routed-vs-direct"),
+        )
+        assert report.ok, str(report.mismatch)
+        assert len(fusions) == 1
+
     def test_unknown_fault_rejected(self, tiny_config):
         dag = generate_synth("deep", 10, seed=0)
         with pytest.raises(VerificationError, match="unknown fault"):
