@@ -809,47 +809,6 @@ def _shard_argv(
     return cmd
 
 
-def _spawn_server(args: argparse.Namespace) -> tuple:
-    """Start ``repro serve`` as a subprocess; returns
-    (proc, host, port, trace_dir)."""
-    import socket
-    import subprocess
-
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-    trace_dir = _shard_trace_dir()
-    cmd = _shard_argv(args, trace_dir=trace_dir) + [
-        "--host", "127.0.0.1", "--port", str(port)
-    ]
-    proc = subprocess.Popen(cmd)
-    return proc, "127.0.0.1", port, trace_dir
-
-
-async def _await_ready(host: str, port: int, timeout_s: float = 120.0):
-    """Poll /healthz until the spawned server answers."""
-    import asyncio
-
-    from .serve.http import HttpClient
-
-    deadline = asyncio.get_running_loop().time() + timeout_s
-    while True:
-        client = HttpClient(host, port)
-        try:
-            status, doc = await client.request("GET", "/healthz")
-            if status == 200 and doc.get("ok"):
-                return
-        except (ConnectionError, OSError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            await client.close()
-        if asyncio.get_running_loop().time() > deadline:
-            raise SystemExit(
-                f"server on {host}:{port} not ready after {timeout_s:.0f}s"
-            )
-        await asyncio.sleep(0.2)
-
-
 def cmd_loadgen(args: argparse.Namespace) -> int:
     """Generate traffic against a server and report latency/parity."""
     import asyncio
@@ -913,7 +872,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         raise SystemExit(str(exc))
 
     async def drive_http(host: str, port: int) -> list:
-        await _await_ready(host, port)
         reports = []
         for schedule in schedules:
             reports.append(await run_open_loop_http(
@@ -924,6 +882,20 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
                 rows_per_request=args.rows_per_request,
             ))
         return reports
+
+    async def drive_spawned() -> list:
+        # One shard process: it probes a free port, starts ``repro
+        # serve`` there and waits for /healthz.
+        from .serve import ProcessShard
+
+        shard = ProcessShard(
+            "server", _shard_argv(args, trace_dir=spawn_trace_dir)
+        )
+        try:
+            await shard.start()
+            return await drive_http(shard.host, shard.port)
+        finally:
+            await shard.stop()
 
     async def drive_in_process() -> list:
         service = InferenceService(policy=_serve_policy(args))
@@ -1015,14 +987,12 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
             _ingest_shard_traces(sorted(Path(trace_dir).glob("*.json")))
         return reports
 
-    proc = None
-    spawn_trace_dir = None
+    spawn_trace_dir = _shard_trace_dir() if args.spawn else None
     try:
         if args.router:
             reports = asyncio.run(drive_router())
         elif args.spawn:
-            proc, host, port, spawn_trace_dir = _spawn_server(args)
-            reports = asyncio.run(drive_http(host, port))
+            reports = asyncio.run(drive_spawned())
         elif args.url:
             host, _, port_text = args.url.rpartition(":")
             host = host.removeprefix("http://") or "127.0.0.1"
@@ -1036,9 +1006,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         else:
             reports = asyncio.run(drive_in_process())
     finally:
-        if proc is not None:
-            proc.terminate()
-            proc.wait(timeout=30)
         if spawn_trace_dir is not None:
             _ingest_shard_traces(
                 sorted(Path(spawn_trace_dir).glob("*.json"))

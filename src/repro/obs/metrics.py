@@ -146,8 +146,10 @@ class Counter(_Metric):
         self._values[key] = self._values.get(key, 0.0) + amount
 
     def set_total(self, value: float, **labels: Any) -> None:
-        """Overwrite the running total — exists so the serve stats
-        dataclasses' assignment-style API keeps working on top."""
+        """Overwrite the running total: the render path for a count
+        kept as a plain integer elsewhere, copied into a registry
+        built per scrape (``InferenceService.metrics_text``,
+        ``ShardRouter.metrics_text``)."""
         self._values[self._key(labels)] = float(value)
 
     def value(self, **labels: Any) -> float:
@@ -223,7 +225,9 @@ class Histogram(_Metric):
         if not self.label_names:
             self._series[()] = [[0] * len(self.buckets), 0.0, 0]
 
-    def observe(self, value: float, **labels: Any) -> None:
+    def observe(self, value: float, count: int = 1, **labels: Any) -> None:
+        """Record ``value`` ``count`` times (a histogram rendered at
+        scrape time from an exact ``value -> count`` record)."""
         key = self._key(labels)
         series = self._series.get(key)
         if series is None:
@@ -232,10 +236,10 @@ class Histogram(_Metric):
         counts, _total, _n = series
         for i, bound in enumerate(self.buckets):
             if value <= bound:
-                counts[i] += 1
+                counts[i] += count
                 break
-        series[1] += value
-        series[2] += 1
+        series[1] += value * count
+        series[2] += count
 
     def count(self, **labels: Any) -> int:
         series = self._series.get(self._key(labels))

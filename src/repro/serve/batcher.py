@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import asyncio
 from collections.abc import Awaitable, Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..errors import ServeError
 from ..obs import trace
-from ..obs.metrics import MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -139,61 +138,37 @@ def plan_batches(
     return batches
 
 
+@dataclass
 class BatcherStats:
     """Dispatch totals, observable while the batcher runs.
 
-    The integer fields are properties over obs counters in a
-    per-instance registry (rendered by the service's ``GET
-    /metrics``); the ``batch_sizes`` dict keeps its legacy exact-size
-    shape alongside the registry's fixed-bucket histogram.
+    Plain counts, rendered as counters only when the service's ``GET
+    /metrics`` is scraped (:meth:`~repro.serve.service.
+    InferenceService.metrics_text`).  ``batch_sizes`` (exact size ->
+    batches dispatched at that size) is the one per-batch record:
+    ``batches``, ``dispatched``, ``mean_batch`` and the
+    ``repro_batcher_batch_size`` histogram are all derived from it.
     """
 
-    _COUNTERS = (
-        ("submitted", "Items offered to the batcher"),
-        ("rejected", "Items refused by the max_queue bound"),
-        ("dispatched", "Items delivered to on_batch"),
-        ("batches", "Micro-batches dispatched"),
-    )
+    submitted: int = 0
+    rejected: int = 0
+    batch_sizes: dict[int, int] = field(default_factory=dict)
 
-    def __init__(self) -> None:
-        self.registry = MetricsRegistry()
-        self._counters = {
-            name: self.registry.counter(
-                f"repro_batcher_{name}_total", help_
-            )
-            for name, help_ in self._COUNTERS
-        }
-        self.batch_size = self.registry.histogram(
-            "repro_batcher_batch_size",
-            "Dispatched micro-batch sizes (requests per batch)",
-            buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
-        )
-        self.batch_sizes: dict[int, int] = {}
+    @property
+    def batches(self) -> int:
+        return sum(self.batch_sizes.values())
+
+    @property
+    def dispatched(self) -> int:
+        return sum(size * n for size, n in self.batch_sizes.items())
 
     @property
     def mean_batch(self) -> float:
-        return self.dispatched / self.batches if self.batches else 0.0
+        batches = self.batches
+        return self.dispatched / batches if batches else 0.0
 
     def record_batch(self, size: int) -> None:
-        self.batches += 1
-        self.dispatched += size
         self.batch_sizes[size] = self.batch_sizes.get(size, 0) + 1
-        self.batch_size.observe(size)
-
-
-def _batcher_stat_property(name: str) -> property:
-    def _get(self) -> int:
-        return int(self._counters[name].value())
-
-    def _set(self, value: int) -> None:
-        self._counters[name].set_total(value)
-
-    return property(_get, _set)
-
-
-for _name, _help in BatcherStats._COUNTERS:
-    setattr(BatcherStats, _name, _batcher_stat_property(_name))
-del _name, _help
 
 
 class MicroBatcher:

@@ -31,7 +31,6 @@ import numpy as np
 from ..errors import ServeError
 from ..graphs import DAG, OpType, from_json
 from ..obs import trace
-from ..obs.metrics import get_registry
 from ..runner.cache import cached_compile, cached_fused_plan
 from ..runner.fingerprint import config_fingerprint, dag_fingerprint
 from ..sim import BatchSimulator
@@ -41,14 +40,6 @@ from ..workloads.suite import _BY_NAME as _SUITE_NAMES
 #: Default architecture point for served programs (the paper's
 #: min-EDP design, same as the CLI default).
 DEFAULT_CONFIG_LABEL = "D3-B64-R32"
-
-
-def _pool_lookups():
-    return get_registry().counter(
-        "repro_planpool_lookups_total",
-        "Plan-pool lookups by outcome (hit = no build needed)",
-        label_names=("outcome",),
-    )
 
 
 def _config_from_label(label: str):
@@ -202,7 +193,9 @@ class PlanPool:
     Entries are stored once per content identity ``(dag fingerprint,
     config fingerprint, seed)``; routing keys (:attr:`ProgramSpec.key`)
     alias into that store, so serving the same structure under two
-    names costs one plan.
+    names costs one plan.  ``hits`` and ``misses`` count lookups; the
+    service's ``GET /metrics`` renders them as
+    ``repro_planpool_lookups_total``.
     """
 
     def __init__(self, max_programs: int = 32) -> None:
@@ -237,7 +230,6 @@ class PlanPool:
                 # rebuild, not silently serve the old program.
                 if existing.spec == spec:
                     self.hits += 1
-                    _pool_lookups().inc(outcome="hit")
                     self._by_content.move_to_end(content)
                     return existing
         with trace.span("planpool.build", "serve", program=spec.key):
@@ -247,12 +239,10 @@ class PlanPool:
             existing = self._by_content.get(content)
             if existing is not None:
                 self.hits += 1
-                _pool_lookups().inc(outcome="hit")
                 self._by_content.move_to_end(content)
                 self._by_key[spec.key] = content
                 return existing
             self.misses += 1
-            _pool_lookups().inc(outcome="miss")
             self._install(spec.key, content, program)
             return program
 
@@ -290,7 +280,6 @@ class PlanPool:
                     f"{sorted(self._by_key)}"
                 )
             self.hits += 1
-            _pool_lookups().inc(outcome="hit")
             self._by_content.move_to_end(content)
             return self._by_content[content]
 

@@ -100,29 +100,23 @@ class InferenceResponse:
 class ServiceStats:
     """Service-lifetime totals (snapshot via :meth:`as_dict`).
 
-    The integer fields are properties over obs counters in a
-    per-instance :class:`~repro.obs.metrics.MetricsRegistry`, so
-    ``GET /metrics`` renders the same numbers Prometheus-style while
-    ``as_dict`` (and ``stats.submitted += 1`` call sites) keep their
-    exact legacy shape.  Per-instance, not the global registry: two
-    services in one process must not alias each other's counts.
+    The counts are plain integers.  ``GET /metrics`` renders them as
+    counters at scrape time (:meth:`InferenceService.metrics_text`),
+    so ``/stats`` and ``/metrics`` read the same numbers.  The two
+    per-request histograms live in a per-instance
+    :class:`~repro.obs.metrics.MetricsRegistry`, not the global one:
+    two services in one process must not alias each other's
+    observations.
     """
 
-    _COUNTERS = (
-        ("submitted", "Requests entering submit()"),
-        ("completed", "Requests resolved ok"),
-        ("rejected", "Requests refused by admission control"),
-        ("timed_out", "Requests whose deadline passed before execution"),
-        ("errors", "Requests resolved with an error"),
-        ("rows_executed", "Input rows executed across all micro-batches"),
-    )
-
     def __init__(self) -> None:
+        self.submitted = 0
+        self.completed = 0
+        self.rejected = 0
+        self.timed_out = 0
+        self.errors = 0
+        self.rows_executed = 0
         self.registry = MetricsRegistry()
-        self._counters = {
-            name: self.registry.counter(f"repro_serve_{name}_total", help_)
-            for name, help_ in self._COUNTERS
-        }
         self.queue_wait = self.registry.histogram(
             "repro_serve_queue_wait_seconds",
             "Time a request waited for its micro-batch to form",
@@ -153,21 +147,6 @@ class ServiceStats:
                 for k, v in sorted(batcher_stats.batch_sizes.items())
             }
         return doc
-
-
-def _stat_property(name: str) -> property:
-    def _get(self) -> int:
-        return int(self._counters[name].value())
-
-    def _set(self, value: int) -> None:
-        self._counters[name].set_total(value)
-
-    return property(_get, _set)
-
-
-for _name, _help in ServiceStats._COUNTERS:
-    setattr(ServiceStats, _name, _stat_property(_name))
-del _name, _help
 
 
 class InferenceService:
@@ -495,25 +474,68 @@ class InferenceService:
 
     # -- observability -------------------------------------------------
     def metrics_text(self) -> str:
-        """Prometheus exposition for ``GET /metrics``: this service's
-        registry, the batcher's, and the process-wide one (compiler,
-        engines, plan pool), plus point-in-time gauges."""
-        gauges = self.stats.registry
-        gauges.gauge(
+        """Prometheus exposition for ``GET /metrics``.
+
+        Built fresh per scrape from the same plain counts ``/stats``
+        reports (the service's, the batcher's and the plan pool's),
+        plus point-in-time gauges, this service's two histograms and
+        the process-wide registry (compiler, engines)."""
+        stats = self.stats
+        reg = MetricsRegistry()
+        for name, help_, value in (
+            ("submitted", "Requests entering submit()", stats.submitted),
+            ("completed", "Requests resolved ok", stats.completed),
+            ("rejected", "Requests refused by admission control",
+             stats.rejected),
+            ("timed_out", "Requests whose deadline passed before execution",
+             stats.timed_out),
+            ("errors", "Requests resolved with an error", stats.errors),
+            ("rows_executed", "Input rows executed across all micro-batches",
+             stats.rows_executed),
+        ):
+            reg.counter(f"repro_serve_{name}_total", help_).set_total(value)
+        lookups = reg.counter(
+            "repro_planpool_lookups_total",
+            "Plan-pool lookups by outcome (hit = no build needed)",
+            label_names=("outcome",),
+        )
+        for outcome, n in (
+            ("hit", self.pool.hits), ("miss", self.pool.misses)
+        ):
+            if n:
+                lookups.set_total(n, outcome=outcome)
+        reg.gauge(
             "repro_serve_uptime_seconds", "Seconds since service start"
-        ).set(time.monotonic() - self.stats.started_at)
-        gauges.gauge(
+        ).set(time.monotonic() - stats.started_at)
+        reg.gauge(
             "repro_serve_queue_depth",
             "Queued + in-flight requests across all programs",
         ).set(self._batcher.depth if self._batcher is not None else 0)
-        gauges.gauge(
+        reg.gauge(
             "repro_serve_programs", "Programs in the plan pool"
         ).set(len(self.pool))
-        registries = [self.stats.registry]
         if self._batcher is not None:
-            registries.append(self._batcher.stats.registry)
-        registries.append(get_registry())
-        return render_registries(*registries)
+            batcher = self._batcher.stats
+            for name, help_, value in (
+                ("submitted", "Items offered to the batcher",
+                 batcher.submitted),
+                ("rejected", "Items refused by the max_queue bound",
+                 batcher.rejected),
+                ("dispatched", "Items delivered to on_batch",
+                 batcher.dispatched),
+                ("batches", "Micro-batches dispatched", batcher.batches),
+            ):
+                reg.counter(
+                    f"repro_batcher_{name}_total", help_
+                ).set_total(value)
+            sizes = reg.histogram(
+                "repro_batcher_batch_size",
+                "Dispatched micro-batch sizes (requests per batch)",
+                buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
+            )
+            for size, n in batcher.batch_sizes.items():
+                sizes.observe(size, n)
+        return render_registries(reg, stats.registry, get_registry())
 
     def stats_dict(self) -> dict:
         batcher_stats = (

@@ -167,8 +167,8 @@ class BatchSimulator:
         # first timed run; this raises when no working cc exists.
         native.load()
         # Bound (state, inputs, sweep) triples keyed by batch width,
-        # guarded by a non-blocking lock: concurrent runs of one
-        # simulator bind a throwaway triple instead of serializing.
+        # guarded by one lock held for a whole run: concurrent runs of
+        # one simulator serialize.
         self._bound: dict[int, _Bound] = {}
         self._bound_lock = threading.Lock()
 
@@ -236,8 +236,8 @@ class BatchSimulator:
         it, then one gather copies the output cells out of the tiled or
         untiled state."""
         plan = self.plan
-        state, inputs, sweep, lock = self._acquire_state(batch)
-        try:
+        with self._bound_lock:
+            state, inputs, sweep = self._bound_state(batch)
             if matrix is None:
                 matrix = inputs
                 k = plan.num_inputs
@@ -266,9 +266,6 @@ class BatchSimulator:
             outputs = dict(
                 zip(plan.output_vars, plan.read_outputs(state, batch))
             )
-        finally:
-            if lock is not None:
-                lock.release()
         return BatchResult(
             outputs=outputs,
             batch=batch,
@@ -277,35 +274,21 @@ class BatchSimulator:
             host_seconds=time.perf_counter() - t0,
         )
 
-    def _acquire_state(
-        self, batch: int
-    ) -> tuple[
-        np.ndarray,
-        np.ndarray,
-        Callable[[np.ndarray], None],
-        threading.Lock | None,
-    ]:
+    def _bound_state(self, batch: int) -> _Bound:
         """State image, input matrix and bound sweep for one run.
 
         Reuses a per-batch-width bound ``(state, inputs, sweep)`` triple
-        (see :func:`~repro.sim.fused.bind_sweep`), holding the returned
-        lock for the duration of the run.  If another thread holds the
-        triple, the run binds a throwaway triple instead of waiting, so
-        concurrent runs of one simulator overlap.
+        (see :func:`~repro.sim.fused.bind_sweep`), binding one on first
+        use of a width and evicting the oldest beyond
+        :data:`BOUND_SWEEP_CAP`.  Call with ``_bound_lock`` held.
         """
-        if self._bound_lock.acquire(blocking=False):
-            try:
-                entry = self._bound.get(batch)
-                if entry is None:
-                    entry = bind_sweep(self.plan, batch)
-                    while len(self._bound) >= BOUND_SWEEP_CAP:
-                        self._bound.pop(next(iter(self._bound)))
-                    self._bound[batch] = entry
-            except BaseException:
-                self._bound_lock.release()
-                raise
-            return (*entry, self._bound_lock)
-        return (*bind_sweep(self.plan, batch), None)
+        entry = self._bound.get(batch)
+        if entry is None:
+            entry = bind_sweep(self.plan, batch)
+            while len(self._bound) >= BOUND_SWEEP_CAP:
+                self._bound.pop(next(iter(self._bound)))
+            self._bound[batch] = entry
+        return entry
 
 
 def run_batch(

@@ -62,3 +62,32 @@ def test_unknown_label_exits_with_error(trajectory, tmp_path, capsys):
     path = str(tmp_path / "BENCH_x.json")
     assert bench_to_json.main(["table", path, "old", "nope"]) == 2
     assert "nope" in capsys.readouterr().err
+
+
+def test_run_from_a_dirty_tree_is_marked(tmp_path):
+    """A run records the commit it measured: ``-dirty`` when the tree
+    has uncommitted changes, but not for the trajectory file it was
+    appended to."""
+    import subprocess
+
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=tmp_path, check=True, capture_output=True,
+        )
+
+    git("init", "-q")
+    (tmp_path / "code.py").write_text("x = 1\n")
+    git("add", "code.py")
+    git("commit", "-q", "-m", "one")
+    head = subprocess.run(
+        ["git", "rev-parse", "--short", "HEAD"],
+        cwd=tmp_path, check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    path = str(tmp_path / "BENCH_x.json")
+    for _ in range(2):
+        run = bench_to_json.append_run(path, "x", [_rec("a", "m", 1.0)])
+        assert run["git"] == head
+    (tmp_path / "code.py").write_text("x = 2\n")
+    run = bench_to_json.append_run(path, "x", [_rec("a", "m", 1.0)])
+    assert run["git"] == f"{head}-dirty"

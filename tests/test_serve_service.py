@@ -656,6 +656,167 @@ class TestLoadgenCli:
         assert len(doc["runs"][-1]["records"]) == 2
 
 
+    def test_spawned_server_loadgen_exit_zero(self, capsys, monkeypatch):
+        """``loadgen --spawn`` starts ``repro serve`` as a subprocess,
+        drives it over HTTP with parity checks and stops it."""
+        from pathlib import Path
+
+        from repro.cli import main
+
+        monkeypatch.setenv(
+            "PYTHONPATH", str(Path(__file__).resolve().parent.parent / "src")
+        )
+        rc = main([
+            "loadgen", "--spawn",
+            "--programs", "synth_layered",
+            "--patterns", "poisson",
+            "--requests", "20",
+            "--rate", "2000",
+            "--scale", "0.01",
+            "--config", "D2-B8-R16",
+            "--check",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "20 ok" in out
+        assert "0 parity mismatches" in out
+
+
+class TestMetricsExposition:
+    """``GET /metrics`` renders the counts ``/stats`` reports."""
+
+    #: ``(family, type, label names)`` of every series the service
+    #: owns; a renamed, retyped or relabelled series is a broken
+    #: dashboard.
+    FAMILIES = {
+        ("repro_batcher_batch_size", "histogram", ()),
+        ("repro_batcher_batches_total", "counter", ()),
+        ("repro_batcher_dispatched_total", "counter", ()),
+        ("repro_batcher_rejected_total", "counter", ()),
+        ("repro_batcher_submitted_total", "counter", ()),
+        ("repro_planpool_lookups_total", "counter", ("outcome",)),
+        ("repro_serve_completed_total", "counter", ()),
+        ("repro_serve_errors_total", "counter", ()),
+        ("repro_serve_programs", "gauge", ()),
+        ("repro_serve_queue_depth", "gauge", ()),
+        ("repro_serve_queue_wait_seconds", "histogram", ()),
+        ("repro_serve_rejected_total", "counter", ()),
+        ("repro_serve_request_seconds", "histogram", ()),
+        ("repro_serve_rows_executed_total", "counter", ()),
+        ("repro_serve_submitted_total", "counter", ()),
+        ("repro_serve_timed_out_total", "counter", ()),
+        ("repro_serve_uptime_seconds", "gauge", ()),
+    }
+    OWNED = ("repro_serve_", "repro_batcher_", "repro_planpool_")
+
+    @staticmethod
+    def _mixed_traffic(programs):
+        """ok (single- and multi-row), rejected, timeout and error
+        responses through one service; returns its exposition, its
+        ``/stats`` document and the service."""
+        import dataclasses
+
+        program = programs[SPEC.name]
+
+        def explode(rows):
+            raise OSError("sweep buffer unavailable")
+
+        async def main():
+            service = make_service(
+                programs,
+                policy=BatchPolicy(
+                    max_batch=4, max_wait_s=0.005, max_queue=3
+                ),
+            )
+            service.install(dataclasses.replace(
+                program, key="boom", spec=ProgramSpec(name="boom"),
+                _executor=explode,
+            ))
+            row = request_inputs(program.num_inputs, 0)
+            async with service:
+                burst = await asyncio.gather(*(
+                    service.submit(SPEC.name, row) for _ in range(6)
+                ))
+                rest = [
+                    await service.submit(SPEC.name, [row, row]),
+                    await service.submit(SPEC.name, row, deadline_s=0.0),
+                    await service.submit("nope", row),
+                    await service.submit(SPEC.name, [1.0]),
+                    await service.submit("boom", row),
+                ]
+                statuses = sorted(r.status for r in burst + rest)
+                return (
+                    service.metrics_text(), service.stats_dict(),
+                    service, statuses,
+                )
+
+        return run(main())
+
+    def test_counters_equal_stats(self, programs):
+        from repro.obs.metrics import parse_prometheus
+
+        text, stats, service, statuses = self._mixed_traffic(programs)
+        assert statuses == sorted(
+            ["ok"] * 4 + ["rejected"] * 3 + ["timeout"] + ["error"] * 3
+        )
+        samples = {
+            (name, tuple(sorted(labels.items()))): value
+            for name, labels, value in parse_prometheus(text)["samples"]
+        }
+
+        def value(name, **labels):
+            return samples[(name, tuple(sorted(labels.items())))]
+
+        for name in (
+            "submitted", "completed", "rejected", "timed_out", "errors",
+            "rows_executed",
+        ):
+            assert value(f"repro_serve_{name}_total") == stats[name], name
+        sizes = {int(k): n for k, n in stats["batch_sizes"].items()}
+        dispatched = sum(k * n for k, n in sizes.items())
+        assert value("repro_batcher_batches_total") == stats["batches"]
+        assert value("repro_batcher_dispatched_total") == dispatched
+        assert dispatched / stats["batches"] == stats["mean_batch"]
+        assert value("repro_batcher_rejected_total") == stats["rejected"]
+        # Two requests erred before reaching the batcher.
+        assert value("repro_batcher_submitted_total") == (
+            stats["submitted"] - 2
+        )
+        assert value("repro_batcher_batch_size_count") == stats["batches"]
+        assert value("repro_batcher_batch_size_sum") == dispatched
+        for bound in (1, 2, 4, 8):
+            assert value(
+                "repro_batcher_batch_size_bucket", le=str(bound)
+            ) == sum(n for k, n in sizes.items() if k <= bound)
+        assert value("repro_serve_request_seconds_count") == (
+            stats["submitted"]
+        )
+        assert value("repro_planpool_lookups_total", outcome="hit") == (
+            service.pool.hits
+        )
+        assert value("repro_serve_programs") == len(stats["programs"])
+
+    def test_series_names_types_and_labels_are_pinned(self, programs):
+        from repro.obs.metrics import parse_prometheus
+
+        doc = parse_prometheus(self._mixed_traffic(programs)[0])
+        labels: dict[str, set] = {}
+        for name, sample_labels, _ in doc["samples"]:
+            family = name
+            for suffix in ("_bucket", "_sum", "_count"):
+                if name.removesuffix(suffix) in doc["types"]:
+                    family = name.removesuffix(suffix)
+            labels.setdefault(family, set()).update(
+                k for k in sample_labels if k != "le"
+            )
+        families = {
+            (family, kind, tuple(sorted(labels.get(family, ()))))
+            for family, kind in doc["types"].items()
+            if family.startswith(self.OWNED)
+        }
+        assert families == self.FAMILIES
+
+
 class TestPlanPoolCache:
     """A served program runs from one cached artifact, its fused plan:
     a fresh pool on a warm disk cache serves bitwise the same

@@ -513,34 +513,11 @@ class TestBoundSweeps:
                     )
         assert len(sim._bound) == BOUND_SWEEP_CAP
 
-    def test_throwaway_state_fallback_matches_fresh(self):
-        """While another run holds the bound pair, runs fall back to a
-        throwaway state; A, B, A there must match a fresh simulator and
-        leave the bound state untouched."""
-        dag, plan = self._plan()
-        sim = BatchSimulator(plan)
-        a, b = _inputs(dag, 5, seed=1), _inputs(dag, 5, seed=2)
-        sim.run(a)
-        bound = sim._bound[5][0].copy()
-        assert sim._bound_lock.acquire(blocking=False)
-        try:
-            for matrix in (a, b, a):
-                fresh = BatchSimulator(plan).run(matrix)
-                _assert_bitwise(sim.run(matrix).outputs, fresh.outputs)
-        finally:
-            sim._bound_lock.release()
-        assert np.array_equal(
-            sim._bound[5][0].view(np.uint64), bound.view(np.uint64)
-        )
-        for matrix in (b, a):
-            fresh = BatchSimulator(plan).run(matrix)
-            _assert_bitwise(sim.run(matrix).outputs, fresh.outputs)
-
     @pytest.mark.parametrize("batch", [1, 3, 64, 256])
     def test_states_are_cache_line_aligned(self, batch):
         """Every tile of every state starts on a 64-byte boundary, in
-        untiled and tiled states alike: fresh ones, the bound pair a
-        run keeps and the throwaway pair a contended run binds."""
+        untiled and tiled states alike: fresh ones and the bound one a
+        run keeps."""
         for family in ("reuse", "wide"):
             dag, plan = self._plan(family)
             sim = BatchSimulator(plan)
@@ -548,13 +525,6 @@ class TestBoundSweeps:
             states = [fused.make_state(batch) for _ in range(8)]
             sim.run(_inputs(dag, batch))
             states.append(sim._bound[batch][0])
-            assert sim._bound_lock.acquire(blocking=False)
-            try:
-                state, _, _, lock = sim._acquire_state(batch)
-                assert lock is None  # the throwaway pair
-                states.append(state)
-            finally:
-                sim._bound_lock.release()
             width = fused.tile_width(batch)
             tiled = family == "wide" and batch >= 2 * TILE
             assert width == (TILE if tiled else batch)

@@ -368,12 +368,12 @@ class TestParity:
         assert (state[2, :, 2] == 0.0).all()  # past the batch
 
     def test_threads_share_one_simulator(self):
-        """ctypes releases the GIL, so the threads' sweeps overlap: one
-        holds the bound triple, the others bind throwaway ones.  Runs
-        alternate between ``run`` and ``run_rows``, which fills the
-        bound input matrix, so a row copied into another run's matrix
-        would show.  More threads than cores and a short switch
-        interval make the interleavings frequent."""
+        """Runs of one simulator from several threads serialize on its
+        lock, each on the bound triple of its width.  Runs alternate
+        between ``run`` and ``run_rows``, which fills the bound input
+        matrix, so a row copied into another run's matrix would show.
+        More threads than cores and a short switch interval make the
+        interleavings frequent."""
         dag = generate_synth("layered", 200, seed=9)
         plan = compile_dag(dag, CFG).plan()
         sim = BatchSimulator(plan)

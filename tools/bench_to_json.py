@@ -53,11 +53,11 @@ import tempfile
 SCHEMA = "repro-bench-v1"
 
 
-def _git_revision(cwd: str | None = None) -> str | None:
-    """Best-effort short commit hash; ``None`` outside a checkout."""
+def _git(cwd: str, *args: str) -> str | None:
+    """Standard output of one git command; ``None`` when it fails."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", *args],
             capture_output=True,
             text=True,
             timeout=5,
@@ -65,9 +65,23 @@ def _git_revision(cwd: str | None = None) -> str | None:
         )
     except (OSError, subprocess.TimeoutExpired):
         return None
-    if out.returncode != 0:
+    return out.stdout if out.returncode == 0 else None
+
+
+def _git_revision(path: str) -> str | None:
+    """Short commit hash of the checkout holding ``path``, suffixed
+    ``-dirty`` when the tree has uncommitted changes; ``None`` outside
+    a checkout.  The trajectory file ``path`` itself is left out of the
+    check, so appending one run does not mark the next one dirty."""
+    path = os.path.abspath(path)
+    cwd = os.path.dirname(path)
+    rev = (_git(cwd, "rev-parse", "--short", "HEAD") or "").strip()
+    if not rev:
         return None
-    return out.stdout.strip() or None
+    status = _git(
+        cwd, "status", "--porcelain", "--", ":/", f":(exclude){path}"
+    )
+    return f"{rev}-dirty" if status is None or status.strip() else rev
 
 
 def host_info() -> dict:
@@ -123,7 +137,7 @@ def append_run(
         ),
         "label": label,
         "host": host_info(),
-        "git": _git_revision(os.path.dirname(os.path.abspath(path)) or "."),
+        "git": _git_revision(path),
         "records": records,
     }
     if extra:
